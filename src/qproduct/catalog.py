@@ -155,9 +155,11 @@ def _resolve(node):
             return AdditiveCode.from_linear(code)
         if name == "dual":
             code = vals[0]
-            kind = vals[1] if len(vals) > 1 else InnerProductKind.EUCLIDEAN
             if isinstance(code, AdditiveCode):
+                if len(vals) > 1 and vals[1] is not InnerProductKind.SYMPLECTIC:
+                    raise DescriptorError("additive codes only have symplectic duals")
                 return code.symplectic_dual()
+            kind = vals[1] if len(vals) > 1 else InnerProductKind.EUCLIDEAN
             return code.dual(kind)
     except DescriptorError:
         raise

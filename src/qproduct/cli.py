@@ -16,8 +16,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import (DescriptorError, hamming_dual, load_code_json, parse_descriptor,
                       quaternary_hamming_dual_5, simplex)
-from .code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
-                   hamming_weight, min_distance)
+from .code import AdditiveCode, LinearCode, distance_at_least, min_distance
 from .convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
                             check_band_self_orthogonal, conv_from_product,
                             free_distance_upper_bound, tail_biting, tail_biting_qecc)
@@ -50,12 +49,12 @@ def _selforth_flags(code) -> dict:
     return flags
 
 
-def _code_block(code, budget=None, threads=1, with_distance=True) -> dict:
+def _code_block(code, budget=None, with_distance=True) -> dict:
     out = code.describe()
     out["field_spec"] = _field_block(code.spec)
     out["self_orthogonal"] = _selforth_flags(code)
     if with_distance:
-        out["distance"] = min_distance(code, budget=budget, threads=threads).to_dict()
+        out["distance"] = min_distance(code, budget=budget).to_dict()
     return out
 
 
@@ -92,7 +91,7 @@ def cmd_field(args) -> dict:
 
 def cmd_build(args) -> dict:
     code = _resolve_code(args)
-    return {"code": _code_block(code, budget=args.budget, threads=args.threads)}
+    return {"code": _code_block(code, budget=args.budget)}
 
 
 def cmd_dual(args) -> dict:
@@ -105,19 +104,19 @@ def cmd_dual(args) -> dict:
     else:
         dual = code.dual(kind)
     return {
-        "primal": _code_block(code, budget=args.budget, threads=args.threads),
+        "primal": _code_block(code, budget=args.budget),
         "kind": str(kind),
-        "dual": _code_block(dual, budget=args.budget, threads=args.threads),
+        "dual": _code_block(dual, budget=args.budget),
     }
 
 
 def cmd_distance(args) -> dict:
     code = _resolve_code(args)
-    cert = min_distance(code, budget=args.budget, threads=args.threads)
+    cert = min_distance(code, budget=args.budget)
     return {"code": _code_block(code, with_distance=False), "distance": cert.to_dict()}
 
 
-def _product_conformance(c1, c2, prod, kind, budget, threads) -> dict:
+def _product_conformance(c1, c2, prod, kind, budget) -> dict:
     checks: dict = {}
     stacked = dual_of_product_generator(c1, c2, kind)
     if kind is InnerProductKind.SYMPLECTIC:
@@ -128,12 +127,12 @@ def _product_conformance(c1, c2, prod, kind, budget, threads) -> dict:
         dual = prod.dual(kind)
         checks["dual_generator_matches"] = stacked.same_row_space(dual.generator)
     checks["dual_dimension"] = dual.k_p if isinstance(dual, AdditiveCode) else dual.k
-    dual_cert = min_distance(dual, budget=budget, threads=threads)
+    dual_cert = min_distance(dual, budget=budget)
     checks["dual_distance"] = dual_cert.to_dict()
     try:
         ceiling = dual_distance_ceiling(c1, c2, kind, budget=budget)
         checks["dual_distance_ceiling"] = ceiling
-        if dual_cert.exact:
+        if dual_cert.exact and ceiling is not None:
             checks["ceiling_respected"] = dual_cert.value <= ceiling
     except ValueError:
         checks["dual_distance_ceiling"] = None
@@ -146,12 +145,11 @@ def cmd_product(args) -> dict:
     kind = _KIND_BY_NAME[args.kind]
     prod = product(c1, c2)
     report = {
-        "factors": [_code_block(c1, budget=args.budget, threads=args.threads),
-                    _code_block(c2, budget=args.budget, threads=args.threads)],
+        "factors": [_code_block(c1, budget=args.budget), _code_block(c2, budget=args.budget)],
         "kind": str(kind),
-        "product": _code_block(prod, budget=args.budget, threads=args.threads),
+        "product": _code_block(prod, budget=args.budget),
         "claimed_distance": prod.claimed_distance,
-        "conformance": _product_conformance(c1, c2, prod, kind, args.budget, args.threads),
+        "conformance": _product_conformance(c1, c2, prod, kind, args.budget),
     }
     if c2.is_self_orthogonal(kind):
         report["self_orthogonality_transfer"] = prod.is_self_orthogonal(kind)
@@ -165,13 +163,11 @@ def cmd_product_additive(args) -> dict:
         c2 = AdditiveCode.from_linear(c2)
     prod = product_additive(c1, c2)
     report = {
-        "factors": [_code_block(c1, budget=args.budget, threads=args.threads),
-                    _code_block(c2, budget=args.budget, threads=args.threads)],
+        "factors": [_code_block(c1, budget=args.budget), _code_block(c2, budget=args.budget)],
         "kind": "symplectic",
-        "product": _code_block(prod, budget=args.budget, threads=args.threads),
+        "product": _code_block(prod, budget=args.budget),
         "claimed_distance": prod.claimed_distance,
-        "conformance": _product_conformance(c1, c2, prod, InnerProductKind.SYMPLECTIC,
-                                            args.budget, args.threads),
+        "conformance": _product_conformance(c1, c2, prod, InnerProductKind.SYMPLECTIC, args.budget),
     }
     if c2.is_self_orthogonal():
         report["self_orthogonality_transfer"] = prod.is_self_orthogonal()
@@ -230,26 +226,23 @@ def cmd_qecc(args) -> dict:
     if args.construction == "rs-product":
         if args.q is None or args.mu1 is None or args.mu2 is None:
             raise DescriptorError("rs-product needs --q, --mu1, --mu2")
-        params = rs_prod_qecc(args.q, args.mu1, args.mu2, budget=args.budget,
-                              threads=args.threads)
+        params = rs_prod_qecc(args.q, args.mu1, args.mu2, budget=args.budget)
         rates = rate_comparison(args.q, args.mu1, args.mu2)
         predicted = rs_product_params(args.q, args.q - args.mu1, args.q - args.mu2)
-        dual_cert = rs_product_dual_certificate(args.q, args.q - args.mu1, args.q - args.mu2,
-                                                budget=args.budget)
         return {"qecc": params.to_dict(), "rate_comparison": rates.to_dict(),
-                "predicted": predicted.to_dict(), "dual_certificate": dual_cert.to_dict()}
+                "predicted": predicted.to_dict(), "dual_certificate": params.distance.to_dict()}
     code = _resolve_code(args)
     if args.construction == "css":
-        params = css_qecc(code, budget=args.budget, threads=args.threads)
+        params = css_qecc(code, budget=args.budget)
     elif args.construction == "hermitian":
-        params = hermitian_qecc(code, budget=args.budget, threads=args.threads)
+        params = hermitian_qecc(code, budget=args.budget)
     elif args.construction == "symplectic":
         if isinstance(code, LinearCode):
             code = AdditiveCode.from_linear(code)
-        params = symplectic_qecc(code, budget=args.budget, threads=args.threads)
+        params = symplectic_qecc(code, budget=args.budget)
     else:
         raise DescriptorError(f"unknown construction {args.construction!r}")
-    report = {"source": _code_block(code, budget=args.budget, threads=args.threads),
+    report = {"source": _code_block(code, budget=args.budget),
               "qecc": params.to_dict()}
     if args.refine_distance:
         report["stabilizer_distance"] = stabilizer_distance(code, args.construction,
@@ -297,13 +290,12 @@ def cmd_conv(args) -> dict:
         return {"band": _band_block(s), "window_pairwise_orthogonal": oracle}
     # tailbite
     code = tail_biting(s, args.blocks)
-    qecc = tail_biting_qecc(s, args.blocks, budget=args.budget, threads=args.threads)
+    qecc = tail_biting_qecc(s, args.blocks, budget=args.budget)
     rank = code.k_p if isinstance(code, AdditiveCode) else code.k
     return {
         "band": _band_block(s),
         "blocks": args.blocks,
-        "tail_biting_code": _code_block(code, budget=args.budget, threads=args.threads,
-                                        with_distance=False),
+        "tail_biting_code": _code_block(code, budget=args.budget, with_distance=False),
         "rank": rank,
         "expected_rank": args.blocks * s.rows_per_frame,
         "rank_deficient": rank < args.blocks * s.rows_per_frame,
@@ -314,74 +306,71 @@ def cmd_conv(args) -> dict:
 # ---------------------------------------------------------------------------
 # reference pipelines and golden reports
 
-def _pipeline_hamming_dual_chain(budget, threads) -> dict:
+def _pipeline_hamming_dual_chain(budget) -> dict:
     code = hamming_dual(3, 2)
     dual = code.dual(InnerProductKind.EUCLIDEAN)
     return {
-        "code": _code_block(code, budget, threads),
-        "dual": _code_block(dual, budget, threads),
-        "qecc": css_qecc(code, budget=budget, threads=threads).to_dict(),
+        "code": _code_block(code, budget),
+        "dual": _code_block(dual, budget),
+        "qecc": css_qecc(code, budget=budget).to_dict(),
     }
 
 
-def _pipeline_binary_product_chain(budget, threads) -> dict:
+def _pipeline_binary_product_chain(budget) -> dict:
     code = hamming_dual(3, 2)
     prod = product(code, code)
     dual = prod.dual(InnerProductKind.EUCLIDEAN)
     stacked = dual_of_product_generator(code, code, InnerProductKind.EUCLIDEAN)
     return {
-        "product": _code_block(prod, budget, threads),
+        "product": _code_block(prod, budget),
         "claimed_distance": prod.claimed_distance,
         "dual_dimension": dual.k,
-        "dual_distance": min_distance(dual, budget=budget, threads=threads).to_dict(),
+        "dual_distance": min_distance(dual, budget=budget).to_dict(),
         "dual_distance_at_least_3": distance_at_least(dual, 3),
         "dual_distance_at_least_4": distance_at_least(dual, 4),
         "dual_generator_matches": stacked.same_row_space(dual.generator),
         "dual_distance_ceiling": dual_distance_ceiling(code, code, InnerProductKind.EUCLIDEAN,
                                                        budget=budget),
-        "qecc": css_qecc(prod, budget=budget, threads=threads).to_dict(),
+        "qecc": css_qecc(prod, budget=budget).to_dict(),
     }
 
 
-def _pipeline_hermitian_chain(budget, threads) -> dict:
+def _pipeline_hermitian_chain(budget) -> dict:
     code = quaternary_hamming_dual_5()
     dual = code.dual(InnerProductKind.HERMITIAN)
     prod = product(code, code)
     prod_dual = prod.dual(InnerProductKind.HERMITIAN)
     return {
-        "code": _code_block(code, budget, threads),
-        "dual": _code_block(dual, budget, threads),
-        "qecc": hermitian_qecc(code, budget=budget, threads=threads).to_dict(),
-        "product": _code_block(prod, budget, threads),
+        "code": _code_block(code, budget),
+        "dual": _code_block(dual, budget),
+        "qecc": hermitian_qecc(code, budget=budget).to_dict(),
+        "product": _code_block(prod, budget),
         "product_dual_dimension": prod_dual.k,
-        "product_dual_distance": min_distance(prod_dual, budget=budget, threads=threads).to_dict(),
-        "product_qecc": hermitian_qecc(prod, budget=budget, threads=threads).to_dict(),
+        "product_dual_distance": min_distance(prod_dual, budget=budget).to_dict(),
+        "product_qecc": hermitian_qecc(prod, budget=budget).to_dict(),
     }
 
 
-def _pipeline_additive_chain(budget, threads) -> dict:
+def _pipeline_additive_chain(budget) -> dict:
     c1 = simplex(2, 2)
     c2 = AdditiveCode.from_linear(quaternary_hamming_dual_5())
     prod = product_additive(c1, c2)
     dual = prod.symplectic_dual()
-    exhaustive = min_distance(dual, budget=budget, threads=threads)
-    search_lower = max(w for w in (2, 3, 4) if distance_at_least(dual, w))
-    witness = find_low_weight_word(dual, max_w=4)
-    qecc = symplectic_qecc(prod, budget=budget, threads=threads)
+    exhaustive = min_distance(dual, budget=budget)
+    search = min_distance(dual, budget=0)  # forced onto the low-weight search
+    qecc = symplectic_qecc(prod, budget=budget)
     return {
-        "factors": [_code_block(c1, budget, threads), _code_block(c2, budget, threads)],
-        "product": _code_block(prod, budget, threads),
+        "factors": [_code_block(c1, budget), _code_block(c2, budget)],
+        "product": _code_block(prod, budget),
         "dual_size": f"2^{dual.k_p}",
         "dual_distance_exhaustive": exhaustive.to_dict(),
-        "dual_distance_search": {"lower": search_lower,
-                                 "witness_weight": hamming_weight(witness) if witness else None},
-        "methods_agree": exhaustive.exact and witness is not None
-                         and exhaustive.value == search_lower == hamming_weight(witness),
+        "dual_distance_search": {"lower": search.lower, "witness_weight": search.upper},
+        "methods_agree": exhaustive.exact and search.exact and exhaustive.value == search.value,
         "qecc": qecc.to_dict(),
     }
 
 
-def _pipeline_tail_biting(budget, threads) -> dict:
+def _pipeline_tail_biting(budget) -> dict:
     code = hamming_dual(3, 2)
     s = conv_from_product(code, code, 1, InnerProductKind.EUCLIDEAN)
     out = {}
@@ -393,13 +382,13 @@ def _pipeline_tail_biting(budget, threads) -> dict:
             "rank": tb.k,
             "expected_rank": blocks * s.rows_per_frame,
             "self_orthogonal": tb.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
-            "dual_distance": min_distance(dual, budget=budget, threads=threads).to_dict(),
-            "qecc": tail_biting_qecc(s, blocks, budget=budget, threads=threads).to_dict(),
+            "dual_distance": min_distance(dual, budget=budget).to_dict(),
+            "qecc": tail_biting_qecc(s, blocks, budget=budget).to_dict(),
         }
     return out
 
 
-def _pipeline_conv_bands(budget, threads) -> dict:
+def _pipeline_conv_bands(budget) -> dict:
     code = hamming_dual(3, 2)
     out = {}
     for t in (1, 2):
@@ -420,7 +409,7 @@ def _pipeline_conv_bands(budget, threads) -> dict:
     return out
 
 
-def _pipeline_rs_product_grid(budget, threads) -> dict:
+def _pipeline_rs_product_grid(budget) -> dict:
     grid = {}
     for q in (4, 5, 7, 8):
         entries = []
@@ -439,7 +428,7 @@ def _pipeline_rs_product_grid(budget, threads) -> dict:
                 entry["rectangle_certificate"] = rect.to_dict()
                 if q <= 5:
                     dual = prod.dual(InnerProductKind.EUCLIDEAN)
-                    cert = min_distance(dual, budget=budget, threads=threads)
+                    cert = min_distance(dual, budget=budget)
                     entry["certified_dual_distance"] = cert.to_dict()
                     entry["matches_stated"] = cert.exact and cert.value == rep.stated_dual_distance
                     entry["matches_corrected"] = (cert.exact
@@ -449,7 +438,7 @@ def _pipeline_rs_product_grid(budget, threads) -> dict:
     return grid
 
 
-def _pipeline_rate_comparison(budget, threads) -> dict:
+def _pipeline_rate_comparison(budget) -> dict:
     grid = []
     for q in (4, 5, 7, 8, 9):
         for mu in range(1, q - 1):
@@ -505,12 +494,11 @@ def _golden_dir() -> Path:
 
 def cmd_reproduce(args) -> dict:
     budget = args.budget
-    threads = args.threads
     results = {}
     failures = {}
     golden_dir = _golden_dir()
     for name, builder in PIPELINES.items():
-        report = builder(budget, threads)
+        report = builder(budget)
         results[name] = report
         if args.write_golden:
             golden_dir.mkdir(parents=True, exist_ok=True)
@@ -597,8 +585,6 @@ def _add_common(parser) -> None:
     parser.add_argument("--budget", type=int, default=None,
                         help="max codewords for exhaustive enumeration (default 2^24; "
                              "QPRODUCT_BUDGET overrides)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="deterministic partition count for enumeration")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     parser.add_argument("--pretty", action="store_true", help="human-readable rendering")
 

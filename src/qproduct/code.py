@@ -4,16 +4,15 @@ certification.
 
 Distances are either computed exactly by exhaustive codeword enumeration
 (bit-packed Gray-code iteration in characteristic 2, radix-p Gray
-iteration otherwise) or certified by a lower bound from small-support
-independence checks combined with an explicit low-weight witness.  A
-certificate never reports "exact" unless lower and upper bound meet.
+iteration otherwise) or certified by a complete search for codewords of
+weight at most 4: a lightest witness fixes the distance, and its absence
+proves d >= 5.  A certificate never reports "exact" unless lower and
+upper bound meet.
 """
 from __future__ import annotations
 
 import itertools
 import os
-import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,7 +20,6 @@ from .galois import FieldSpec
 from .matrix import InnerProductKind, Matrix
 
 DEFAULT_BUDGET = 1 << 24
-_SAMPLE_FALLBACK = 2000
 
 
 def enumeration_budget(budget: int | None = None) -> int:
@@ -82,22 +80,13 @@ class DistanceCertificate:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration engines
+# exhaustive enumeration
 #
 # Every code here is a GF(p)-span of a fixed list of generator vectors, so
 # enumeration walks all p^K coefficient tuples with a radix-p Gray code:
 # step t updates one generator (the p-adic valuation of t), so each word
 # costs one row update.  In characteristic 2 rows are packed into single
 # integers, ell bits per symbol, and the update is a XOR.
-
-def _gray_state(t: int, p: int, ndigits: int) -> list[int]:
-    """Coefficient tuple after t Gray steps: s_j = d_j(t) - d_{j+1}(t) mod p."""
-    digits = []
-    for _ in range(ndigits + 1):
-        digits.append(t % p)
-        t //= p
-    return [(digits[j] - digits[j + 1]) % p for j in range(ndigits)]
-
 
 def _pack(vec: Sequence[int], bits: int) -> int:
     word = 0
@@ -111,47 +100,25 @@ def _unpack(word: int, bits: int, n: int) -> tuple[int, ...]:
     return tuple((word >> (bits * i)) & mask for i in range(n))
 
 
-def _packed_weight(word: int, bits: int, fold_mask: int) -> int:
-    acc = word
-    for s in range(1, bits):
-        acc |= word >> s
-    return (acc & fold_mask).bit_count()
-
-
-def _scan_packed(rows: list[int], n: int, bits: int, lo: int, hi: int,
-                 counts: list[int] | None) -> tuple[int, int]:
-    """Scan Gray indices [lo, hi); returns (min weight, index) over nonzero words."""
+def _scan_packed(rows: list[tuple[int, ...]], n: int, bits: int,
+                 counts: list[int] | None) -> tuple[int, tuple[int, ...] | None]:
+    packed = [_pack(r, bits) for r in rows]
     fold_mask = sum(1 << (bits * i) for i in range(n))
-    word = 0
-    for j, s in enumerate(_gray_state(lo, 2, len(rows))):
-        if s:
-            word ^= rows[j]
-    best_w, best_t = n + 1, -1
     bit_count = int.bit_count
     shifts = range(1, bits)
-
-    def weight_of(v: int) -> int:
-        acc = v
-        for s in shifts:
-            acc |= v >> s
-        return bit_count(acc & fold_mask)
-
-    w = bit_count(word) if bits == 1 else weight_of(word)
-    if lo and w < best_w:
-        best_w, best_t = w, lo
-    if counts is not None:
-        counts[w] += 1
+    word = 0
+    best_w, best = n + 1, None
     if bits == 1:
-        for t in range(lo + 1, hi):
-            word ^= rows[(t & -t).bit_length() - 1]
+        for t in range(1, 1 << len(rows)):
+            word ^= packed[(t & -t).bit_length() - 1]
             w = bit_count(word)
             if counts is not None:
                 counts[w] += 1
             if w < best_w:
-                best_w, best_t = w, t
+                best_w, best = w, word
     else:
-        for t in range(lo + 1, hi):
-            word ^= rows[(t & -t).bit_length() - 1]
+        for t in range(1, 1 << len(rows)):
+            word ^= packed[(t & -t).bit_length() - 1]
             acc = word
             for s in shifts:
                 acc |= word >> s
@@ -159,30 +126,19 @@ def _scan_packed(rows: list[int], n: int, bits: int, lo: int, hi: int,
             if counts is not None:
                 counts[w] += 1
             if w < best_w:
-                best_w, best_t = w, t
-    return best_w, best_t
+                best_w, best = w, word
+    return best_w, None if best is None else _unpack(best, bits, n)
 
 
-def _scan_generic(spec: FieldSpec, rows: list[tuple[int, ...]], n: int, lo: int, hi: int,
-                  counts: list[int] | None) -> tuple[int, int]:
+def _scan_generic(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
+                 counts: list[int] | None) -> tuple[int, tuple[int, ...] | None]:
     p = spec.p
     add = spec.add
-    mul = spec.mul
-    word = [0] * n
-    state = _gray_state(lo, p, len(rows))
-    for j, s in enumerate(state):
-        if s:
-            for i, v in enumerate(rows[j]):
-                if v:
-                    word[i] = add(word[i], mul(s, v))
-    weight = sum(1 for v in word if v)
     nz = [tuple((i, v) for i, v in enumerate(r) if v) for r in rows]
-    best_w, best_t = n + 1, -1
-    if lo and weight < best_w:
-        best_w, best_t = weight, lo
-    if counts is not None:
-        counts[weight] += 1
-    for t in range(lo + 1, hi):
+    word = [0] * n
+    weight = 0
+    best_w, best = n + 1, None
+    for t in range(1, p**len(rows)):
         tt, j = t, 0
         while tt % p == 0:
             tt //= p
@@ -195,64 +151,21 @@ def _scan_generic(spec: FieldSpec, rows: list[tuple[int, ...]], n: int, lo: int,
         if counts is not None:
             counts[weight] += 1
         if weight < best_w:
-            best_w, best_t = weight, t
-    return best_w, best_t
-
-
-def _word_at(spec: FieldSpec, rows: list[tuple[int, ...]], n: int, t: int) -> tuple[int, ...]:
-    word = [0] * n
-    for j, s in enumerate(_gray_state(t, spec.p, len(rows))):
-        if s:
-            for i, v in enumerate(rows[j]):
-                if v:
-                    word[i] = spec.add(word[i], spec.mul(s, v))
-    return tuple(word)
+            best_w, best = weight, tuple(word)
+    return best_w, best
 
 
 def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
-                     threads: int = 1, counts: list[int] | None = None) -> tuple[int, tuple[int, ...] | None]:
-    """Minimum nonzero weight (and witness) over the GF(p)-span of rows.
-
-    Partitioning into contiguous Gray ranges is deterministic: the result
-    is identical for any thread count (minimum weight wins, earliest
-    enumeration index breaks ties).
-    """
-    K = len(rows)
-    p = spec.p
-    total = p**K
-    packed = p == 2
-    if packed:
-        bits = spec.ell
-        packed_rows = [_pack(r, bits) for r in rows]
-    nparts = max(1, min(threads, total))
-    bounds = [total * i // nparts for i in range(nparts)] + [total]
-    jobs = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo < hi:
-            jobs.append((lo, hi, [0] * (n + 1) if counts is not None else None))
-
-    def run(job):
-        lo, hi, cnt = job
-        if packed:
-            return (*_scan_packed(packed_rows, n, bits, lo, hi, cnt), cnt)
-        return (*_scan_generic(spec, rows, n, lo, hi, cnt), cnt)
-
-    if len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(jobs[0])]
-
-    best_w, best_t = n + 1, -1
-    for w, t, cnt in results:  # ranges are in ascending index order
-        if t >= 0 and w < best_w:
-            best_w, best_t = w, t
-        if counts is not None and cnt is not None:
-            for i, c in enumerate(cnt):
-                counts[i] += c
-    if best_t < 0:
-        return n + 1, None
-    return best_w, _word_at(spec, rows, n, best_t)
+                     counts: list[int] | None = None) -> tuple[int, tuple[int, ...] | None]:
+    """Minimum nonzero weight over the GF(p)-span of rows, with the first
+    word of that weight in Gray order as witness ((n + 1, None) when the
+    span is zero).  With ``counts``, also tallies every word's weight,
+    the zero word included."""
+    if counts is not None:
+        counts[0] += 1
+    if spec.p == 2:
+        return _scan_packed(rows, n, spec.ell, counts)
+    return _scan_generic(spec, rows, n, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +208,6 @@ class LinearCode:
         if len(vec) != self.n:
             raise ValueError("length mismatch")
         return self.generator.row_space_contains(vec)
-
-    def codewords(self) -> Iterable[tuple[int, ...]]:
-        """All codewords (for small codes and tests)."""
-        spec = self.spec
-        for coeffs in itertools.product(range(spec.q), repeat=self.k):
-            word = [0] * self.n
-            for c, row in zip(coeffs, self.generator.rows):
-                if c:
-                    for i, v in enumerate(row):
-                        if v:
-                            word[i] = spec.add(word[i], spec.mul(c, v))
-            yield tuple(word)
 
     def dual(self, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> "LinearCode":
         if kind is InnerProductKind.SYMPLECTIC:
@@ -418,17 +319,6 @@ class AdditiveCode:
             raise ValueError("length mismatch")
         return self.expanded.row_space_contains(self._expand_row(self.spec, vec))
 
-    def codewords(self) -> Iterable[tuple[int, ...]]:
-        spec = self.spec
-        for coeffs in itertools.product(range(spec.p), repeat=self.k_p):
-            word = [0] * self.n
-            for c, row in zip(coeffs, self.generators.rows):
-                if c:
-                    for i, v in enumerate(row):
-                        if v:
-                            word[i] = spec.add(word[i], spec.mul(c, v))
-            yield tuple(word)
-
     def _symplectic_form_blocks(self) -> Matrix:
         """Per-coordinate Gram matrix B[s][t] = tr(x^s * frob(x^t)) over GF(p)."""
         spec = self.spec
@@ -506,49 +396,12 @@ def to_additive_over(code: LinearCode, target: FieldSpec) -> AdditiveCode:
 # ---------------------------------------------------------------------------
 # distance services
 
-def _gfp_check_matrix(code: Code) -> Matrix:
-    """GF(p) parity conditions for the expanded image of the code."""
-    if isinstance(code, LinearCode):
-        expanded = Matrix(code.spec.prime_field,
-                          [AdditiveCode._expand_row(code.spec, r) for r in code.expanded_generators()],
-                          ncols=code.n * code.spec.ell)
-        return expanded.kernel()
-    return code.expanded.kernel()
-
-
-def _support_rank_full(H: Matrix, ell: int, support: Sequence[int]) -> bool:
-    cols = []
-    for i in support:
-        cols.extend(range(i * ell, (i + 1) * ell))
-    sub = H.take_columns(cols)
-    return sub.rank() == len(cols)
-
-
 def distance_at_least(code: Code, w: int) -> bool:
-    """Exact test of d >= w for w <= 4 without enumerating the code.
-
-    Characterization: d >= w iff no nonzero codeword is supported on
-    fewer than w coordinates, i.e. every choice of w-1 coordinates meets
-    the code trivially.
-    """
+    """Exact test of d >= w for w <= 4 without enumerating the code:
+    no nonzero codeword has weight below w."""
     if w > 4:
         raise ValueError("distance_at_least supports w <= 4 only")
-    if w <= 1:
-        return True
-    k = code.k if isinstance(code, LinearCode) else code.k_p
-    if k == 0:
-        return True
-    if isinstance(code, LinearCode):
-        return _linear_distance_at_least(code, w)
-    H = _gfp_check_matrix(code)
-    ell = code.spec.ell
-    for size in range(1, w):
-        for support in itertools.combinations(range(code.n), size):
-            if not _support_rank_full(H, ell, support):
-                # a nonzero kernel vector on this support is a codeword of
-                # weight <= size <= w-1
-                return False
-    return True
+    return find_low_weight_word(code, w - 1) is None
 
 
 def _normalized_column(spec: FieldSpec, col: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -567,57 +420,21 @@ def _linear_columns(code: LinearCode) -> list[tuple[int, ...]]:
     return [tuple(r[j] for r in H.rows) for j in range(code.n)]
 
 
-def _linear_distance_at_least(code: LinearCode, w: int) -> bool:
-    spec = code.spec
-    cols = _linear_columns(code)
-    if code.k == code.n:
-        # full space: check matrix is empty, weight-1 words exist
-        return code.n == 0
-    norm = []
-    for col in cols:
-        nc = _normalized_column(spec, col)
-        if nc is None:
-            return False  # weight-1 codeword
-        norm.append(nc[0])
-    if w == 2:
-        return True
-    if len(set(norm)) != len(norm):
-        return False  # weight-2 codeword
-    if w == 3:
-        return True
-    index = {}
-    for i, key in enumerate(norm):
-        index[key] = i
-    nonzero = [v for v in range(1, spec.q)]
-    add, mul = spec.add, spec.mul
-    for i in range(len(cols)):
-        ci = cols[i]
-        for j in range(i + 1, len(cols)):
-            cj = cols[j]
-            for lam in nonzero:
-                combo = tuple(add(a, mul(lam, b)) for a, b in zip(ci, cj))
-                nc = _normalized_column(spec, combo)
-                if nc is None:
-                    continue  # dependent pair, caught above
-                hit = index.get(nc[0])
-                if hit is not None and hit != i and hit != j:
-                    return False  # weight-3 codeword
-    return True
-
-
 def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
     """Smallest-weight nonzero codeword of weight <= max_w, or None.
 
     Complete: if a word of weight <= max_w exists, one of minimum weight
     among weights <= max_w is returned.
     """
+    if max_w < 1 or code.size() == 1:
+        return None
     if isinstance(code, LinearCode):
         return _linear_low_weight_word(code, max_w)
     return _additive_low_weight_word(code, max_w)
 
 
 def _additive_low_weight_word(code: AdditiveCode, max_w: int) -> tuple[int, ...] | None:
-    H = _gfp_check_matrix(code)
+    H = code.expanded.kernel()  # GF(p) parity checks of the expanded code
     ell = code.spec.ell
     spec = code.spec
     for size in range(1, max_w + 1):
@@ -640,8 +457,6 @@ def _additive_low_weight_word(code: AdditiveCode, max_w: int) -> tuple[int, ...]
 def _linear_low_weight_word(code: LinearCode, max_w: int) -> tuple[int, ...] | None:
     spec = code.spec
     n = code.n
-    if code.k == 0:
-        return None
     if code.k == n:
         word = [0] * n
         word[0] = 1
@@ -716,9 +531,11 @@ def _linear_low_weight_word(code: LinearCode, max_w: int) -> tuple[int, ...] | N
     return None
 
 
-def min_distance(code: Code, budget: int | None = None, threads: int = 1) -> DistanceCertificate:
+def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     """Minimum-distance certificate: exact by enumeration within budget,
-    otherwise bounds from independence checks plus a witness search."""
+    otherwise one complete search for a word of weight <= 4.  A witness
+    of weight w proves d = w; without one, d >= 5 and no upper bound is
+    known."""
     budget = enumeration_budget(budget)
     n = code.n
     k = code.k if isinstance(code, LinearCode) else code.k_p
@@ -728,115 +545,24 @@ def min_distance(code: Code, budget: int | None = None, threads: int = 1) -> Dis
                                    witness=None, degenerate=True, claimed=claimed)
     if code.size() <= budget:
         rows = code.expanded_generators()
-        w, witness = _exhaustive_scan(code.spec, [tuple(r) for r in rows], n, threads=threads)
+        w, witness = _exhaustive_scan(code.spec, [tuple(r) for r in rows], n)
         return DistanceCertificate(lower=w, upper=w, lower_method="exhaustive",
                                    witness=witness, claimed=claimed)
-    lower = 1
-    for w in (2, 3, 4):
-        if distance_at_least(code, w):
-            lower = w
-        else:
-            break
     witness = find_low_weight_word(code, max_w=4)
     if witness is None:
-        witness = _sampled_witness(code)
-    upper = hamming_weight(witness) if witness is not None else None
-    return DistanceCertificate(lower=lower, upper=upper, lower_method="column-independence",
+        return DistanceCertificate(lower=5, upper=None, lower_method="column-independence",
+                                   claimed=claimed)
+    w = hamming_weight(witness)
+    return DistanceCertificate(lower=w, upper=w, lower_method="column-independence",
                                witness=witness, claimed=claimed)
 
 
-def _sampled_witness(code: Code) -> tuple[int, ...] | None:
-    """Deterministic random-combination fallback for an upper bound."""
-    rows = code.expanded_generators()
-    if not rows:
-        return None
-    spec = code.spec
-    rng = random.Random(0xC0DE)
-    best = None
-    best_w = code.n + 1
-    for _ in range(_SAMPLE_FALLBACK):
-        word = [0] * code.n
-        nonzero = False
-        for row in rows:
-            c = rng.randrange(spec.p)
-            if c:
-                nonzero = True
-                for i, v in enumerate(row):
-                    if v:
-                        word[i] = spec.add(word[i], spec.mul(c, v))
-        if not nonzero or not any(word):
-            continue
-        w = hamming_weight(word)
-        if w < best_w:
-            best_w = w
-            best = tuple(word)
-    return best
-
-
-def weight_enumerator(code: Code, budget: int | None = None, threads: int = 1) -> dict[int, int]:
+def weight_enumerator(code: Code, budget: int | None = None) -> dict[int, int]:
     """Counts of codewords per Hamming weight (includes weight 0)."""
     budget = enumeration_budget(budget)
     if code.size() > budget:
         raise ValueError(f"code size {code.size()} exceeds budget {budget}")
-    k = code.k if isinstance(code, LinearCode) else code.k_p
-    if k == 0:
-        return {0: 1}
     counts = [0] * (code.n + 1)
     rows = [tuple(r) for r in code.expanded_generators()]
-    _exhaustive_scan(code.spec, rows, code.n, threads=threads, counts=counts)
+    _exhaustive_scan(code.spec, rows, code.n, counts=counts)
     return {w: c for w, c in enumerate(counts) if c}
-
-
-def codewords_of_weight(code: Code, weight: int, budget: int | None = None):
-    """Yield every codeword of exactly the given weight (full scan)."""
-    budget = enumeration_budget(budget)
-    if code.size() > budget:
-        raise ValueError(f"code size {code.size()} exceeds budget {budget}")
-    spec = code.spec
-    rows = [tuple(r) for r in code.expanded_generators()]
-    K = len(rows)
-    n = code.n
-    if weight == 0:
-        yield (0,) * n
-        return
-    if K == 0:
-        return
-    if spec.p == 2:
-        bits = spec.ell
-        packed = [_pack(r, bits) for r in rows]
-        fold_mask = sum(1 << (bits * i) for i in range(n))
-        word = 0
-        for t in range(1, 1 << K):
-            word ^= packed[(t & -t).bit_length() - 1]
-            if _packed_weight(word, bits, fold_mask) == weight:
-                yield _unpack(word, bits, n)
-    else:
-        p = spec.p
-        add = spec.add
-        nz = [tuple((i, v) for i, v in enumerate(r) if v) for r in rows]
-        word = [0] * n
-        wt = 0
-        for t in range(1, p**K):
-            tt, j = t, 0
-            while tt % p == 0:
-                tt //= p
-                j += 1
-            for i, v in nz[j]:
-                old = word[i]
-                new = add(old, v)
-                word[i] = new
-                wt += (1 if new else 0) - (1 if old else 0)
-            if wt == weight:
-                yield tuple(word)
-
-
-def dual(code: LinearCode, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> LinearCode:
-    return code.dual(kind)
-
-
-def symplectic_dual(code: AdditiveCode) -> AdditiveCode:
-    return code.symplectic_dual()
-
-
-def is_self_orthogonal(code: Code, kind: InnerProductKind) -> bool:
-    return code.is_self_orthogonal(kind)

@@ -156,16 +156,15 @@ def tail_biting(s: ConvStabilizer, blocks: int):
     return LinearCode(Matrix(spec, rows, ncols=n_total))
 
 
-def tail_biting_qecc(s: ConvStabilizer, blocks: int, budget: int | None = None,
-                     threads: int = 1) -> QeccParams:
+def tail_biting_qecc(s: ConvStabilizer, blocks: int, budget: int | None = None) -> QeccParams:
     """Quantum code from the tail-biting block code, via the construction
     matching the band's inner product kind."""
     code = tail_biting(s, blocks)
     if s.kind is InnerProductKind.EUCLIDEAN:
-        return css_qecc(code, budget=budget, threads=threads)
+        return css_qecc(code, budget=budget)
     if s.kind is InnerProductKind.HERMITIAN:
-        return hermitian_qecc(code, budget=budget, threads=threads)
-    return symplectic_qecc(code, budget=budget, threads=threads)
+        return hermitian_qecc(code, budget=budget)
+    return symplectic_qecc(code, budget=budget)
 
 
 def free_distance_upper_bound(s: ConvStabilizer, window_blocks: int,

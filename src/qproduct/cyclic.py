@@ -304,8 +304,9 @@ def rs_product_dual_certificate(q: int, delta1: int, delta2: int,
     """Distance certificate for the Euclidean dual of an RS product.
 
     When the dual is too large to enumerate, the rectangle bound supplies
-    the lower bound (it can exceed the reach of the small-support
-    independence checks); the upper bound still comes from a witness.
+    the lower bound (it can exceed the 5 that the low-weight search proves
+    on its own); the upper bound comes from a witness of weight <= 4, and
+    is None without one.
     """
     spec = GF(q)
     from .product import product  # local import to avoid a cycle at module load

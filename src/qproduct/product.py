@@ -19,6 +19,19 @@ def product(c1: LinearCode, c2: LinearCode) -> LinearCode:
     return LinearCode(c1.generator.kronecker(c2.generator), claimed_distance=claimed)
 
 
+def _tensor_rows_p(spec, rows1, rows2, n1, n2) -> Matrix:
+    """All g (x)_p h: each prime-field entry of g scales the row h over GF(q)."""
+    out = []
+    for g in rows1:
+        for h in rows2:
+            row = []
+            for gv in g:
+                e = spec.embed_prime(gv)
+                row.extend(spec.mul(e, hv) for hv in h)
+            out.append(row)
+    return Matrix(spec, out, ncols=n1 * n2)
+
+
 def product_additive(c1: LinearCode, c2: AdditiveCode) -> AdditiveCode:
     """GF(p) tensor product of a prime-field code with an additive code.
 
@@ -31,14 +44,7 @@ def product_additive(c1: LinearCode, c2: AdditiveCode) -> AdditiveCode:
     claimed = None
     if c1.claimed_distance is not None and c2.claimed_distance is not None:
         claimed = c1.claimed_distance * c2.claimed_distance
-    rows = []
-    for g in c1.generator.rows:
-        for h in c2.generators.rows:
-            row = []
-            for gv in g:
-                e = spec.embed_prime(gv)
-                row.extend(spec.mul(e, hv) for hv in h)
-            rows.append(row)
+    rows = _tensor_rows_p(spec, c1.generator.rows, c2.generators.rows, c1.n, c2.n).rows
     out = AdditiveCode(spec, rows, n=c1.n * c2.n, claimed_distance=claimed)
     if out.k_p != c1.k * c2.k_p:
         raise AssertionError("tensor generators were not GF(p)-independent")
@@ -68,18 +74,6 @@ def dual_of_product_generator(c1, c2, kind: InnerProductKind) -> Matrix:
     return stacked
 
 
-def _tensor_rows_p(spec, rows1, rows2, n1, n2):
-    out = []
-    for g in rows1:
-        for h in rows2:
-            row = []
-            for gv in g:
-                e = spec.embed_prime(gv)
-                row.extend(spec.mul(e, hv) for hv in h)
-            out.append(row)
-    return Matrix(spec, out, ncols=n1 * n2)
-
-
 def _dual_of_product_generator_symplectic(c1: LinearCode, c2: AdditiveCode) -> Matrix:
     spec = c2.spec
     if c1.spec != spec.prime_field:
@@ -104,16 +98,22 @@ def _dual_of_product_generator_symplectic(c1: LinearCode, c2: AdditiveCode) -> M
     return stacked
 
 
-def dual_distance_ceiling(c1, c2, kind: InnerProductKind, budget: int | None = None) -> int:
+def dual_distance_ceiling(c1, c2, kind: InnerProductKind,
+                          budget: int | None = None) -> int | None:
     """Certified upper bound on the dual distance of the product: the
-    smaller of the factor dual distances."""
+    smaller of the factor dual distances.
+
+    A factor whose dual is the zero code (a full space) imposes no
+    constraint: with C1 = F^n1 the product's dual is F^n1 (x) C2^perp, of
+    distance d(C2^perp).  When both factor duals are zero, so is the
+    product's dual, and there is no ceiling (None).
+    """
     if kind is InnerProductKind.SYMPLECTIC:
-        d1 = min_distance(c1.dual(InnerProductKind.EUCLIDEAN), budget=budget)
-        d2 = min_distance(c2.symplectic_dual(), budget=budget)
+        duals = (c1.dual(InnerProductKind.EUCLIDEAN), c2.symplectic_dual())
     else:
-        d1 = min_distance(c1.dual(kind), budget=budget)
-        d2 = min_distance(c2.dual(kind), budget=budget)
-    return min(d1.value, d2.value)
+        duals = (c1.dual(kind), c2.dual(kind))
+    certs = [min_distance(d, budget=budget) for d in duals]
+    return min((c.value for c in certs if not c.degenerate), default=None)
 
 
 def check_selforth_transfer(c_arbitrary, c_selforth, kind: InnerProductKind) -> bool:

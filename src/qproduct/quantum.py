@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import (AdditiveCode, DistanceCertificate, LinearCode, codewords_of_weight,
-                   enumeration_budget, min_distance, weight_enumerator)
-from .cyclic import rs_code
+from .code import (AdditiveCode, DistanceCertificate, LinearCode, enumeration_budget,
+                   min_distance, weight_enumerator)
+from .cyclic import rs_code, rs_product_dual_certificate
 from .matrix import InnerProductKind
 from .product import product
 
@@ -43,29 +43,29 @@ class QeccParams:
         }
 
 
-def css_qecc(code: LinearCode, budget: int | None = None, threads: int = 1) -> QeccParams:
+def css_qecc(code: LinearCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a Euclidean self-orthogonal [n, k] code:
     n - 2k logical qudits, distance from the certified dual distance."""
     if not code.is_self_orthogonal(InnerProductKind.EUCLIDEAN):
         raise ValueError("code is not Euclidean self-orthogonal")
     dual = code.dual(InnerProductKind.EUCLIDEAN)
-    cert = min_distance(dual, budget=budget, threads=threads)
+    cert = min_distance(dual, budget=budget)
     return QeccParams(n=code.n, k=code.n - 2 * code.k, alphabet=code.spec.q,
                       distance=cert, construction="css")
 
 
-def hermitian_qecc(code: LinearCode, budget: int | None = None, threads: int = 1) -> QeccParams:
+def hermitian_qecc(code: LinearCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a Hermitian self-orthogonal code over GF(q^2):
     qudits of dimension q, n - 2k logical, distance from the Hermitian dual."""
     if not code.is_self_orthogonal(InnerProductKind.HERMITIAN):
         raise ValueError("code is not Hermitian self-orthogonal")
     dual = code.dual(InnerProductKind.HERMITIAN)
-    cert = min_distance(dual, budget=budget, threads=threads)
+    cert = min_distance(dual, budget=budget)
     return QeccParams(n=code.n, k=code.n - 2 * code.k, alphabet=code.spec.frobenius_power,
                       distance=cert, construction="hermitian")
 
 
-def symplectic_qecc(code: AdditiveCode, budget: int | None = None, threads: int = 1) -> QeccParams:
+def symplectic_qecc(code: AdditiveCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a symplectically self-orthogonal additive code
     over GF(p^(2m)): qudits of dimension p^m, k = n - k_p/m logical."""
     if not code.is_self_orthogonal():
@@ -75,16 +75,16 @@ def symplectic_qecc(code: AdditiveCode, budget: int | None = None, threads: int 
     if code.k_p % m != 0:
         raise ValueError(f"additive code size p^{code.k_p} is not a power of the qudit alphabet")
     dual = code.symplectic_dual()
-    cert = min_distance(dual, budget=budget, threads=threads)
+    cert = min_distance(dual, budget=budget)
     return QeccParams(n=code.n, k=code.n - code.k_p // m, alphabet=spec.frobenius_power,
                       distance=cert, construction="symplectic")
 
 
-def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None,
-                 threads: int = 1) -> QeccParams:
+def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None) -> QeccParams:
     """Quantum code from the product of two Reed-Solomon codes of
     dimensions mu1 and mu2; mu1 < (q-1)/2 guarantees the first factor is
-    self-orthogonal, and the distance is certified, not assumed."""
+    self-orthogonal, and the distance is certified, not assumed: it is
+    the RS-product dual certificate, rectangle bound included."""
     if not 2 * mu1 < q - 1:
         raise ValueError(f"mu1 = {mu1} must satisfy mu1 < (q-1)/2 = {(q - 1) / 2}")
     c1 = rs_code(q, q - mu1)
@@ -92,38 +92,42 @@ def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None,
     if not c1.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN):
         raise AssertionError("first Reed-Solomon factor is unexpectedly not self-orthogonal")
     prod = product(c1.code, c2.code)
-    params = css_qecc(prod, budget=budget, threads=threads)
+    if not prod.is_self_orthogonal(InnerProductKind.EUCLIDEAN):
+        raise AssertionError("Reed-Solomon product is unexpectedly not self-orthogonal")
     n = (q - 1) ** 2
-    if params.n != n or params.k != n - 2 * mu1 * mu2:
+    if prod.n != n or prod.k != mu1 * mu2:
         raise AssertionError("constructed parameters disagree with the dimension formula")
-    return params
+    cert = rs_product_dual_certificate(q, q - mu1, q - mu2, budget=budget)
+    return QeccParams(n=n, k=n - 2 * mu1 * mu2, alphabet=q, distance=cert, construction="css")
+
+
+_KIND_BY_CONSTRUCTION = {
+    "css": InnerProductKind.EUCLIDEAN,
+    "hermitian": InnerProductKind.HERMITIAN,
+    "symplectic": InnerProductKind.SYMPLECTIC,
+}
 
 
 def stabilizer_distance(code, construction: str, budget: int | None = None) -> int | None:
     """True stabilizer distance: the minimum weight in dual \\ code.
 
-    Only computed when the dual is enumerable within the budget (returns
-    None otherwise, and also for stabilizer states, whose dual carries no
-    word outside the code).  Never smaller than the dual-distance bound.
+    The code lies inside its dual, so dual \\ code has a word of weight w
+    exactly when the dual has more words of weight w than the code; both
+    weight enumerators are computed by full enumeration.  Returns None when
+    the dual exceeds the budget, and for stabilizer states, whose dual
+    equals the code.  Never smaller than the dual-distance bound.
     """
-    if construction == "css":
-        dual = code.dual(InnerProductKind.EUCLIDEAN)
-    elif construction == "hermitian":
-        dual = code.dual(InnerProductKind.HERMITIAN)
-    elif construction == "symplectic":
-        dual = code.symplectic_dual()
-    else:
+    kind = _KIND_BY_CONSTRUCTION.get(construction)
+    if kind is None:
         raise ValueError(f"unknown construction {construction!r}")
+    if not code.is_self_orthogonal(kind):
+        raise ValueError(f"code is not {kind} self-orthogonal")
+    dual = code.symplectic_dual() if kind is InnerProductKind.SYMPLECTIC else code.dual(kind)
     if dual.size() > enumeration_budget(budget):
         return None
-    counts = weight_enumerator(dual, budget=budget)
-    for w in sorted(counts):
-        if w == 0:
-            continue
-        for word in codewords_of_weight(dual, w, budget=budget):
-            if not code.contains(word):
-                return w
-    return None
+    outer = weight_enumerator(dual, budget=budget)
+    inner = weight_enumerator(code, budget=budget)
+    return min((w for w, count in outer.items() if count > inner.get(w, 0)), default=None)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,14 @@ def test_parse_nested_combinators():
     assert isinstance(sdual, AdditiveCode) and sdual.k_p == 6
 
 
+def test_parse_additive_dual_is_only_symplectic():
+    add = "additive(quaternary_hamming_dual_5)"
+    assert parse_descriptor(f"dual({add}, symplectic)") == parse_descriptor(f"dual({add})")
+    for kind in ("euclidean", "hermitian"):
+        with pytest.raises(DescriptorError, match="symplectic"):
+            parse_descriptor(f"dual({add}, {kind})")
+
+
 def test_parse_errors_mention_catalog():
     with pytest.raises(DescriptorError) as err:
         parse_descriptor("no_such_code(3)")

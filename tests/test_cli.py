@@ -63,7 +63,7 @@ def test_dual_verb(capsys):
 def test_distance_verb_with_flags(capsys):
     code, payload = run_json(capsys, "distance", "--code",
                              "dual(product(hamming_dual(3,2), hamming_dual(3,2)))",
-                             "--budget", "100", "--threads", "2")
+                             "--budget", "100")
     assert code == 0
     cert = payload["report"]["distance"]
     assert cert["exact"] and cert["lower"] == 3
@@ -126,6 +126,25 @@ def test_qecc_rs_product_verb(capsys):
     assert rep["predicted"]["expected_dual_distance"] == 2
 
 
+def test_qecc_rs_product_certifies_the_dual_once(capsys):
+    code, payload = run_json(capsys, "qecc", "--construction", "rs-product",
+                             "--q", "7", "--mu1", "2", "--mu2", "2")
+    assert code == 0
+    rep = payload["report"]
+    assert rep["qecc"]["distance"] == rep["dual_certificate"]
+    assert rep["dual_certificate"]["lower"] == rep["predicted"]["expected_dual_distance"] == 3
+
+
+def test_product_verb_ceiling_ignores_full_space_factor(capsys):
+    # cyclic(2,1) is the full space GF(2)^1: its dual is the zero code
+    code, payload = run_json(capsys, "product", "--code1", "hamming(3,2)",
+                             "--code2", "cyclic(2,1)")
+    assert code == 0
+    conf = payload["report"]["conformance"]
+    assert conf["dual_distance"]["lower"] == conf["dual_distance_ceiling"] == 4
+    assert conf["ceiling_respected"] is True
+
+
 def test_conv_build_verb(capsys):
     code, payload = run_json(capsys, "conv", "build", "--code1", "hamming_dual(3,2)",
                              "--code2", "hamming_dual(3,2)", "--t", "1")
@@ -175,13 +194,6 @@ def test_reports_are_deterministic(capsys):
     _, first = run_json(capsys, "build", "--code", "rs(5,3)")
     _, second = run_json(capsys, "build", "--code", "rs(5,3)")
     assert strip_time(first) == strip_time(second)
-
-
-def test_reports_independent_of_threads(capsys):
-    _, one = run_json(capsys, "distance", "--code", "rs(8,4)", "--threads", "1")
-    _, four = run_json(capsys, "distance", "--code", "rs(8,4)", "--threads", "4")
-    one["invocation"] = four["invocation"] = []
-    assert strip_time(one) == strip_time(four)
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

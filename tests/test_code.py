@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from helpers import (brute_min_distance, brute_weight_enumerator, check_certificate,
-                     random_additive_code, random_linear_code)
+from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerator,
+                     check_certificate, random_additive_code, random_linear_code)
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
                            min_distance, to_additive_over, weight_enumerator)
+from qproduct.cyclic import rs_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix, inner_product
 
@@ -128,16 +129,6 @@ def test_min_distance_matches_bruteforce_additive(q):
         assert cert.value == brute_min_distance(code)
 
 
-def test_min_distance_threads_deterministic():
-    rng = random.Random(3)
-    for _ in range(5):
-        code = random_linear_code(rng, GF(4), 8, 4)
-        base = min_distance(code, threads=1)
-        for threads in (2, 3, 7):
-            again = min_distance(code, threads=threads)
-            assert again == base
-
-
 def test_min_distance_budget_certificate_path():
     code = hamming_dual(3, 2)
     prod_dual = LinearCode(code.generator.kronecker(code.generator)).dual(E)
@@ -145,6 +136,15 @@ def test_min_distance_budget_certificate_path():
     assert cert.lower_method == "column-independence"
     assert cert.exact and cert.value == 3
     check_certificate(prod_dual, cert)
+
+
+def test_min_distance_without_low_weight_word_proves_five():
+    # rs(8, 6) is a [7, 2, 6] code: the search finds no word of weight <= 4
+    code = rs_code(8, 6).code
+    cert = min_distance(code, budget=1)
+    assert [cert.lower, cert.upper] == [5, None]
+    assert cert.witness is None and not cert.exact
+    assert min_distance(code).value == 6 >= cert.lower
 
 
 def test_min_distance_interval_when_inexact():
@@ -244,7 +244,7 @@ def test_additive_from_linear_size():
     add = AdditiveCode.from_linear(code)
     assert add.k_p == 2 * code.k
     assert add.size() == code.size()
-    for word in code.codewords():
+    for word in brute_codewords(code):
         assert add.contains(word)
 
 
@@ -256,20 +256,6 @@ def test_to_additive_over_lifts_binary_rows():
     for g in code.generator.rows:
         for scale in range(1, 4):
             assert lifted.contains(tuple(spec.mul(scale, v) for v in g))
-
-
-@pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (5, 3)])
-def test_gray_state_closed_form_matches_stepping(p, k):
-    from qproduct.code import _gray_state
-
-    state = [0] * k
-    for t in range(1, p**k):
-        tt, j = t, 0
-        while tt % p == 0:
-            tt //= p
-            j += 1
-        state[j] = (state[j] + 1) % p
-        assert _gray_state(t, p, k) == state
 
 
 def test_pack_unpack_roundtrip():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import brute_min_distance, random_additive_code, random_linear_code
-from qproduct.catalog import hamming_dual, quaternary_hamming_dual_5, simplex
+from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import AdditiveCode, LinearCode, min_distance
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix, inner_product
@@ -164,6 +164,12 @@ def test_dual_distance_ceiling_examples():
     # a factor whose dual has a weight-1 word forces ceiling 1
     weak = LinearCode(Matrix(GF(2), [[1, 0]]))
     assert dual_distance_ceiling(weak, c, E) == 1
+    # a full-space factor has a zero dual and imposes no constraint
+    full = LinearCode(Matrix.identity(GF(2), 1))
+    ham = hamming(3, 2)
+    assert dual_distance_ceiling(ham, full, E) == 4
+    assert min_distance(product(ham, full).dual(E)).value == 4
+    assert dual_distance_ceiling(full, full, E) is None
 
 
 @pytest.mark.parametrize("q", [2, 4, 5])

@@ -3,8 +3,11 @@ Reed-Solomon product family, and exact-rational rate comparisons."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qproduct.catalog import hamming_dual, quaternary_hamming_dual_5, simplex
+from helpers import brute_codewords
+from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import AdditiveCode, LinearCode, min_distance, to_additive_over
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
@@ -196,3 +199,63 @@ def test_stabilizer_distance_never_below_dual_certificate():
         if refined is not None:
             assert refined >= cert.value
         checked += 1
+
+
+# Self-orthogonal second factors per construction, each with the longest
+# first factor that keeps the dual small enough for the brute-force oracle.
+# The product of any first factor with one of them is self-orthogonal under
+# the same form, so the strategy covers zero, full-space and rank-deficient
+# first factors alike.
+_SECOND_FACTORS = {
+    "css": ((lambda: LinearCode.from_rows(GF(2), [[1, 1, 1, 1]]), 2),
+            (lambda: hamming_dual(3, 2), 1),
+            (lambda: hamming(2, 3), 2)),
+    "hermitian": ((lambda: LinearCode.from_rows(GF(4), [[1, 1]]), 2),
+                  (quaternary_hamming_dual_5, 1)),
+    "symplectic": ((lambda: AdditiveCode.from_linear(LinearCode.from_rows(GF(4), [[1, 1]])), 2),
+                   (lambda: AdditiveCode.from_linear(quaternary_hamming_dual_5()), 1)),
+}
+_DUAL_KIND = {"css": E, "hermitian": H}
+
+
+@st.composite
+def _self_orthogonal_codes(draw):
+    construction = draw(st.sampled_from(sorted(_SECOND_FACTORS)))
+    build, max_n1 = draw(st.sampled_from(_SECOND_FACTORS[construction]))
+    c2 = build()
+    n1 = draw(st.integers(1, max_n1))
+    first_field = c2.spec.prime_field if construction == "symplectic" else c2.spec
+    rows = draw(st.lists(st.lists(st.integers(0, first_field.q - 1), min_size=n1, max_size=n1),
+                         max_size=n1 + 1))
+    c1 = LinearCode(Matrix(first_field, rows, ncols=n1))
+    code = product_additive(c1, c2) if construction == "symplectic" else product(c1, c2)
+    return construction, code
+
+
+def _brute_stabilizer_distance(code, dual) -> int | None:
+    """Lightest word of the brute-force dual span that the code lacks."""
+    for word in sorted(brute_codewords(dual), key=lambda w: sum(1 for v in w if v)):
+        if not code.contains(word):
+            return sum(1 for v in word if v)
+    return None
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_self_orthogonal_codes())
+def test_stabilizer_distance_matches_brute_force(case):
+    construction, code = case
+    if construction == "symplectic":
+        dual = code.symplectic_dual()
+    else:
+        dual = code.dual(_DUAL_KIND[construction])
+    assert stabilizer_distance(code, construction) == _brute_stabilizer_distance(code, dual)
+
+
+@pytest.mark.parametrize("construction,code", [
+    pytest.param("css", hamming(3, 2), id="css"),
+    pytest.param("hermitian", hamming(2, 4), id="hermitian"),
+    pytest.param("symplectic", AdditiveCode.from_linear(hamming(2, 4)), id="symplectic"),
+])
+def test_stabilizer_distance_rejects_non_self_orthogonal_code(construction, code):
+    with pytest.raises(ValueError, match="self-orthogonal"):
+        stabilizer_distance(code, construction)
