@@ -8,7 +8,7 @@ import json
 import re
 from pathlib import Path
 
-from .code import AdditiveCode, LinearCode
+from .code import AdditiveCode, Code, LinearCode
 from .cyclic import cyclic_from_roots, rs_code
 from .galois import GF, FieldSpec
 from .matrix import InnerProductKind, Matrix, from_text
@@ -154,13 +154,8 @@ def _resolve(node):
             (code,) = vals
             return AdditiveCode.from_linear(code)
         if name == "dual":
-            code = vals[0]
-            if isinstance(code, AdditiveCode):
-                if len(vals) > 1 and vals[1] is not InnerProductKind.SYMPLECTIC:
-                    raise DescriptorError("additive codes only have symplectic duals")
-                return code.symplectic_dual()
-            kind = vals[1] if len(vals) > 1 else InnerProductKind.EUCLIDEAN
-            return code.dual(kind)
+            code, *kind = vals
+            return code.dual(*kind)
     except DescriptorError:
         raise
     except (TypeError, ValueError) as exc:
@@ -180,7 +175,7 @@ def parse_descriptor(text: str):
     if pos != len(tokens):
         raise DescriptorError(f"trailing input after descriptor: {tokens[pos:]}")
     result = _resolve(node)
-    if not isinstance(result, (LinearCode, AdditiveCode)):
+    if not isinstance(result, Code):
         raise DescriptorError(f"descriptor {text!r} does not resolve to a code")
     return result
 

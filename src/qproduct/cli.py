@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import (DescriptorError, hamming_dual, load_code_json, parse_descriptor,
                       quaternary_hamming_dual_5, simplex)
-from .code import AdditiveCode, LinearCode, distance_at_least, min_distance
+from .code import AdditiveCode, LinearCode, distance_at_least, min_distance, spanned_code
 from .convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
                             check_band_self_orthogonal, conv_from_product,
                             free_distance_upper_bound, tail_biting, tail_biting_qecc)
@@ -97,12 +97,7 @@ def cmd_build(args) -> dict:
 def cmd_dual(args) -> dict:
     code = _resolve_code(args)
     kind = _KIND_BY_NAME[args.kind]
-    if isinstance(code, AdditiveCode):
-        if kind is not InnerProductKind.SYMPLECTIC:
-            raise DescriptorError("additive codes only have symplectic duals")
-        dual = code.symplectic_dual()
-    else:
-        dual = code.dual(kind)
+    dual = code.dual(kind)
     return {
         "primal": _code_block(code, budget=args.budget),
         "kind": str(kind),
@@ -119,14 +114,9 @@ def cmd_distance(args) -> dict:
 def _product_conformance(c1, c2, prod, kind, budget) -> dict:
     checks: dict = {}
     stacked = dual_of_product_generator(c1, c2, kind)
-    if kind is InnerProductKind.SYMPLECTIC:
-        dual = prod.symplectic_dual()
-        stacked_code = AdditiveCode(prod.spec, stacked.rows, n=prod.n)
-        checks["dual_generator_matches"] = stacked_code == dual
-    else:
-        dual = prod.dual(kind)
-        checks["dual_generator_matches"] = stacked.same_row_space(dual.generator)
-    checks["dual_dimension"] = dual.k_p if isinstance(dual, AdditiveCode) else dual.k
+    dual = prod.dual(kind)
+    checks["dual_generator_matches"] = spanned_code(kind, prod.spec, stacked.rows, prod.n) == dual
+    checks["dual_dimension"] = dual.dim
     dual_cert = min_distance(dual, budget=budget)
     checks["dual_distance"] = dual_cert.to_dict()
     try:
@@ -291,7 +281,7 @@ def cmd_conv(args) -> dict:
     # tailbite
     code = tail_biting(s, args.blocks)
     qecc = tail_biting_qecc(s, args.blocks, budget=args.budget)
-    rank = code.k_p if isinstance(code, AdditiveCode) else code.k
+    rank = code.dim
     return {
         "band": _band_block(s),
         "blocks": args.blocks,

@@ -11,13 +11,12 @@ upper bound meet.
 """
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .galois import FieldSpec
-from .matrix import InnerProductKind, Matrix
+from .matrix import InnerProductKind, Matrix, _require_even_degree, inner_product
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -171,15 +170,157 @@ def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
 # ---------------------------------------------------------------------------
 # code objects
 
-class LinearCode:
+class Code:
+    """A code of length n over GF(q), q = p^ell: the F-span of its rows,
+    with F = GF(q) for a LinearCode and F = GF(p) for an AdditiveCode.
+
+    It is stored as ``basis``, the rref over F of the rows in
+    F-coordinates: the symbols themselves over GF(q), or ell base-p
+    digits per symbol over GF(p).  ``generator`` holds the same rows as
+    GF(q) symbols.  A dual is the F-kernel of the rows after one map per
+    inner product: the identity (Euclidean), the Frobenius map (Hermitian)
+    or, per symbol v, the trace form (tr(v * frob(x^t)))_t (symplectic).
+    """
+
+    linear: bool
+    kinds: tuple[InnerProductKind, ...]  # the inner products it takes duals under, default first
+
+    def _setup(self, basis: Matrix, claimed_distance: int | None) -> None:
+        """Finish construction from a reduced basis; spec and n are set."""
+        self.basis = basis
+        self.claimed_distance = claimed_distance
+        self.generator = self.symbols(basis)
+        self._dual_cache: dict[InnerProductKind, Code] = {}
+        self._columns: tuple | None = None
+
+    @classmethod
+    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix) -> "Code":
+        code = cls.__new__(cls)
+        code.spec, code.n = spec, n
+        code._setup(basis, None)
+        return code
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.spec if self.linear else self.spec.prime_field
+
+    @property
+    def width(self) -> int:
+        """F-coordinates per symbol."""
+        return self.spec.ell // self.field.ell
+
+    @property
+    def dim(self) -> int:
+        return self.basis.nrows
+
+    def size(self) -> int:
+        return self.field.q**self.dim
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Code):
+            return NotImplemented
+        return (type(self), self.spec, self.n, self.basis) == (
+            type(other), other.spec, other.n, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.n, self.basis))
+
+    def coordinates(self, vec: Sequence[int]) -> list[int]:
+        """A GF(q) vector in F-coordinates."""
+        if self.width == 1:
+            return list(vec)
+        spec = self.spec
+        return [d for v in vec for d in spec.to_digits(spec.check_value(v))]
+
+    def symbols(self, m: Matrix) -> Matrix:
+        """Rows in F-coordinates as GF(q) vectors."""
+        if m.spec == self.spec:
+            return m
+        w, from_digits = self.width, self.spec.from_digits
+        return Matrix(self.spec, [[from_digits(r[i * w:(i + 1) * w]) for i in range(self.n)]
+                                  for r in m.rows], ncols=self.n)
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        if len(vec) != self.n:
+            raise ValueError("length mismatch")
+        return self.basis.row_space_contains(self.coordinates(vec))
+
+    def _kind(self, kind: InnerProductKind | None) -> InnerProductKind:
+        if kind is None:
+            return self.kinds[0]
+        if kind not in self.kinds:
+            raise ValueError(f"{type(self).__name__} takes "
+                             f"{' or '.join(map(str, self.kinds))} duals, not {kind}")
+        _require_even_degree(self.spec, kind)
+        return kind
+
+    def _form(self, kind: InnerProductKind) -> Matrix:
+        """Rows over F whose F-kernel is the dual under ``kind``: the basis
+        (Euclidean), its Frobenius image (Hermitian), or, for each generator
+        row g, tr(g_i * frob(x^t)) at coordinate (i, t) (symplectic)."""
+        if kind is InnerProductKind.EUCLIDEAN:
+            return self.basis
+        spec, rows = self.spec, self.generator.rows
+        if kind is InnerProductKind.HERMITIAN:
+            return Matrix(spec, [[spec.frobenius_q(v) for v in g] for g in rows], ncols=self.n)
+        conj = [spec.frobenius_q(spec.p**t) for t in range(self.width)]  # frob(x^t)
+        return Matrix(self.field, [[spec.trace_to_prime(spec.mul(v, f)) for v in g for f in conj]
+                                   for g in rows], ncols=self.n * self.width)
+
+    def dual(self, kind: InnerProductKind | None = None) -> "Code":
+        kind = self._kind(kind)
+        cached = self._dual_cache.get(kind)
+        if cached is None:
+            # Matrix.kernel already returns its basis in rref
+            cached = self._from_basis(self.spec, self.n, self._form(kind).kernel())
+            self._dual_cache[kind] = cached
+        return cached
+
+    def is_self_orthogonal(self, kind: InnerProductKind | None = None) -> bool:
+        return self._form(self._kind(kind)).gram(self.basis).is_zero()
+
+    def describe(self) -> dict:
+        return {"field": self.spec.q, "length": self.n,
+                "generator": [list(r) for r in self.generator.rows]}
+
+    def expanded_generators(self) -> list[tuple[int, ...]]:
+        """Vectors whose GF(p)-span is the code: x^t * g for every
+        generator row g and every t below the degree of F."""
+        spec = self.spec
+        return [tuple(spec.mul(spec.p**t, v) for v in g)
+                for g in self.generator.rows for t in range(self.field.ell)]
+
+    def _syndrome_columns(self) -> tuple[list[tuple[int, int]], list[tuple[int, ...]], list]:
+        """The syndrome over F of each (coordinate, symbol) pair, for every
+        nonzero symbol up to F* scaling (the smallest of its class), with
+        the pairs and the F*-normalized columns; cached.  A linear code has
+        one column per coordinate, an additive one (q-1)/(p-1)."""
+        if self._columns is None:
+            spec, F, w = self.spec, self.field, self.width
+            H = self.basis.kernel().rows
+            if w == 1:
+                where = [(i, 1) for i in range(self.n)]
+                cols = list(zip(*H)) if H else [()] * self.n
+            else:
+                reps = [a for a in range(1, spec.q)
+                        if a == min(spec.mul(lam, a) for lam in range(1, F.q))]
+                where = [(i, a) for i in range(self.n) for a in reps]
+                cols = [tuple(inner_product(F, spec.to_digits(a), h[i * w:(i + 1) * w]) for h in H)
+                        for i, a in where]
+            self._columns = (where, cols, [_normalized_column(F, c) for c in cols])
+        return self._columns
+
+
+class LinearCode(Code):
     """A [n, k] linear code held as a generator matrix in rref."""
 
+    linear = True
+    kinds = (InnerProductKind.EUCLIDEAN, InnerProductKind.HERMITIAN)
+
     def __init__(self, generator: Matrix, claimed_distance: int | None = None):
-        self.generator, _ = generator.rref()
         self.spec = generator.spec
         self.n = generator.ncols
-        self.claimed_distance = claimed_distance
-        self._dual_cache: dict[InnerProductKind, "LinearCode"] = {}
+        self._setup(generator.rref()[0], claimed_distance)
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows: Iterable[Iterable[int]], n: int | None = None,
@@ -188,72 +329,24 @@ class LinearCode:
 
     @property
     def k(self) -> int:
-        return self.generator.nrows
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearCode):
-            return NotImplemented
-        return self.generator == other.generator
-
-    def __hash__(self) -> int:
-        return hash(self.generator)
+        return self.dim
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.n},{self.k}]_GF({self.spec.q})"
 
-    def size(self) -> int:
-        return self.spec.q**self.k
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.n:
-            raise ValueError("length mismatch")
-        return self.generator.row_space_contains(vec)
-
-    def dual(self, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> "LinearCode":
-        if kind is InnerProductKind.SYMPLECTIC:
-            raise ValueError("symplectic duals apply to additive codes; use AdditiveCode")
-        cached = self._dual_cache.get(kind)
-        if cached is not None:
-            return cached
-        if kind is InnerProductKind.EUCLIDEAN:
-            dual = LinearCode(self.generator.kernel())
-        else:
-            spec = self.spec
-            conj = Matrix(spec, [[spec.frobenius_q(v) for v in row] for row in self.generator.rows],
-                          ncols=self.n)
-            dual = LinearCode(conj.kernel())
-        self._dual_cache[kind] = dual
-        return dual
-
-    def is_self_orthogonal(self, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> bool:
-        return self.generator.gram(self.generator, kind).is_zero()
-
-    def expanded_generators(self) -> list[tuple[int, ...]]:
-        """Vectors whose GF(p)-span is the code: x^t * g_i for all t, i."""
-        spec = self.spec
-        out = []
-        for g in self.generator.rows:
-            for t in range(spec.ell):
-                scale = spec.p**t  # encoding of x^t
-                out.append(tuple(spec.mul(scale, v) for v in g))
-        return out
-
     def describe(self) -> dict:
-        return {
-            "kind": "linear",
-            "field": self.spec.q,
-            "length": self.n,
-            "dimension": self.k,
-            "generator": [list(r) for r in self.generator.rows],
-        }
+        return {**super().describe(), "kind": "linear", "dimension": self.k}
 
 
-class AdditiveCode:
+class AdditiveCode(Code):
     """A GF(p)-linear (additive) code of length n over GF(q), q = p^ell.
 
     Stored canonically: the p-ary expansion of the generators (ell digits
     per symbol, digit-major within each coordinate) is kept in rref.
     """
+
+    linear = False
+    kinds = (InnerProductKind.SYMPLECTIC,)
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Sequence[int]], n: int | None = None,
                  claimed_distance: int | None = None):
@@ -266,113 +359,42 @@ class AdditiveCode:
             raise ValueError("ragged rows")
         self.spec = spec
         self.n = n
-        self.claimed_distance = claimed_distance
-        expanded = Matrix(spec.prime_field,
-                          [self._expand_row(spec, r) for r in rows], ncols=n * spec.ell)
-        self.expanded, _ = expanded.rref()
-        self.generators = Matrix(
-            spec, [self._compress_row(spec, r) for r in self.expanded.rows], ncols=n)
+        expanded = Matrix(spec.prime_field, [self.coordinates(r) for r in rows],
+                          ncols=n * spec.ell)
+        self._setup(expanded.rref()[0], claimed_distance)
 
-    @staticmethod
-    def _expand_row(spec: FieldSpec, row: Sequence[int]) -> list[int]:
-        out = []
-        for v in row:
-            out.extend(spec.to_digits(spec.check_value(v)))
-        return out
-
-    @staticmethod
-    def _compress_row(spec: FieldSpec, row: Sequence[int]) -> list[int]:
-        ell = spec.ell
-        return [spec.from_digits(row[i * ell:(i + 1) * ell]) for i in range(len(row) // ell)]
+    @classmethod
+    def from_rows(cls, spec: FieldSpec, rows: Iterable[Sequence[int]], n: int | None = None,
+                  claimed_distance: int | None = None) -> "AdditiveCode":
+        return cls(spec, rows, n=n, claimed_distance=claimed_distance)
 
     @classmethod
     def from_linear(cls, code: LinearCode) -> "AdditiveCode":
         """The code viewed as a GF(p)-linear code: k_p = ell * k."""
-        spec = code.spec
-        rows = []
-        for g in code.generator.rows:
-            for t in range(spec.ell):
-                scale = spec.p**t  # encoding of x^t
-                rows.append([spec.mul(scale, v) for v in g])
-        return cls(spec, rows, n=code.n, claimed_distance=code.claimed_distance)
+        return cls(code.spec, code.expanded_generators(), n=code.n,
+                   claimed_distance=code.claimed_distance)
 
     @property
     def k_p(self) -> int:
-        return self.expanded.nrows
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdditiveCode):
-            return NotImplemented
-        return (self.spec, self.n, self.expanded) == (other.spec, other.n, other.expanded)
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.n, self.expanded))
+        return self.dim
 
     def __repr__(self) -> str:
         return f"AdditiveCode({self.n}, {self.spec.p}^{self.k_p})_GF({self.spec.q})"
 
-    def size(self) -> int:
-        return self.spec.p**self.k_p
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.n:
-            raise ValueError("length mismatch")
-        return self.expanded.row_space_contains(self._expand_row(self.spec, vec))
-
-    def _symplectic_form_blocks(self) -> Matrix:
-        """Per-coordinate Gram matrix B[s][t] = tr(x^s * frob(x^t)) over GF(p)."""
-        spec = self.spec
-        ell = spec.ell
-        B = [[spec.trace_to_prime(spec.mul(spec.p**s, spec.frobenius_q(spec.p**t)))
-              for t in range(ell)] for s in range(ell)]
-        return Matrix(spec.prime_field, B, ncols=ell)
-
     def symplectic_dual(self) -> "AdditiveCode":
-        spec = self.spec
-        if spec.ell % 2 != 0:
-            raise ValueError(f"symplectic dual needs an even-degree field, got GF({spec.q})")
-        ell = spec.ell
-        B = self._symplectic_form_blocks()
-        pf = spec.prime_field
-        add, mul = pf.add, pf.mul
-        # M = expanded * (I_n (x) B): block i of each row right-multiplied by B
-        mrows = []
-        for row in self.expanded.rows:
-            out = []
-            for i in range(self.n):
-                block = row[i * ell:(i + 1) * ell]
-                for t in range(ell):
-                    acc = 0
-                    for s in range(ell):
-                        if block[s] and B.rows[s][t]:
-                            acc = add(acc, mul(block[s], B.rows[s][t]))
-                    out.append(acc)
-            mrows.append(out)
-        M = Matrix(pf, mrows, ncols=self.n * ell)
-        ker = M.kernel()
-        rows = [self._compress_row(spec, r) for r in ker.rows]
-        return AdditiveCode(spec, rows, n=self.n)
-
-    def is_self_orthogonal(self, kind: InnerProductKind = InnerProductKind.SYMPLECTIC) -> bool:
-        if kind is not InnerProductKind.SYMPLECTIC:
-            raise ValueError("additive codes are checked under the symplectic product")
-        return self.generators.gram(self.generators, kind).is_zero()
-
-    def expanded_generators(self) -> list[tuple[int, ...]]:
-        return [tuple(r) for r in self.generators.rows]
+        return self.dual(InnerProductKind.SYMPLECTIC)
 
     def describe(self) -> dict:
-        return {
-            "kind": "additive",
-            "field": self.spec.q,
-            "length": self.n,
-            "log_p_size": self.k_p,
-            "size": f"{self.spec.p}^{self.k_p}",
-            "generator": [list(r) for r in self.generators.rows],
-        }
+        return {**super().describe(), "kind": "additive", "log_p_size": self.k_p,
+                "size": f"{self.spec.p}^{self.k_p}"}
 
 
-Code = LinearCode | AdditiveCode
+def spanned_code(kind: InnerProductKind, spec: FieldSpec, rows: Iterable[Sequence[int]],
+                 n: int) -> Code:
+    """The code spanned by ``rows`` whose duals are taken under ``kind``:
+    additive for the symplectic kind, linear otherwise."""
+    cls = AdditiveCode if kind is InnerProductKind.SYMPLECTIC else LinearCode
+    return cls.from_rows(spec, rows, n=n)
 
 
 def to_additive_over(code: LinearCode, target: FieldSpec) -> AdditiveCode:
@@ -381,16 +403,7 @@ def to_additive_over(code: LinearCode, target: FieldSpec) -> AdditiveCode:
     Each generator row contributes all its x^t multiples over the target
     field, so the result is the full GF(q')-span.
     """
-    spec = code.spec
-    if spec.ell != 1 or target.p != spec.p:
-        raise ValueError("expected a prime-field code and a target of the same characteristic")
-    rows = []
-    for g in code.generator.rows:
-        embedded = [target.embed_prime(v) for v in g]
-        for t in range(target.ell):
-            scale = target.p**t
-            rows.append([target.mul(scale, v) for v in embedded])
-    return AdditiveCode(target, rows, n=code.n)
+    return AdditiveCode.from_linear(LinearCode(code.generator.over(target)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,121 +426,76 @@ def _normalized_column(spec: FieldSpec, col: Sequence[int]) -> tuple[tuple[int, 
     return None
 
 
-def _linear_columns(code: LinearCode) -> list[tuple[int, ...]]:
-    H = code.dual(InnerProductKind.EUCLIDEAN).generator
-    if H.nrows == 0:
-        return [() for _ in range(code.n)] if code.n else []
-    return [tuple(r[j] for r in H.rows) for j in range(code.n)]
-
-
 def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
     """Smallest-weight nonzero codeword of weight <= max_w, or None.
 
     Complete: if a word of weight <= max_w exists, one of minimum weight
-    among weights <= max_w is returned.
+    among weights <= max_w is returned.  A word of weight w is w syndrome
+    columns at distinct coordinates with a vanishing F-combination
+    (``Code._syndrome_columns``).  Weights 1 and 2 are zero and parallel
+    columns; weights 3 and 4 meet in the middle over the F-combinations
+    of column pairs.  Searches at most weight 4.
     """
     if max_w < 1 or code.size() == 1:
         return None
-    if isinstance(code, LinearCode):
-        return _linear_low_weight_word(code, max_w)
-    return _additive_low_weight_word(code, max_w)
+    F = code.field
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    where, cols, norm = code._syndrome_columns()
+    coord = [i for i, _ in where]
 
+    def word(*terms: tuple[int, int]) -> tuple[int, ...]:
+        """The codeword with F-coefficient lam on column c, per (c, lam)."""
+        out = [0] * code.n
+        for c, lam in terms:
+            out[coord[c]] = code.spec.mul(lam, where[c][1])
+        return tuple(out)
 
-def _additive_low_weight_word(code: AdditiveCode, max_w: int) -> tuple[int, ...] | None:
-    H = code.expanded.kernel()  # GF(p) parity checks of the expanded code
-    ell = code.spec.ell
-    spec = code.spec
-    for size in range(1, max_w + 1):
-        for support in itertools.combinations(range(code.n), size):
-            cols = []
-            for i in support:
-                cols.extend(range(i * ell, (i + 1) * ell))
-            sub = H.take_columns(cols)
-            ker = sub.kernel()
-            for kv in ker.rows:
-                symbols = [spec.from_digits(kv[t * ell:(t + 1) * ell]) for t in range(size)]
-                if all(symbols):
-                    word = [0] * code.n
-                    for pos, sym in zip(support, symbols):
-                        word[pos] = sym
-                    return tuple(word)
-    return None
-
-
-def _linear_low_weight_word(code: LinearCode, max_w: int) -> tuple[int, ...] | None:
-    spec = code.spec
-    n = code.n
-    if code.k == n:
-        word = [0] * n
-        word[0] = 1
-        return tuple(word)
-    cols = _linear_columns(code)
-    add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
-    norm: list[tuple[tuple[int, ...], int] | None] = [_normalized_column(spec, c) for c in cols]
-    for i, nc in enumerate(norm):
+    for c, nc in enumerate(norm):
         if nc is None:
-            word = [0] * n
-            word[i] = 1
-            return tuple(word)
+            return word((c, 1))
     if max_w < 2:
         return None
+    # without zero columns, parallel columns lie at distinct coordinates
     seen: dict[tuple[int, ...], int] = {}
-    for i, nc in enumerate(norm):
-        key, scale = nc
-        j = seen.get(key)
-        if j is not None:
-            # scale_j * key + ... : cols[j] * a + cols[i] * b = 0 with a = 1
-            b = neg(mul(norm[j][1], inv(scale)))
-            word = [0] * n
-            word[j] = 1
-            word[i] = b
-            return tuple(word)
-        seen[key] = i
+    for c, (key, scale) in enumerate(norm):
+        hit = seen.setdefault(key, c)
+        if hit != c:
+            # cols[hit] + b * cols[c] = 0
+            return word((hit, 1), (c, neg(mul(norm[hit][1], inv(scale)))))
     if max_w < 3:
         return None
-    nonzero = list(range(1, spec.q))
-    for i in range(n):
-        ci = cols[i]
-        for j in range(i + 1, n):
-            cj = cols[j]
-            for lam in nonzero:
-                combo = tuple(add(a, mul(lam, b)) for a, b in zip(ci, cj))
-                nc = _normalized_column(spec, combo)
-                if nc is None:
+    nonzero = range(1, F.q)
+
+    def pair_sums():
+        """cols[c] + lam * cols[d], normalized, for c < d at distinct
+        coordinates; sums that vanish are skipped."""
+        for c in range(len(cols)):
+            cc = cols[c]
+            for d in range(c + 1, len(cols)):
+                if coord[d] == coord[c]:
                     continue
-                hit = seen.get(nc[0])
-                if hit is not None and hit != i and hit != j:
-                    # 1*c_i + lam*c_j + mu*c_hit = 0
-                    mu = neg(mul(nc[1], inv(norm[hit][1])))
-                    word = [0] * n
-                    word[i] = 1
-                    word[j] = lam
-                    word[hit] = mu
-                    return tuple(word)
+                cd = cols[d]
+                for lam in nonzero:
+                    nc = _normalized_column(F, tuple(add(a, mul(lam, b)) for a, b in zip(cc, cd)))
+                    if nc is not None:
+                        yield c, d, lam, nc
+
+    for c, d, lam, (key, scale) in pair_sums():
+        hit = seen.get(key)
+        if hit is not None and coord[hit] != coord[c] and coord[hit] != coord[d]:
+            # cols[c] + lam * cols[d] + mu * cols[hit] = 0
+            return word((c, 1), (d, lam), (hit, neg(mul(scale, inv(norm[hit][1])))))
     if max_w < 4:
         return None
     pair_index: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
-    for i in range(n):
-        ci = cols[i]
-        for j in range(i + 1, n):
-            cj = cols[j]
-            for lam in nonzero:
-                combo = tuple(add(a, mul(lam, b)) for a, b in zip(ci, cj))
-                nc = _normalized_column(spec, combo)
-                if nc is None:
-                    continue
-                key, scale = nc
-                for pi, pj, plam, pscale in pair_index.get(key, ()):
-                    if pi != i and pi != j and pj != i and pj != j:
-                        # (c_pi + plam c_pj) = pscale * key ; (c_i + lam c_j) = scale * key
-                        factor = neg(mul(pscale, inv(scale)))
-                        word = [0] * n
-                        word[pi] = 1
-                        word[pj] = plam
-                        word[i] = factor
-                        word[j] = mul(factor, lam)
-                        return tuple(word)
-                pair_index.setdefault(key, []).append((i, j, lam, scale))
+    for c, d, lam, (key, scale) in pair_sums():
+        pair = (coord[c], coord[d])
+        for pc, pd, plam, pscale in pair_index.get(key, ()):
+            if coord[pc] not in pair and coord[pd] not in pair:
+                # (cols[pc] + plam cols[pd]) = pscale * key ; (cols[c] + lam cols[d]) = scale * key
+                factor = neg(mul(pscale, inv(scale)))
+                return word((pc, 1), (pd, plam), (c, factor), (d, mul(factor, lam)))
+        pair_index.setdefault(key, []).append((c, d, lam, scale))
     return None
 
 
@@ -538,14 +506,12 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     known."""
     budget = enumeration_budget(budget)
     n = code.n
-    k = code.k if isinstance(code, LinearCode) else code.k_p
     claimed = code.claimed_distance
-    if k == 0:
+    if code.dim == 0:
         return DistanceCertificate(lower=n + 1, upper=n + 1, lower_method="exhaustive",
                                    witness=None, degenerate=True, claimed=claimed)
     if code.size() <= budget:
-        rows = code.expanded_generators()
-        w, witness = _exhaustive_scan(code.spec, [tuple(r) for r in rows], n)
+        w, witness = _exhaustive_scan(code.spec, code.expanded_generators(), n)
         return DistanceCertificate(lower=w, upper=w, lower_method="exhaustive",
                                    witness=witness, claimed=claimed)
     witness = find_low_weight_word(code, max_w=4)
@@ -563,6 +529,5 @@ def weight_enumerator(code: Code, budget: int | None = None) -> dict[int, int]:
     if code.size() > budget:
         raise ValueError(f"code size {code.size()} exceeds budget {budget}")
     counts = [0] * (code.n + 1)
-    rows = [tuple(r) for r in code.expanded_generators()]
-    _exhaustive_scan(code.spec, rows, code.n, counts=counts)
+    _exhaustive_scan(code.spec, code.expanded_generators(), code.n, counts=counts)
     return {w: c for w, c in enumerate(counts) if c}

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .code import AdditiveCode, LinearCode, min_distance
+from .code import min_distance, spanned_code
 from .matrix import InnerProductKind, Matrix
-from .product import _tensor_rows_p
+from .product import tensor_generator
 from .quantum import QeccParams, css_qecc, hermitian_qecc, symplectic_qecc
 
 
@@ -48,9 +48,6 @@ class ConvStabilizer:
     def rows_per_frame(self) -> int:
         return self.block.nrows
 
-    def is_additive(self) -> bool:
-        return self.kind is InnerProductKind.SYMPLECTIC
-
 
 def conv_from_product(c1, c2, t: int, kind: InnerProductKind) -> ConvStabilizer:
     """Band block from a product code: M = G1 (x) G2 with overlap t*n2.
@@ -61,27 +58,11 @@ def conv_from_product(c1, c2, t: int, kind: InnerProductKind) -> ConvStabilizer:
     """
     if not 1 <= t < c1.n:
         raise ValueError(f"shift parameter t = {t} must satisfy 1 <= t < n1 = {c1.n}")
-    if kind is InnerProductKind.SYMPLECTIC:
-        if not isinstance(c2, AdditiveCode):
-            raise ValueError("symplectic band needs an additive second factor")
-        if not c2.is_self_orthogonal():
-            raise ValueError("second factor is not symplectically self-orthogonal")
-        if c1.spec != c2.spec.prime_field:
-            raise ValueError("first factor must live over the prime field")
-        block = _tensor_rows_p(c2.spec, c1.generator.rows, c2.generators.rows, c1.n, c2.n)
-        g2 = c2.generators
-    else:
-        if not isinstance(c2, LinearCode):
-            raise ValueError(f"{kind} band needs a linear second factor")
-        if not c2.is_self_orthogonal(kind):
-            raise ValueError(f"second factor is not self-orthogonal under {kind}")
-        if c1.spec != c2.spec:
-            raise ValueError("mismatched fields")
-        block = c1.generator.kronecker(c2.generator)
-        g2 = c2.generator
+    if not c2.is_self_orthogonal(kind):
+        raise ValueError(f"second factor is not self-orthogonal under {kind}")
     n2 = c2.n
-    return ConvStabilizer(block=block, frame=(c1.n - t) * n2, overlap=t * n2, kind=kind,
-                          factor1=c1.generator, factor2=g2)
+    return ConvStabilizer(block=tensor_generator(c1, c2), frame=(c1.n - t) * n2,
+                          overlap=t * n2, kind=kind, factor1=c1.generator, factor2=c2.generator)
 
 
 def check_band_self_orthogonal(s: ConvStabilizer) -> bool:
@@ -127,11 +108,7 @@ def band_window_factorization_ok(s: ConvStabilizer, blocks: int) -> bool | None:
     t = s.overlap // n2
     g1_band = ConvStabilizer(block=s.factor1, frame=s.factor1.ncols - t, overlap=t,
                              kind=InnerProductKind.EUCLIDEAN)
-    w1 = band_window(g1_band, blocks)
-    if s.is_additive():
-        expected = _tensor_rows_p(s.spec, w1.rows, s.factor2.rows, w1.ncols, n2)
-    else:
-        expected = w1.kronecker(s.factor2)
+    expected = band_window(g1_band, blocks).over(s.spec).kronecker(s.factor2)
     return expected == band_window(s, blocks)
 
 
@@ -142,7 +119,6 @@ def tail_biting(s: ConvStabilizer, blocks: int):
     if n_total < s.frame + s.overlap:
         raise ValueError(f"{blocks} blocks of frame {s.frame} cannot host overlap {s.overlap}")
     rows = []
-    spec = s.spec
     for b in range(blocks):
         off = b * s.frame
         for row in s.block.rows:
@@ -151,9 +127,7 @@ def tail_biting(s: ConvStabilizer, blocks: int):
                 if v:
                     out[(off + j) % n_total] = v
             rows.append(out)
-    if s.is_additive():
-        return AdditiveCode(spec, rows, n=n_total)
-    return LinearCode(Matrix(spec, rows, ncols=n_total))
+    return spanned_code(s.kind, s.spec, rows, n_total)
 
 
 def tail_biting_qecc(s: ConvStabilizer, blocks: int, budget: int | None = None) -> QeccParams:
@@ -182,12 +156,7 @@ def free_distance_upper_bound(s: ConvStabilizer, window_blocks: int,
         raise ValueError("need at least one window block")
     width = window_blocks * s.frame + s.overlap
     constraints = band_window(s, window_blocks + 1).take_columns(range(width))
-    if s.is_additive():
-        dual = AdditiveCode(s.spec, constraints.rows, n=width).symplectic_dual()
-    elif s.kind is InnerProductKind.HERMITIAN:
-        dual = LinearCode(constraints).dual(InnerProductKind.HERMITIAN)
-    else:
-        dual = LinearCode(constraints).dual(InnerProductKind.EUCLIDEAN)
+    dual = spanned_code(s.kind, s.spec, constraints.rows, width).dual(s.kind)
     cert = min_distance(dual, budget=budget)
     if cert.degenerate or cert.upper is None:
         return None

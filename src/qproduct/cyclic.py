@@ -21,11 +21,6 @@ def poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(coeffs[:i])
 
 
-def poly_deg(f: Sequence[int]) -> int:
-    f = poly_trim(f)
-    return len(f) - 1  # zero polynomial -> -1
-
-
 def poly_mul(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     a, b = poly_trim(a), poly_trim(b)
     if not a or not b:
@@ -242,10 +237,6 @@ def spectrum_2d(spec: FieldSpec, word: Sequence[Sequence[int]], alpha: int, beta
 def flat_to_grid(vec: Sequence[int], n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
     """Product coordinate convention: flat index i*n2 + j -> grid[i][j]."""
     return tuple(tuple(vec[i * n2 + j] for j in range(n2)) for i in range(n1))
-
-
-def grid_to_flat(grid: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    return tuple(v for row in grid for v in row)
 
 
 def product_spectrum_support(c1: CyclicCode, c2: CyclicCode) -> tuple[tuple[bool, ...], ...]:

@@ -43,8 +43,9 @@ _EXTENSION_MODULI = {
     (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
 }
 
-# add tables are only materialized for small orders; beyond this the
-# digit-wise path is used (characteristic 2 always goes through XOR)
+# add tables are only materialized for odd-characteristic extension fields of
+# small order; beyond this the digit-wise path is used.  Characteristic 2
+# always goes through XOR, and prime fields through arithmetic mod p.
 _ADD_TABLE_MAX = 512
 
 
@@ -251,7 +252,7 @@ class FieldSpec:
             raise ValueError(f"generator {self.generator} does not have order {q - 1}")
         self._exp = exp
         self._log = log
-        if self.p != 2 and self.q <= _ADD_TABLE_MAX:
+        if self.p != 2 and self.ell > 1 and self.q <= _ADD_TABLE_MAX:
             self._add_table = [self._raw_add(a, b) for a in range(q) for b in range(q)]
 
     # -- identity ---------------------------------------------------------
@@ -291,6 +292,8 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.ell == 1:
+            return (a + b) % self.p
         if self._add_table is not None:
             return self._add_table[a * self.q + b]
         return self._raw_add(a, b)
@@ -299,6 +302,8 @@ class FieldSpec:
         if self.p == 2:
             return a
         p = self.p
+        if self.ell == 1:
+            return -a % p
         out = 0
         mult = 1
         for _ in range(self.ell):
@@ -310,6 +315,8 @@ class FieldSpec:
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.ell == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -384,9 +391,6 @@ class FieldSpec:
     def element(self, value: int) -> "FieldElement":
         return FieldElement(self, self.check_value(value))
 
-    def elements(self) -> Iterable["FieldElement"]:
-        return (FieldElement(self, v) for v in range(self.q))
-
 
 _SPEC_CACHE: dict[int, FieldSpec] = {}
 
@@ -448,41 +452,3 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.value}@GF({self.spec.q})"
-
-
-# -- module-level operation aliases (element API) --------------------------
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def power(a: FieldElement, e: int) -> FieldElement:
-    return a**e
-
-
-def frobenius_q(a: FieldElement) -> FieldElement:
-    return FieldElement(a.spec, a.spec.frobenius_q(a.value))
-
-
-def trace_to_prime(a: FieldElement) -> FieldElement:
-    return FieldElement(a.spec.prime_field, a.spec.trace_to_prime(a.value))
-
-
-def root_of_unity(spec: FieldSpec, n: int) -> FieldElement:
-    return FieldElement(spec, spec.root_of_unity(n))
-
-
-def embed_prime(x: int, spec: FieldSpec) -> FieldElement:
-    return FieldElement(spec, spec.embed_prime(x))

@@ -118,6 +118,15 @@ class Matrix:
             raise ValueError("column counts differ")
         return Matrix(self.spec, self.rows + other.rows, ncols=self.ncols)
 
+    def over(self, spec: FieldSpec) -> "Matrix":
+        """The same entries read over ``spec``: a matrix over a prime field
+        embeds in every extension of it."""
+        if spec == self.spec:
+            return self
+        if self.spec.ell != 1 or spec.p != self.spec.p:
+            raise ValueError(f"GF({self.spec.q}) is not the prime field of GF({spec.q})")
+        return Matrix(spec, self.rows, ncols=self.ncols)
+
     def take_columns(self, cols: Sequence[int]) -> "Matrix":
         return Matrix(self.spec, [[r[c] for c in cols] for r in self.rows], ncols=len(cols))
 
@@ -246,22 +255,6 @@ class Matrix:
         out = [[inner_product(self.spec, r, s, kind) for s in other.rows] for r in self.rows]
         out_spec = self.spec.prime_field if kind is InnerProductKind.SYMPLECTIC else self.spec
         return Matrix(out_spec, out, ncols=other.nrows)
-
-
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    return a.kronecker(b)
-
-
-def gram(a: Matrix, b: Matrix, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> Matrix:
-    return a.gram(b, kind)
-
-
-def kernel(m: Matrix) -> Matrix:
-    return m.kernel()
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    return m.rref()
 
 
 def complement_basis(h: Matrix, ambient_dim: int) -> Matrix:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import (AdditiveCode, DistanceCertificate, LinearCode, enumeration_budget,
+from .code import (AdditiveCode, Code, DistanceCertificate, LinearCode, enumeration_budget,
                    min_distance, weight_enumerator)
 from .cyclic import rs_code, rs_product_dual_certificate
 from .matrix import InnerProductKind
@@ -43,41 +43,51 @@ class QeccParams:
         }
 
 
+_KIND_BY_CONSTRUCTION = {
+    "css": InnerProductKind.EUCLIDEAN,
+    "hermitian": InnerProductKind.HERMITIAN,
+    "symplectic": InnerProductKind.SYMPLECTIC,
+}
+_CONSTRUCTION_BY_KIND = {kind: name for name, kind in _KIND_BY_CONSTRUCTION.items()}
+
+
+def _qecc(code: Code, kind: InnerProductKind, budget: int | None) -> QeccParams:
+    """Quantum code from a code self-orthogonal under ``kind``, distance
+    from the certified dual distance.  CSS takes qudits of dimension q and
+    the code twice (X and Z); the Hermitian and symplectic routes take
+    qudits of dimension sqrt(q) and the code once."""
+    if not code.is_self_orthogonal(kind):
+        raise ValueError(f"code is not {kind} self-orthogonal")
+    spec = code.spec
+    log_p_size = code.dim * code.field.ell
+    if kind is InnerProductKind.EUCLIDEAN:
+        qudit_degree, uses = spec.ell, 2
+    else:
+        qudit_degree, uses = spec.ell // 2, 1
+    stabilizers, rest = divmod(uses * log_p_size, qudit_degree)
+    if rest:
+        raise ValueError(f"code size {spec.p}^{log_p_size} is not a power of the qudit alphabet")
+    cert = min_distance(code.dual(kind), budget=budget)
+    return QeccParams(n=code.n, k=code.n - stabilizers, alphabet=spec.p**qudit_degree,
+                      distance=cert, construction=_CONSTRUCTION_BY_KIND[kind])
+
+
 def css_qecc(code: LinearCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a Euclidean self-orthogonal [n, k] code:
     n - 2k logical qudits, distance from the certified dual distance."""
-    if not code.is_self_orthogonal(InnerProductKind.EUCLIDEAN):
-        raise ValueError("code is not Euclidean self-orthogonal")
-    dual = code.dual(InnerProductKind.EUCLIDEAN)
-    cert = min_distance(dual, budget=budget)
-    return QeccParams(n=code.n, k=code.n - 2 * code.k, alphabet=code.spec.q,
-                      distance=cert, construction="css")
+    return _qecc(code, InnerProductKind.EUCLIDEAN, budget)
 
 
 def hermitian_qecc(code: LinearCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a Hermitian self-orthogonal code over GF(q^2):
     qudits of dimension q, n - 2k logical, distance from the Hermitian dual."""
-    if not code.is_self_orthogonal(InnerProductKind.HERMITIAN):
-        raise ValueError("code is not Hermitian self-orthogonal")
-    dual = code.dual(InnerProductKind.HERMITIAN)
-    cert = min_distance(dual, budget=budget)
-    return QeccParams(n=code.n, k=code.n - 2 * code.k, alphabet=code.spec.frobenius_power,
-                      distance=cert, construction="hermitian")
+    return _qecc(code, InnerProductKind.HERMITIAN, budget)
 
 
 def symplectic_qecc(code: AdditiveCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a symplectically self-orthogonal additive code
     over GF(p^(2m)): qudits of dimension p^m, k = n - k_p/m logical."""
-    if not code.is_self_orthogonal():
-        raise ValueError("code is not symplectically self-orthogonal")
-    spec = code.spec
-    m = spec.ell // 2
-    if code.k_p % m != 0:
-        raise ValueError(f"additive code size p^{code.k_p} is not a power of the qudit alphabet")
-    dual = code.symplectic_dual()
-    cert = min_distance(dual, budget=budget)
-    return QeccParams(n=code.n, k=code.n - code.k_p // m, alphabet=spec.frobenius_power,
-                      distance=cert, construction="symplectic")
+    return _qecc(code, InnerProductKind.SYMPLECTIC, budget)
 
 
 def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None) -> QeccParams:
@@ -101,13 +111,6 @@ def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None) -> QeccP
     return QeccParams(n=n, k=n - 2 * mu1 * mu2, alphabet=q, distance=cert, construction="css")
 
 
-_KIND_BY_CONSTRUCTION = {
-    "css": InnerProductKind.EUCLIDEAN,
-    "hermitian": InnerProductKind.HERMITIAN,
-    "symplectic": InnerProductKind.SYMPLECTIC,
-}
-
-
 def stabilizer_distance(code, construction: str, budget: int | None = None) -> int | None:
     """True stabilizer distance: the minimum weight in dual \\ code.
 
@@ -122,7 +125,7 @@ def stabilizer_distance(code, construction: str, budget: int | None = None) -> i
         raise ValueError(f"unknown construction {construction!r}")
     if not code.is_self_orthogonal(kind):
         raise ValueError(f"code is not {kind} self-orthogonal")
-    dual = code.symplectic_dual() if kind is InnerProductKind.SYMPLECTIC else code.dual(kind)
+    dual = code.dual(kind)
     if dual.size() > enumeration_budget(budget):
         return None
     outer = weight_enumerator(dual, budget=budget)

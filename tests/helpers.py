@@ -18,7 +18,7 @@ def brute_codewords(code):
         rows = list(code.generator.rows)
         radix = spec.q
     else:
-        rows = list(code.generators.rows)
+        rows = list(code.generator.rows)
         radix = spec.p
     n = code.n
     for coeffs in itertools.product(range(radix), repeat=len(rows)):

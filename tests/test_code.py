@@ -85,8 +85,20 @@ def test_symplectic_dual_membership_is_orthogonality():
     dual = code.symplectic_dual()
     import itertools
     for vec in itertools.product(range(4), repeat=4):
-        in_dual = all(inner_product(spec, g, vec, S) == 0 for g in code.generators.rows)
+        in_dual = all(inner_product(spec, g, vec, S) == 0 for g in code.generator.rows)
         assert dual.contains(vec) == in_dual
+
+
+def test_dual_kinds_follow_the_code_model():
+    linear = quaternary_hamming_dual_5()
+    additive = AdditiveCode.from_linear(linear)
+    assert linear.dual() is linear.dual(E)
+    assert additive.dual() is additive.symplectic_dual() is additive.dual(S)
+    for code, kind in ((linear, S), (additive, E), (additive, H)):
+        with pytest.raises(ValueError):
+            code.dual(kind)
+        with pytest.raises(ValueError):
+            code.is_self_orthogonal(kind)
 
 
 def test_self_orthogonality_flags():
@@ -168,10 +180,11 @@ def test_distance_at_least_matches_enumeration(q):
             assert distance_at_least(code, w) == (d >= w)
 
 
-def test_distance_at_least_additive_matches_enumeration():
-    rng = random.Random(83)
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_distance_at_least_additive_matches_enumeration(q):
+    rng = random.Random(79 + q)
     for _ in range(10):
-        code = random_additive_code(rng, GF(4), rng.randint(3, 6), 5)
+        code = random_additive_code(rng, GF(q), rng.randint(3, 6), 5)
         d = brute_min_distance(code)
         for w in (2, 3, 4):
             assert distance_at_least(code, w) == (d >= w)
@@ -203,15 +216,18 @@ def test_low_weight_word_finds_minimum(q):
             assert word is None
 
 
-def test_low_weight_word_additive():
-    rng = random.Random(95)
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_low_weight_word_additive(q):
+    rng = random.Random(91 + q)
     for _ in range(10):
-        code = random_additive_code(rng, GF(4), rng.randint(3, 6), 6)
+        code = random_additive_code(rng, GF(q), rng.randint(3, 6), 6)
         d = brute_min_distance(code)
         word = find_low_weight_word(code, max_w=4)
         if d <= 4:
             assert word is not None and sum(1 for v in word if v) == d
             assert code.contains(word)
+        else:
+            assert word is None
 
 
 def test_weight_enumerator_simplex():

@@ -104,6 +104,16 @@ def test_kronecker_mixed_product(q):
         assert lhs == rhs
 
 
+def test_over_embeds_a_prime_field_matrix():
+    m = Matrix(GF(2), [[1, 0, 1]])
+    assert m.over(GF(2)) is m
+    lifted = m.over(GF(8))
+    assert lifted.spec == GF(8) and lifted.rows == m.rows
+    for source, target in ((GF(3), GF(4)), (GF(4), GF(16))):
+        with pytest.raises(ValueError):
+            Matrix(source, [[1, 2]]).over(target)
+
+
 def test_complement_basis_identity():
     h = Matrix.identity(GF(2), 3)
     assert complement_basis(h, 3).nrows == 0
