@@ -3,17 +3,20 @@ Euclidean, Hermitian, and symplectic inner products, plus minimum-distance
 certification.
 
 Distances are either computed exactly by exhaustive codeword enumeration
-(bit-packed Gray-code iteration in characteristic 2, radix-p Gray
-iteration otherwise) or certified by a complete search for codewords of
-weight at most 4: a lightest witness fixes the distance, and its absence
-proves d >= 5.  A certificate never reports "exact" unless lower and
-upper bound meet.
+(a radix-p Gray walk over the span, run with numpy in blocks of at most
+SCAN_BLOCK words held as uint64 bit or digit planes) or certified by a
+complete search for codewords of weight at most 4: a lightest witness
+fixes the distance, and its absence proves d >= 5.  A certificate never
+reports "exact" unless lower and upper bound meet.
 """
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .galois import FieldSpec
 from .matrix import InnerProductKind, Matrix, _require_even_degree, inner_product
@@ -81,11 +84,26 @@ class DistanceCertificate:
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 #
-# Every code here is a GF(p)-span of a fixed list of generator vectors, so
+# Every code here is a GF(p)-span of a fixed list of K generator rows R, so
 # enumeration walks all p^K coefficient tuples with a radix-p Gray code:
-# step t updates one generator (the p-adic valuation of t), so each word
-# costs one row update.  In characteristic 2 rows are packed into single
-# integers, ell bits per symbol, and the update is a XOR.
+# step t adds row v_p(t) (the p-adic valuation of t).  For i < p^a, the
+# steps after h*p^a repeat those after 0, so word(h*p^a + i) = word(h*p^a)
+# + word(i).  The walk therefore runs in blocks of p^a words: a table T of
+# the first p^a words, built by p-fold doubling, plus the block's offset,
+# with offset(h+1) = offset(h) + T[-1] + R[a + v_p(h+1)].  Blocks are
+# visited in walk order, so the first lightest word of the first block
+# that has one is the first in Gray order.
+#
+# A word is ell planes of uint64 lanes, plane t holding bit t (p = 2) or
+# base-p digit t (odd p) of every symbol, so no symbol straddles two lanes.
+# Words add by XOR, or digitwise mod p; a symbol is nonzero if any of its
+# planes is, and bitwise_count counts them.  The first use of each numpy
+# kernel in a process faults in about 64 KiB of its code, so the engine
+# keeps to few kernels: the weight row is read as bytes (count, in, index),
+# and planes replace a per-symbol bit fold.
+
+SCAN_BLOCK = 1 << 12  # most words per block (a block holds at least p words)
+
 
 def _pack(vec: Sequence[int], bits: int) -> int:
     word = 0
@@ -99,72 +117,86 @@ def _unpack(word: int, bits: int, n: int) -> tuple[int, ...]:
     return tuple((word >> (bits * i)) & mask for i in range(n))
 
 
-def _scan_packed(rows: list[tuple[int, ...]], n: int, bits: int,
-                 counts: list[int] | None) -> tuple[int, tuple[int, ...] | None]:
-    packed = [_pack(r, bits) for r in rows]
-    fold_mask = sum(1 << (bits * i) for i in range(n))
-    bit_count = int.bit_count
-    shifts = range(1, bits)
-    word = 0
-    best_w, best = n + 1, None
-    if bits == 1:
-        for t in range(1, 1 << len(rows)):
-            word ^= packed[(t & -t).bit_length() - 1]
-            w = bit_count(word)
-            if counts is not None:
-                counts[w] += 1
-            if w < best_w:
-                best_w, best = w, word
-    else:
-        for t in range(1, 1 << len(rows)):
-            word ^= packed[(t & -t).bit_length() - 1]
-            acc = word
-            for s in shifts:
-                acc |= word >> s
-            w = bit_count(acc & fold_mask)
-            if counts is not None:
-                counts[w] += 1
-            if w < best_w:
-                best_w, best = w, word
-    return best_w, None if best is None else _unpack(best, bits, n)
-
-
-def _scan_generic(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
-                 counts: list[int] | None) -> tuple[int, tuple[int, ...] | None]:
-    p = spec.p
-    add = spec.add
-    nz = [tuple((i, v) for i, v in enumerate(r) if v) for r in rows]
-    word = [0] * n
-    weight = 0
-    best_w, best = n + 1, None
-    for t in range(1, p**len(rows)):
-        tt, j = t, 0
-        while tt % p == 0:
-            tt //= p
-            j += 1
-        for i, v in nz[j]:
-            old = word[i]
-            new = add(old, v)
-            word[i] = new
-            weight += (1 if new else 0) - (1 if old else 0)
-        if counts is not None:
-            counts[weight] += 1
-        if weight < best_w:
-            best_w, best = weight, tuple(word)
-    return best_w, best
-
-
 def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
                      counts: list[int] | None = None) -> tuple[int, tuple[int, ...] | None]:
-    """Minimum nonzero weight over the GF(p)-span of rows, with the first
-    word of that weight in Gray order as witness ((n + 1, None) when the
-    span is zero).  With ``counts``, also tallies every word's weight,
-    the zero word included."""
+    """Minimum weight over the words at steps t >= 1 of the Gray walk of
+    the GF(p)-span of rows (the minimum nonzero weight when the rows are
+    independent), with the first word of that weight in Gray order as
+    witness ((n + 1, None) when there are no rows).  With ``counts``, also
+    tallies every word's weight, the zero word included."""
+    p, ell, K = spec.p, spec.ell, len(rows)
+    # a word is ell planes of L lanes; an odd-p digit fills a field of f bytes
+    if p == 2:
+        L = -(-n // 64)
+        flat = array("Q", [_pack([v >> t & 1 for v in r[j:j + 64]], 1)
+                           for r in rows for t in range(ell) for j in range(0, n, 64)])
+    else:
+        tc = "B" if p < 128 else "I"  # a field holds the sum of two digits, below 2p
+        f = array(tc).itemsize
+        L = -(-n * f // 8)
+        pad = [0] * (8 // f * L - n)
+        flat = array(tc, [x for r in rows for t in range(ell)
+                          for x in [spec.to_digits(v)[t] for v in r] + pad])
+        one = int.from_bytes(array(tc, [1] * (8 // f)).tobytes(), "little")
+        high, low = np.uint64(one << 8 * f - 1), np.uint64((one << 8 * f - 1) - one)
+    R = np.frombuffer(flat, np.uint64).reshape(K, ell * L)
+
+    def add(x, y, out=None):
+        if p == 2:
+            return np.bitwise_xor(x, y, out=out)
+        dx, dy = x.view(tc), y.view(tc)
+        out = np.add(dx, dy, out=None if out is None else out.view(tc))
+        return np.remainder(out, p, out=out).view(np.uint64)
+
+    a = min(K, 1)
+    while a < K and p ** (a + 1) <= SCAN_BLOCK:
+        a += 1
+    T = np.zeros((p**a, ell * L), np.uint64)
+    m = 1
+    for j in range(a):  # T[:p^(j+1)]: p copies of T[:p^j], copy d shifted by word(d*p^j)
+        step = shift = add(T[m - 1], R[j])
+        for d in range(1, p):
+            add(T[:m], shift, T[d * m:(d + 1) * m])
+            shift = add(shift, step)
+        m *= p
+    wdt = np.uint8 if n < 255 else np.uint16  # holds every weight and the sentinel n + 1
+    W, offset = np.empty_like(T), T[0]
+    best_w, best = n + 1, None
     if counts is not None:
-        counts[0] += 1
-    if spec.p == 2:
-        return _scan_packed(rows, n, spec.ell, counts)
-    return _scan_generic(spec, rows, n, counts)
+        counts[0] += 1  # the zero word at step 0
+    for h in range(p ** (K - a)):
+        if h:
+            j, t = a, h
+            while t % p == 0:
+                t //= p
+                j += 1
+            offset = add(add(offset, T[-1]), R[j])
+        x = add(T, offset, W)[:, :L]  # folded in place; a witness is rebuilt from T
+        for t in range(1, ell):  # a symbol is nonzero if any of its planes is
+            x |= W[:, t * L:(t + 1) * L]
+        if p > 2:  # the high bit of each field flags a nonzero one
+            x += low
+            x &= high
+        c = np.bitwise_count(x)
+        w = c[:, 0] if L == 1 else c.sum(axis=1, dtype=wdt)
+        if h == 0:
+            w[0] = n + 1  # step 0, the zero word, is not a candidate
+        ws = w.tobytes() if wdt is np.uint8 else w.tolist()
+        if counts is not None:
+            for k in range(n + 1):
+                counts[k] += ws.count(k)
+        for k in range(best_w):
+            if k in ws:
+                best_w, best = k, add(T[ws.index(k)], offset)
+                break
+    if best is None:
+        return best_w, None
+    if p == 2:
+        bits = [_unpack(lane, 1, 64) for lane in best.tolist()]
+        return best_w, tuple(sum(bits[t * L + i // 64][i % 64] << t for t in range(ell))
+                             for i in range(n))
+    digits = best.view(tc).reshape(ell, -1).tolist()
+    return best_w, tuple(spec.from_digits(d[i] for d in digits) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -303,10 +303,16 @@ def rs_product_dual_certificate(q: int, delta1: int, delta2: int,
     from .product import product  # local import to avoid a cycle at module load
 
     prod = product(rs_code(spec, delta1).code, rs_code(spec, delta2).code)
-    dual = prod.dual(InnerProductKind.EUCLIDEAN)
-    cert = min_distance(dual, budget=budget)
+    return _rs_product_dual_certificate(prod, delta1, delta2, budget)
+
+
+def _rs_product_dual_certificate(prod: LinearCode, delta1: int, delta2: int,
+                                 budget: int | None) -> DistanceCertificate:
+    """``rs_product_dual_certificate`` for the product, already built."""
+    cert = min_distance(prod.dual(InnerProductKind.EUCLIDEAN), budget=budget)
     if cert.lower_method == "exhaustive":
         return cert
+    q = prod.spec.q
     rect_lower = bch_rectangle_bound(q - delta1, q - delta2)
     if rect_lower < cert.lower:
         return cert

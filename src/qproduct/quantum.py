@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .code import (AdditiveCode, Code, DistanceCertificate, LinearCode, enumeration_budget,
                    min_distance, weight_enumerator)
-from .cyclic import rs_code, rs_product_dual_certificate
+from .cyclic import _rs_product_dual_certificate, rs_code
 from .matrix import InnerProductKind
 from .product import product
 
@@ -107,7 +107,7 @@ def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None) -> QeccP
     n = (q - 1) ** 2
     if prod.n != n or prod.k != mu1 * mu2:
         raise AssertionError("constructed parameters disagree with the dimension formula")
-    cert = rs_product_dual_certificate(q, q - mu1, q - mu2, budget=budget)
+    cert = _rs_product_dual_certificate(prod, q - mu1, q - mu2, budget)
     return QeccParams(n=n, k=n - 2 * mu1 * mu2, alphabet=q, distance=cert, construction="css")
 
 

@@ -1,5 +1,5 @@
 """Shared test oracles: brute-force enumerations and random code builders
-that stay independent of the library's packed/Gray-code engines."""
+that stay independent of the library's blocked numpy scan."""
 from __future__ import annotations
 
 import itertools
@@ -29,6 +29,36 @@ def brute_codewords(code):
                     if v:
                         word[i] = spec.add(word[i], spec.mul(c, v))
         yield tuple(word)
+
+
+def gray_scan(spec: FieldSpec, rows, n: int, counts: list[int] | None = None):
+    """The witness-order oracle for ``qproduct.code._exhaustive_scan``: the
+    radix-p Gray walk of the GF(p)-span of rows, one word at a time.  Step
+    t adds row v_p(t); returns the minimum weight over steps t >= 1 and the
+    first word of that weight ((n + 1, None) without rows), and with
+    ``counts`` tallies every word's weight, the zero word included."""
+    p = spec.p
+    nz = [tuple((i, v) for i, v in enumerate(r) if v) for r in rows]
+    word = [0] * n
+    weight = 0
+    best_w, best = n + 1, None
+    if counts is not None:
+        counts[0] += 1
+    for t in range(1, p ** len(rows)):
+        tt, j = t, 0
+        while tt % p == 0:
+            tt //= p
+            j += 1
+        for i, v in nz[j]:
+            old = word[i]
+            new = spec.add(old, v)
+            word[i] = new
+            weight += (1 if new else 0) - (1 if old else 0)
+        if counts is not None:
+            counts[weight] += 1
+        if weight < best_w:
+            best_w, best = weight, tuple(word)
+    return best_w, best
 
 
 def brute_min_distance(code) -> int:

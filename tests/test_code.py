@@ -1,11 +1,15 @@
 """Code objects and distance certification, cross-checked against plain
 brute-force enumeration."""
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerator,
-                     check_certificate, random_additive_code, random_linear_code)
+                     check_certificate, gray_scan, random_additive_code, random_linear_code)
+from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
                            min_distance, to_additive_over, weight_enumerator)
@@ -279,6 +283,89 @@ def test_pack_unpack_roundtrip():
 
     for bits, vec in ((1, (1, 0, 1, 1)), (2, (3, 0, 2, 1)), (3, (7, 4, 0, 5))):
         assert _unpack(_pack(vec, bits), bits, len(vec)) == vec
+
+
+def _scan_both(spec, rows, n):
+    """(weight, witness, counts) from the library scan and from the oracle."""
+    got, want = [0] * (n + 1), [0] * (n + 1)
+    return ((*code_module._exhaustive_scan(spec, rows, n, got), got),
+            (*gray_scan(spec, rows, n, want), want))
+
+
+@st.composite
+def _scan_inputs(draw):
+    """Rows over GF(2..9) whose span has at most 2^13 words, with zero,
+    repeated and dependent rows among them, and no rows at all."""
+    spec = GF(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    n = draw(st.integers(1, 25))
+    max_k = max(k for k in range(14) if spec.p**k <= 1 << 13)
+    row = st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(row, max_size=max_k))
+    if 0 < len(rows) < max_k and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(tuple(spec.add(x, y) for x, y in zip(a, b)))
+    return spec, rows, n
+
+
+@pytest.mark.parametrize("block", ["p", "small", "default"])
+@settings(max_examples=40, deadline=None)
+@given(case=_scan_inputs())
+def test_scan_matches_gray_walk_oracle(block, case):
+    spec, rows, n = case
+    size = {"p": spec.p, "small": 1 << 6, "default": code_module.SCAN_BLOCK}[block]
+    with mock.patch.object(code_module, "SCAN_BLOCK", size):
+        got, want = _scan_both(spec, rows, n)
+    assert got == want
+
+
+@pytest.mark.parametrize("q,a", [(2, 6), (3, 4), (4, 3), (5, 3)])
+@pytest.mark.parametrize("block", ["p", "table"])
+def test_scan_witness_order_within_a_later_block(q, a, block):
+    """Rows 0..a-1 put (1, 1, 1, 1) on a block of four coordinates each,
+    and rows a..2a-1 put (1, 1, 0, 0) on the same blocks.  Only words
+    outside the first p^a of the walk have weight 2, and each coset of the
+    first a rows' span holding one holds two, (1, 1, 0, 0) and (0, 0, -1, -1)
+    on one block: the witness is whichever comes first in the walk."""
+    spec = GF(q)
+    heavy = [tuple(1 if 4 * j <= i < 4 * j + 4 else 0 for i in range(4 * a)) for j in range(a)]
+    light = [tuple(1 if 4 * j <= i < 4 * j + 2 else 0 for i in range(4 * a)) for j in range(a)]
+    size = spec.p if block == "p" else spec.p**a
+    with mock.patch.object(code_module, "SCAN_BLOCK", size):
+        got, want = _scan_both(spec, heavy + light, 4 * a)
+    assert got == want
+    assert got[0] == 2
+
+
+@pytest.mark.parametrize("q,n,k", [
+    pytest.param(8, 30, 6, id="gf8-3n-above-64"),   # 3-bit symbols packed in a row would straddle
+    pytest.param(8, 43, 4, id="gf8-three-lanes"),
+    pytest.param(2, 100, 10, id="binary-n-above-64"),
+    pytest.param(2, 64, 9, id="binary-one-full-lane"),
+    pytest.param(4, 33, 8, id="gf4-33-symbols"),
+    pytest.param(243, 12, 4, id="gf243-five-digits"),
+    pytest.param(131, 10, 2, id="gf131-wide-digits"),  # p >= 128: digits of four bytes
+])
+def test_scan_words_across_lanes(q, n, k):
+    spec = GF(q)
+    rng = random.Random(q * 100 + n)
+    rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
+    rows[-1] = (0,) * (n - 1) + (1,)  # a weight-1 word in the last lane's last symbol
+    got, want = _scan_both(spec, rows, n)
+    assert got == want
+    assert got[0] == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [254, 255, 300])
+def test_scan_long_words_with_few_rows(q, n):
+    """Weights up to n do not overflow the weight row, nor does the n + 1
+    sentinel that hides the zero word at step 0."""
+    spec = GF(q)
+    rows = [(1,) * n, (1,) * (n // 2) + (0,) * (n - n // 2), (0,) * (n - 1) + (1,)]
+    got, want = _scan_both(spec, rows, n)
+    assert got == want
+    assert got[0] == 1 and got[2][n] > 0
+    assert code_module._exhaustive_scan(spec, [], n) == (n + 1, None)
 
 
 def test_canonical_generators_are_stable():

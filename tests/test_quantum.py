@@ -124,6 +124,24 @@ def test_rs_prod_qecc_dimension_identity():
         assert params.k == (q - 1) ** 2 - 2 * mu1 * mu2
 
 
+def test_rs_prod_qecc_builds_the_product_once(monkeypatch):
+    import qproduct.product as product_module
+    import qproduct.quantum as quantum_module
+
+    built = []
+    real = product_module.product
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(product_module, "product", counted)
+    monkeypatch.setattr(quantum_module, "product", counted)
+    params = rs_prod_qecc(8, 3, 3)
+    assert len(built) == 1
+    assert params.distance.lower == 4
+
+
 def test_rs_prod_qecc_rejects_large_mu1():
     with pytest.raises(ValueError):
         rs_prod_qecc(5, 2, 1)
