@@ -1,20 +1,28 @@
 #!/usr/bin/env python3
-"""Time and first-use memory of the exhaustive scan, per scan shape.
+"""Time and first-use memory of the exhaustive scan and of the low-weight
+search, per shape.
 
     python3 scripts/scan_profile.py [--repeats 3]
 
-Each shape (field, length, number of generator rows, with or without a
-weight enumerator) runs in its own fresh interpreter, so that the first
-scan pays for the numpy kernels it touches for the first time, as the
-first scan of a long-running process would.  For each shape this prints
+Each shape runs in its own fresh interpreter, so that its first call pays
+for the numpy kernels it touches for the first time, as the first call of
+a long-running process would.
 
-  first_rss_kib  peak RSS growth over the first scan (kernel code pages
-                 faulted in plus the scan's arrays), in KiB
-  first_ms       wall time of the first scan
-  ms             median wall time of the repeated scans
-  words_per_s    words scanned per second at that median
+A scan shape is a field, a length, a number of generator rows, and with
+or without a weight enumerator; its rows are random, seeded, and the same
+on every run.  A search shape is a code above the enumeration budget:
+the Euclidean dual of an RS product rs(q, q-mu1) x rs(q, q-mu2), whose
+weight-4 search runs in full, or the 91-column dual of the binary
+hamming_dual(3,2) band, the window of its free-distance bound, where an
+early pair gives a weight-3 word.  The code and its syndrome columns are
+built before the clock starts.  For each shape this prints
 
-The rows are random, seeded, and the same on every run.
+  first_rss_kib  peak RSS growth over the first call (kernel code pages
+                 faulted in plus the call's arrays), in KiB
+  first_ms       wall time of the first call
+  ms             median wall time of the repeated calls (a search repeats
+                 from its syndrome columns, without the arrays it caches)
+  words_per_s    words scanned per second at that median (scans only)
 """
 from __future__ import annotations
 
@@ -32,7 +40,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (field order q = p^ell, length n, GF(p)-rows K, with counts): p^K words
-SHAPES = (
+SCAN_SHAPES = (
     (2, 28, 22, False),   # the binary 2^22-word dual of the enumerate workload
     (2, 28, 22, True),
     (4, 15, 22, False),   # the (15, 2^22) symplectic dual of the additive chain
@@ -45,6 +53,16 @@ SHAPES = (
     (9, 12, 8, True),     # odd characteristic, two digits per symbol
 )
 
+# ("rs", q, mu1, mu2) or ("band", window blocks)
+SEARCH_SHAPES = (
+    ("rs", 8, 3, 3),
+    ("rs", 9, 3, 5),
+    ("rs", 11, 4, 4),
+    ("rs", 13, 5, 5),
+    ("rs", 16, 7, 7),
+    ("band", 2),          # 91 columns, weight 3 in the first chunk
+)
+
 
 def rss_bytes() -> int:
     with open("/proc/self/statm") as f:
@@ -55,50 +73,95 @@ def peak_rss_bytes() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def profile_shape(q: int, n: int, k: int, with_counts: bool, repeats: int) -> dict:
-    """One shape, in this interpreter: the first scan, then ``repeats`` more."""
-    sys.path.insert(0, str(SRC))
+def first_and_repeats(call, repeats: int) -> tuple[int, float, float]:
+    """RSS growth and time of the first call, and the median of the repeats."""
+    def timed() -> float:
+        t0 = time.perf_counter()
+        call()
+        return time.perf_counter() - t0
+
+    before, peak_before = rss_bytes(), peak_rss_bytes()
+    first = timed()
+    growth = max(peak_rss_bytes(), peak_before, rss_bytes()) - before
+    return growth, first, statistics.median(timed() for _ in range(repeats))
+
+
+def profile_scan(q: int, n: int, k: int, with_counts: bool, repeats: int) -> dict:
+    """One scan shape, in this interpreter."""
     from qproduct.code import _exhaustive_scan
     from qproduct.galois import GF
 
     spec = GF(q)
     rng = random.Random(q * 1000 + n * 10 + k)
     rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
-
-    def scan() -> float:
-        counts = [0] * (n + 1) if with_counts else None
-        t0 = time.perf_counter()
-        _exhaustive_scan(spec, rows, n, counts)
-        return time.perf_counter() - t0
-
-    before, peak_before = rss_bytes(), peak_rss_bytes()
-    first = scan()
-    growth = max(peak_rss_bytes(), peak_before, rss_bytes()) - before
-    times = [scan() for _ in range(repeats)]
-    median = statistics.median(times)
-    return {"q": q, "n": n, "rows": k, "counts": with_counts,
+    growth, first, median = first_and_repeats(
+        lambda: _exhaustive_scan(spec, rows, n, [0] * (n + 1) if with_counts else None), repeats)
+    return {"shape": f"scan q={q} n={n} rows={k}{' counts' if with_counts else ''}",
             "first_rss_kib": round(growth / 1024), "first_ms": round(first * 1e3, 2),
             "ms": round(median * 1e3, 2), "words_per_s": round(spec.p**k / median)}
+
+
+def search_code(shape: tuple):
+    from qproduct.catalog import hamming_dual
+    from qproduct.code import spanned_code
+    from qproduct.convolutional import band_window, conv_from_product
+    from qproduct.cyclic import rs_code
+    from qproduct.galois import GF
+    from qproduct.matrix import InnerProductKind
+    from qproduct.product import product
+
+    euclidean = InnerProductKind.EUCLIDEAN
+    if shape[0] == "rs":
+        _, q, mu1, mu2 = shape
+        return product(rs_code(GF(q), q - mu1).code, rs_code(GF(q), q - mu2).code).dual(euclidean)
+    s = conv_from_product(hamming_dual(3, 2), hamming_dual(3, 2), 1, euclidean)
+    width = shape[1] * s.frame + s.overlap
+    rows = band_window(s, shape[1] + 1).take_columns(range(width)).rows
+    return spanned_code(euclidean, s.spec, rows, width).dual(euclidean)
+
+
+def profile_search(shape: tuple, repeats: int) -> dict:
+    """One search shape, in this interpreter."""
+    from qproduct.code import find_low_weight_word
+
+    code = search_code(shape)
+    code._syndrome_columns()
+    found = []
+
+    def search() -> None:
+        code._pairs = None  # search from the syndrome columns each time
+        found.append(find_low_weight_word(code, 4))
+
+    growth, first, median = first_and_repeats(search, repeats)
+    weight = None if found[0] is None else sum(1 for v in found[0] if v)
+    return {"shape": f"search {'rs q={} mu={},{}'.format(*shape[1:]) if shape[0] == 'rs' else 'band'}"
+                     f" n={code.n} -> {weight}",
+            "first_rss_kib": round(growth / 1024), "first_ms": round(first * 1e3, 2),
+            "ms": round(median * 1e3, 2), "words_per_s": ""}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--shape", help=argparse.SUPPRESS)  # q,n,k,counts: run one shape here
+    parser.add_argument("--shape", help=argparse.SUPPRESS)  # JSON shape: run it here
     args = parser.parse_args()
     if args.shape:
-        q, n, k, c = (int(x) for x in args.shape.split(","))
-        print(json.dumps(profile_shape(q, n, k, bool(c), args.repeats)))
+        sys.path.insert(0, str(SRC))
+        shape = json.loads(args.shape)
+        if isinstance(shape[0], str):
+            result = profile_search(tuple(shape), args.repeats)
+        else:
+            result = profile_scan(*shape, args.repeats)
+        print(json.dumps(result))
         return
-    print(f"{'q':>3} {'n':>4} {'rows':>4} {'counts':>6} {'first_rss_kib':>13} "
-          f"{'first_ms':>9} {'ms':>9} {'words_per_s':>12}")
-    for q, n, k, c in SHAPES:
+    print(f"{'shape':<36} {'first_rss_kib':>13} {'first_ms':>9} {'ms':>9} {'words_per_s':>12}")
+    for shape in SCAN_SHAPES + SEARCH_SHAPES:
         out = subprocess.run([sys.executable, __file__, "--repeats", str(args.repeats),
-                              "--shape", f"{q},{n},{k},{int(c)}"],
+                              "--shape", json.dumps(shape)],
                              check=True, capture_output=True, text=True).stdout
         r = json.loads(out.splitlines()[-1])
-        print(f"{r['q']:>3} {r['n']:>4} {r['rows']:>4} {str(r['counts']):>6} "
-              f"{r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9} {r['words_per_s']:>12}")
+        print(f"{r['shape']:<36} {r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9} "
+              f"{r['words_per_s']:>12}")
 
 
 if __name__ == "__main__":

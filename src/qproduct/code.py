@@ -6,11 +6,17 @@ Distances are either computed exactly by exhaustive codeword enumeration
 (a radix-p Gray walk over the span, run with numpy in blocks of at most
 SCAN_BLOCK words held as uint64 bit or digit planes) or certified by a
 complete search for codewords of weight at most 4: a lightest witness
-fixes the distance, and its absence proves d >= 5.  A certificate never
-reports "exact" unless lower and upper bound meet.
+fixes the distance, and its absence proves d >= 5.  The search reads the
+syndrome columns of the code: weights 1 and 2 are zero and parallel
+columns, and weights 3 and 4 meet in the middle over the normalized sums
+of column pairs, formed as numpy arrays in chunks of at most SEARCH_CHUNK
+pairs and compared as one void key per sum.  A certificate never reports
+"exact" unless lower and upper bound meet.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from array import array
 from dataclasses import dataclass
@@ -223,7 +229,9 @@ class Code:
         self.claimed_distance = claimed_distance
         self.generator = self.symbols(basis)
         self._dual_cache: dict[InnerProductKind, Code] = {}
+        self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
         self._columns: tuple | None = None
+        self._pairs: _PairSums | None = None
 
     @classmethod
     def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix) -> "Code":
@@ -342,6 +350,12 @@ class Code:
             self._columns = (where, cols, [_normalized_column(F, c) for c in cols])
         return self._columns
 
+    def _pair_sums(self) -> "_PairSums":
+        """The weight-3/4 search state over the syndrome columns; cached."""
+        if self._pairs is None:
+            self._pairs = _PairSums(self)
+        return self._pairs
+
 
 class LinearCode(Code):
     """A [n, k] linear code held as a generator matrix in rref."""
@@ -458,6 +472,94 @@ def _normalized_column(spec: FieldSpec, col: Sequence[int]) -> tuple[tuple[int, 
     return None
 
 
+# most column pairs per chunk of the weight-3/4 search; larger chunks are no
+# faster, and their temporaries raise the peak RSS of a long-running process
+SEARCH_CHUNK = 1 << 10
+
+
+@functools.lru_cache(maxsize=None)
+def _field_tables(F: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """numpy log and exp tables of F, as ``FieldSpec.mul`` reads them.
+    log[0] is 2(q-1) and exp is zero from index 2(q-1) on, so a product
+    with a zero factor reads 0.  exp is uint8 for q <= 256 and uint16
+    beyond, the element size of a search key."""
+    q1 = F.q - 1
+    log = np.array([2 * q1] + F._log[1:], np.int32)
+    exp = np.array(F._exp + [0] * (q1 + 1), np.uint8 if F.q <= 256 else np.uint16)
+    return log, exp
+
+
+def _field_add(F: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``FieldSpec.add`` on arrays: XOR, or base-p digits added mod p."""
+    p = F.p
+    if p == 2:
+        return a ^ b
+    out = (a + b) % p
+    for t in range(1, F.ell):
+        pt = p**t
+        out += (a // pt + b // pt) % p * pt
+    return out
+
+
+class _PairSums:
+    """The pair sums cols[c] + lam * cols[d] of a code's syndrome columns,
+    for c < d at distinct coordinates and lam in F*, numbered in pair
+    order: c, then d, then lam.  The columns are sorted by coordinate, so
+    the d of a c are the columns from ``start[c]`` on.  Built for codes
+    without zero or parallel columns, where each column has its own key."""
+
+    def __init__(self, code: Code) -> None:
+        where, cols, _ = code._syndrome_columns()
+        self.F, self.q1 = code.field, code.field.q - 1
+        self.log, self.exp = _field_tables(self.F)
+        m, r = len(cols), len(cols[0])
+        self.cols = np.fromiter(itertools.chain.from_iterable(cols), np.int32, m * r).reshape(m, r)
+        self.logs = self.log[self.cols]
+        keys = self.normalized(self.cols)[1]
+        self.col_of = np.argsort(keys)  # the column of each sorted key
+        self.col_keys = keys[self.col_of]
+        coord = np.fromiter((i for i, _ in where), np.intp, m)
+        self.start = np.searchsorted(coord, coord, side="right")
+        self.offset = np.concatenate(([0], np.cumsum((m - self.start) * self.q1)))
+
+    def normalized(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The leading entry of each nonzero row of s, and the row divided
+        by it as one void key (equal rows, equal keys)."""
+        log, exp = self.log, self.exp
+        lead = s[np.arange(len(s)), np.argmax(s != 0, axis=1)]
+        key = np.take(exp, np.take(log, s) + (self.q1 - log[lead])[:, None])
+        return lead, key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+
+    def chunks(self):
+        """[lo, hi) ranges over all pairs, a few pairs at first, then
+        doubling up to SEARCH_CHUNK."""
+        lo, size, total = 0, min(16, SEARCH_CHUNK), int(self.offset[-1])
+        while lo < total:
+            yield lo, min(lo + size, total)
+            lo += size
+            size = min(2 * size, SEARCH_CHUNK)
+
+    def sums(self, lo: int, hi: int):
+        """c, d, lam, the leading entry of the sum and the key of the
+        normalized sum, for the pairs numbered lo..hi-1."""
+        idx = np.arange(lo, hi)
+        c = np.searchsorted(self.offset, idx, side="right") - 1
+        rem = idx - self.offset[c]
+        d = self.start[c] + rem // self.q1
+        lam = rem % self.q1 + 1
+        s = _field_add(self.F, self.cols[c], np.take(self.exp, self.logs[d] + self.log[lam][:, None]))
+        return (c, d, lam, *self.normalized(s))
+
+    def column_of(self, key: np.ndarray) -> np.ndarray:
+        """The column whose key equals each key, or -1."""
+        pos = np.minimum(np.searchsorted(self.col_keys, key), len(self.col_keys) - 1)
+        return np.where(self.col_keys[pos] == key, self.col_of[pos], -1)
+
+    def pair(self, i: int) -> tuple[int, int, int, int]:
+        """c, d, lam and the leading entry of pair i."""
+        return tuple(int(x[0]) for x in self.sums(i, i + 1)[:4])
+
+
 def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
     """Smallest-weight nonzero codeword of weight <= max_w, or None.
 
@@ -465,14 +567,19 @@ def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
     among weights <= max_w is returned.  A word of weight w is w syndrome
     columns at distinct coordinates with a vanishing F-combination
     (``Code._syndrome_columns``).  Weights 1 and 2 are zero and parallel
-    columns; weights 3 and 4 meet in the middle over the F-combinations
-    of column pairs.  Searches at most weight 4.
+    columns.  Weights 3 and 4 meet in the middle over the pair sums
+    cols[c] + lam * cols[d], F*-normalized, taken in pair order (c, then
+    d > c at a later coordinate, then lam) in numpy chunks of up to
+    SEARCH_CHUNK pairs: weight 3 is the first pair whose sum is parallel
+    to a column, weight 4 the first pair whose sum is parallel to that of
+    an earlier pair, with the first such earlier pair.  Searches at most
+    weight 4.
     """
     if max_w < 1 or code.size() == 1:
         return None
     F = code.field
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    where, cols, norm = code._syndrome_columns()
+    mul, neg, inv = F.mul, F.neg, F.inv
+    where, _, norm = code._syndrome_columns()
     coord = [i for i, _ in where]
 
     def word(*terms: tuple[int, int]) -> tuple[int, ...]:
@@ -496,39 +603,38 @@ def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
             return word((hit, 1), (c, neg(mul(norm[hit][1], inv(scale)))))
     if max_w < 3:
         return None
-    nonzero = range(1, F.q)
-
-    def pair_sums():
-        """cols[c] + lam * cols[d], normalized, for c < d at distinct
-        coordinates; sums that vanish are skipped."""
-        for c in range(len(cols)):
-            cc = cols[c]
-            for d in range(c + 1, len(cols)):
-                if coord[d] == coord[c]:
-                    continue
-                cd = cols[d]
-                for lam in nonzero:
-                    nc = _normalized_column(F, tuple(add(a, mul(lam, b)) for a, b in zip(cc, cd)))
-                    if nc is not None:
-                        yield c, d, lam, nc
-
-    for c, d, lam, (key, scale) in pair_sums():
-        hit = seen.get(key)
-        if hit is not None and coord[hit] != coord[c] and coord[hit] != coord[d]:
-            # cols[c] + lam * cols[d] + mu * cols[hit] = 0
-            return word((c, 1), (d, lam), (hit, neg(mul(scale, inv(norm[hit][1])))))
-    if max_w < 4:
+    # With no word of weight <= 2, no pair sum vanishes and sums that are
+    # parallel to a column, or to each other, never share a coordinate:
+    # the F-combination would be a nonzero word on at most 3 coordinates.
+    pairs = code._pair_sums()
+    keys = []
+    for lo, hi in pairs.chunks():
+        c, d, lam, lead, key = pairs.sums(lo, hi)
+        hit = pairs.column_of(key)
+        found = hit >= 0
+        if found.any():
+            i = int(found.argmax())
+            c, d, lam, scale, e = int(c[i]), int(d[i]), int(lam[i]), int(lead[i]), int(hit[i])
+            # cols[c] + lam * cols[d] + mu * cols[e] = 0
+            return word((c, 1), (d, lam), (e, neg(mul(scale, inv(norm[e][1])))))
+        if max_w >= 4:
+            keys.append(key)
+    if max_w < 4 or not keys:
         return None
-    pair_index: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
-    for c, d, lam, (key, scale) in pair_sums():
-        pair = (coord[c], coord[d])
-        for pc, pd, plam, pscale in pair_index.get(key, ()):
-            if coord[pc] not in pair and coord[pd] not in pair:
-                # (cols[pc] + plam cols[pd]) = pscale * key ; (cols[c] + lam cols[d]) = scale * key
-                factor = neg(mul(pscale, inv(scale)))
-                return word((pc, 1), (pd, plam), (c, factor), (d, mul(factor, lam)))
-        pair_index.setdefault(key, []).append((c, d, lam, scale))
-    return None
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")  # equal keys stay in pair order
+    sorted_keys = keys[order]
+    repeat = sorted_keys[1:] == sorted_keys[:-1]
+    if not repeat.any():
+        return None
+    # the first pair in pair order with an earlier equal key, and the first
+    # pair with that key: the stable sort puts each key's first pair first
+    later = int(order[1:][repeat].min())
+    first = int(np.argmax(keys == keys[later]))
+    (pc, pd, plam, pscale), (c, d, lam, scale) = pairs.pair(first), pairs.pair(later)
+    # cols[pc] + plam cols[pd] = pscale * key ; cols[c] + lam cols[d] = scale * key
+    factor = neg(mul(pscale, inv(scale)))
+    return word((pc, 1), (pd, plam), (c, factor), (d, mul(factor, lam)))
 
 
 def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
@@ -556,10 +662,13 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
 
 
 def weight_enumerator(code: Code, budget: int | None = None) -> dict[int, int]:
-    """Counts of codewords per Hamming weight (includes weight 0)."""
+    """Counts of codewords per Hamming weight (includes weight 0); counted
+    once per code."""
     budget = enumeration_budget(budget)
     if code.size() > budget:
         raise ValueError(f"code size {code.size()} exceeds budget {budget}")
-    counts = [0] * (code.n + 1)
-    _exhaustive_scan(code.spec, code.expanded_generators(), code.n, counts=counts)
-    return {w: c for w, c in enumerate(counts) if c}
+    if code._weights is None:
+        counts = [0] * (code.n + 1)
+        _exhaustive_scan(code.spec, code.expanded_generators(), code.n, counts=counts)
+        code._weights = {w: c for w, c in enumerate(counts) if c}
+    return dict(code._weights)

@@ -61,6 +61,74 @@ def gray_scan(spec: FieldSpec, rows, n: int, counts: list[int] | None = None):
     return best_w, best
 
 
+def low_weight_oracle(code, max_w: int = 4):
+    """The witness-order oracle for ``qproduct.code.find_low_weight_word``:
+    the same weight-1..4 search over the code's syndrome columns, one
+    column pair at a time in pure Python.  Weights 3 and 4 walk the pair
+    sums cols[c] + lam * cols[d] (c < d at distinct coordinates, then lam)
+    in order, normalized by their leading entry; weight 3 returns the first
+    sum parallel to a column, weight 4 the first sum parallel to an earlier
+    one on disjoint coordinates, with the first such earlier sum."""
+    if max_w < 1 or code.size() == 1:
+        return None
+    F = code.field
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    where, cols, _ = code._syndrome_columns()
+    coord = [i for i, _ in where]
+
+    def normalized(col):
+        for v in col:
+            if v:
+                return tuple(mul(inv(v), x) for x in col), v
+        return None
+
+    def word(*terms):
+        out = [0] * code.n
+        for c, lam in terms:
+            out[coord[c]] = code.spec.mul(lam, where[c][1])
+        return tuple(out)
+
+    norm = [normalized(c) for c in cols]
+    for c, nc in enumerate(norm):
+        if nc is None:
+            return word((c, 1))
+    if max_w < 2:
+        return None
+    seen = {}
+    for c, (key, scale) in enumerate(norm):
+        hit = seen.setdefault(key, c)
+        if hit != c:
+            return word((hit, 1), (c, neg(mul(norm[hit][1], inv(scale)))))
+    if max_w < 3:
+        return None
+
+    def pair_sums():
+        for c in range(len(cols)):
+            for d in range(c + 1, len(cols)):
+                if coord[d] == coord[c]:
+                    continue
+                for lam in range(1, F.q):
+                    nc = normalized(tuple(add(a, mul(lam, b)) for a, b in zip(cols[c], cols[d])))
+                    if nc is not None:
+                        yield c, d, lam, nc
+
+    for c, d, lam, (key, scale) in pair_sums():
+        hit = seen.get(key)
+        if hit is not None and coord[hit] != coord[c] and coord[hit] != coord[d]:
+            return word((c, 1), (d, lam), (hit, neg(mul(scale, inv(norm[hit][1])))))
+    if max_w < 4:
+        return None
+    pair_index = {}
+    for c, d, lam, (key, scale) in pair_sums():
+        pair = (coord[c], coord[d])
+        for pc, pd, plam, pscale in pair_index.get(key, ()):
+            if coord[pc] not in pair and coord[pd] not in pair:
+                factor = neg(mul(pscale, inv(scale)))
+                return word((pc, 1), (pd, plam), (c, factor), (d, mul(factor, lam)))
+        pair_index.setdefault(key, []).append((c, d, lam, scale))
+    return None
+
+
 def brute_min_distance(code) -> int:
     """Exhaustive minimum distance; n+1 for zero-dimensional codes."""
     best = code.n + 1

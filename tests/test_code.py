@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerator,
-                     check_certificate, gray_scan, random_additive_code, random_linear_code)
+                     check_certificate, gray_scan, low_weight_oracle, random_additive_code,
+                     random_linear_code)
 from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
@@ -234,6 +235,49 @@ def test_low_weight_word_additive(q):
             assert word is None
 
 
+@st.composite
+def _search_codes(draw):
+    """Linear and additive codes over GF(2..25) of length <= 12, from
+    one-row codes (d up to n) to full spaces, with words of weight 1
+    (zero syndrome columns) and 2 (parallel columns) mixed in."""
+    spec = GF(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 16, 25])))
+    additive = spec.ell > 1 and draw(st.booleans())
+    n = draw(st.integers(1, 8 if additive else 12))
+    symbol = st.integers(0, spec.q - 1)
+    k = max(1, draw(st.sampled_from([1, 2, n // 2, n - 3, n - 2, n])))
+    rows = draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=k, max_size=k))
+    if n > 1 and draw(st.booleans()):  # a word of weight 1 or 2
+        i, j = draw(st.permutations(range(n)))[:2]
+        low = [0] * n
+        low[i], low[j] = draw(symbol.filter(bool)), draw(symbol)
+        rows.append(low)
+    cls = AdditiveCode if additive else LinearCode
+    return cls.from_rows(spec, rows, n=n)
+
+
+@pytest.mark.parametrize("chunk", ["one", "small", "default"])
+@settings(max_examples=60, deadline=None)
+@given(code=_search_codes())
+def test_low_weight_search_matches_oracle(chunk, code):
+    size = {"one": 1, "small": 1 << 6, "default": code_module.SEARCH_CHUNK}[chunk]
+    with mock.patch.object(code_module, "SEARCH_CHUNK", size):
+        for max_w in (1, 2, 3, 4):
+            assert find_low_weight_word(code, max_w) == low_weight_oracle(code, max_w)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 6, None])
+def test_low_weight_search_tie_goes_to_the_first_pair(chunk):
+    """Two weight-4 words on disjoint supports.  The pair sum col1 + col2
+    is the first to equal an earlier one, col0 + col3, so the word on
+    coordinates 0..3 wins, though the sums of the word on 4..7 come first
+    in key order."""
+    code = LinearCode.from_rows(GF(2), [[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1]])
+    with mock.patch.object(code_module, "SEARCH_CHUNK", chunk or code_module.SEARCH_CHUNK):
+        assert find_low_weight_word(code, 3) is None
+        assert find_low_weight_word(code, 4) == (1, 1, 1, 1, 0, 0, 0, 0)
+    assert low_weight_oracle(code, 4) == (1, 1, 1, 1, 0, 0, 0, 0)
+
+
 def test_weight_enumerator_simplex():
     assert weight_enumerator(simplex(2, 2)) == {0: 1, 2: 3}
 
@@ -257,6 +301,31 @@ def test_weight_enumerator_budget_error():
     code = LinearCode(Matrix.identity(GF(2), 15))
     with pytest.raises(ValueError):
         weight_enumerator(code, budget=1000)
+
+
+def test_weight_enumerator_counts_a_code_once(monkeypatch):
+    """The CSS transfer product hamming_dual(3,2) x [4,2]_2: its 2^22-word
+    dual is scanned by the distance certificate and once more for the
+    weight enumerator, which the stabilizer distance then reuses."""
+    from qproduct.product import product
+    from qproduct.quantum import css_qecc, stabilizer_distance
+
+    scans = []
+    real = code_module._exhaustive_scan
+
+    def counted(spec, rows, n, counts=None):
+        scans.append((len(rows), counts is not None))
+        return real(spec, rows, n, counts)
+
+    monkeypatch.setattr(code_module, "_exhaustive_scan", counted)
+    prod = product(LinearCode.from_rows(GF(2), [[1, 1, 0, 0], [0, 0, 1, 1]]), hamming_dual(3, 2))
+    dual = prod.dual(E)
+    assert css_qecc(prod).distance.exact
+    table = weight_enumerator(dual)
+    assert stabilizer_distance(prod, "css") is not None
+    table[0] = 0  # the caller's copy; the cached counts stay intact
+    assert weight_enumerator(dual)[0] == 1
+    assert scans == [(22, False), (22, True), (6, True)]
 
 
 def test_additive_from_linear_size():

@@ -142,6 +142,28 @@ def test_rs_prod_qecc_builds_the_product_once(monkeypatch):
     assert params.distance.lower == 4
 
 
+@pytest.mark.parametrize("q,mu,lower", [(13, 5, 6), (16, 7, 8)])
+def test_rs_prod_qecc_above_the_budget(monkeypatch, q, mu, lower):
+    """The duals hold q^(n - mu^2) words, far above the budget: one search
+    finds no word of weight <= 4, and the rectangle bound lifts the lower
+    bound to 1 + mu, with no upper bound.  GF(16) is an extension field."""
+    import qproduct.code as code_module
+
+    found = []
+    real = code_module.find_low_weight_word
+
+    def recorded(code, max_w=4):
+        found.append((max_w, real(code, max_w)))
+        return found[-1][1]
+
+    monkeypatch.setattr(code_module, "find_low_weight_word", recorded)
+    distance = rs_prod_qecc(q, mu, mu).distance
+    assert [distance.lower, distance.upper] == [lower, None]
+    assert distance.lower_method == "bch-rectangle"
+    assert distance.witness is None
+    assert found == [(4, None)]
+
+
 def test_rs_prod_qecc_rejects_large_mu1():
     with pytest.raises(ValueError):
         rs_prod_qecc(5, 2, 1)
