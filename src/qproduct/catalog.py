@@ -203,7 +203,7 @@ def code_from_json(payload: dict, base_dir: Path | None = None):
     if kind == "linear":
         return LinearCode(matrix)
     if kind == "additive":
-        return AdditiveCode(spec, matrix.rows, n=matrix.ncols)
+        return AdditiveCode(spec, matrix.array, n=matrix.ncols)
     raise DescriptorError(f"unknown code kind {kind!r}")
 
 

@@ -72,7 +72,7 @@ def _resolve_code(args, attr="code"):
         return load_code_json(json_attr)
     matrix = from_text(Path(file_attr).read_text())
     if getattr(args, "additive", False):
-        return AdditiveCode(matrix.spec, matrix.rows, n=matrix.ncols)
+        return AdditiveCode(matrix.spec, matrix.array, n=matrix.ncols)
     return LinearCode(matrix)
 
 
@@ -115,7 +115,7 @@ def _product_conformance(c1, c2, prod, kind, budget) -> dict:
     checks: dict = {}
     stacked = dual_of_product_generator(c1, c2, kind)
     dual = prod.dual(kind)
-    checks["dual_generator_matches"] = spanned_code(kind, prod.spec, stacked.rows, prod.n) == dual
+    checks["dual_generator_matches"] = spanned_code(kind, prod.spec, stacked.array, prod.n) == dual
     checks["dual_dimension"] = dual.dim
     dual_cert = min_distance(dual, budget=budget)
     checks["dual_distance"] = dual_cert.to_dict()

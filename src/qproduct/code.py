@@ -15,8 +15,6 @@ pairs and compared as one void key per sum.  A certificate never reports
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import os
 from array import array
 from dataclasses import dataclass
@@ -24,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .galois import FieldSpec
-from .matrix import InnerProductKind, Matrix, _require_even_degree, inner_product
+from .galois import FieldSpec, field_add, field_map, field_tables
+from .matrix import InnerProductKind, Matrix, _require_even_degree
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -223,21 +221,24 @@ class Code:
     linear: bool
     kinds: tuple[InnerProductKind, ...]  # the inner products it takes duals under, default first
 
-    def _setup(self, basis: Matrix, claimed_distance: int | None) -> None:
-        """Finish construction from a reduced basis; spec and n are set."""
+    def _setup(self, basis: Matrix, claimed_distance: int | None,
+               parity: Matrix | None = None) -> None:
+        """Finish construction from a reduced basis; spec and n are set.
+        ``parity``, when known, are rows over F whose F-kernel is the code."""
         self.basis = basis
         self.claimed_distance = claimed_distance
         self.generator = self.symbols(basis)
+        self._parity = parity
         self._dual_cache: dict[InnerProductKind, Code] = {}
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
         self._columns: tuple | None = None
         self._pairs: _PairSums | None = None
 
     @classmethod
-    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix) -> "Code":
+    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix) -> "Code":
         code = cls.__new__(cls)
         code.spec, code.n = spec, n
-        code._setup(basis, None)
+        code._setup(basis, None, parity)
         return code
 
     @property
@@ -266,19 +267,18 @@ class Code:
         return hash((self.spec, self.n, self.basis))
 
     def coordinates(self, vec: Sequence[int]) -> list[int]:
-        """A GF(q) vector in F-coordinates."""
-        if self.width == 1:
-            return list(vec)
+        """A GF(q) vector in F-coordinates; each entry is range-checked."""
         spec = self.spec
-        return [d for v in vec for d in spec.to_digits(spec.check_value(v))]
+        vec = [spec.check_value(v) for v in vec]
+        return vec if self.width == 1 else [d for v in vec for d in spec.to_digits(v)]
 
     def symbols(self, m: Matrix) -> Matrix:
         """Rows in F-coordinates as GF(q) vectors."""
         if m.spec == self.spec:
             return m
-        w, from_digits = self.width, self.spec.from_digits
-        return Matrix(self.spec, [[from_digits(r[i * w:(i + 1) * w]) for i in range(self.n)]
-                                  for r in m.rows], ncols=self.n)
+        w, p = self.width, self.spec.p
+        digits = m.array.reshape(m.nrows, self.n, w).astype(np.int32)
+        return Matrix._of(self.spec, sum(digits[:, :, t] * p**t for t in range(w)))
 
     def contains(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.n:
@@ -300,19 +300,23 @@ class Code:
         row g, tr(g_i * frob(x^t)) at coordinate (i, t) (symplectic)."""
         if kind is InnerProductKind.EUCLIDEAN:
             return self.basis
-        spec, rows = self.spec, self.generator.rows
+        spec, g = self.spec, self.generator.array
         if kind is InnerProductKind.HERMITIAN:
-            return Matrix(spec, [[spec.frobenius_q(v) for v in g] for g in rows], ncols=self.n)
+            return Matrix._of(spec, field_map(spec, "frobenius_q")[g])
+        log, exp = field_tables(spec)
         conj = [spec.frobenius_q(spec.p**t) for t in range(self.width)]  # frob(x^t)
-        return Matrix(self.field, [[spec.trace_to_prime(spec.mul(v, f)) for v in g for f in conj]
-                                   for g in rows], ncols=self.n * self.width)
+        prods = exp[log[g][:, :, None] + log[conj]]
+        trace = field_map(spec, "trace_to_prime")[prods]
+        return Matrix._of(self.field, trace.reshape(len(g), self.n * self.width))
 
     def dual(self, kind: InnerProductKind | None = None) -> "Code":
+        """The dual under ``kind``: the F-kernel of ``_form(kind)``, which
+        it keeps as its parity rows.  Matrix.kernel returns rref."""
         kind = self._kind(kind)
         cached = self._dual_cache.get(kind)
         if cached is None:
-            # Matrix.kernel already returns its basis in rref
-            cached = self._from_basis(self.spec, self.n, self._form(kind).kernel())
+            form = self._form(kind)
+            cached = self._from_basis(self.spec, self.n, form.kernel(), form)
             self._dual_cache[kind] = cached
         return cached
 
@@ -321,7 +325,7 @@ class Code:
 
     def describe(self) -> dict:
         return {"field": self.spec.q, "length": self.n,
-                "generator": [list(r) for r in self.generator.rows]}
+                "generator": self.generator.array.tolist()}
 
     def expanded_generators(self) -> list[tuple[int, ...]]:
         """Vectors whose GF(p)-span is the code: x^t * g for every
@@ -330,24 +334,40 @@ class Code:
         return [tuple(spec.mul(spec.p**t, v) for v in g)
                 for g in self.generator.rows for t in range(self.field.ell)]
 
-    def _syndrome_columns(self) -> tuple[list[tuple[int, int]], list[tuple[int, ...]], list]:
+    def parity_rows(self) -> Matrix:
+        """The rref of the rows over F whose F-kernel is the code: the
+        kept form of the primal for a dual, else the kernel of the basis."""
+        if self._parity is None:
+            return self.basis.kernel()
+        return self._parity.rref()[0]
+
+    def _syndrome_columns(self) -> tuple[list[tuple[int, int]], np.ndarray, list, np.ndarray]:
         """The syndrome over F of each (coordinate, symbol) pair, for every
-        nonzero symbol up to F* scaling (the smallest of its class), with
-        the pairs and the F*-normalized columns; cached.  A linear code has
-        one column per coordinate, an additive one (q-1)/(p-1)."""
+        nonzero symbol up to F* scaling (the smallest of its class), as the
+        rows of one array, with the pairs, the (key, leading entry) of each
+        F*-normalized column (None for a zero column) and the normalized
+        columns as an array; cached.  A linear code has one column per
+        coordinate, an additive one (q-1)/(p-1)."""
         if self._columns is None:
             spec, F, w = self.spec, self.field, self.width
-            H = self.basis.kernel().rows
+            H = self.parity_rows().array
             if w == 1:
                 where = [(i, 1) for i in range(self.n)]
-                cols = list(zip(*H)) if H else [()] * self.n
+                cols = H.T
             else:
                 reps = [a for a in range(1, spec.q)
                         if a == min(spec.mul(lam, a) for lam in range(1, F.q))]
                 where = [(i, a) for i in range(self.n) for a in reps]
-                cols = [tuple(inner_product(F, spec.to_digits(a), h[i * w:(i + 1) * w]) for h in H)
-                        for i, a in where]
-            self._columns = (where, cols, [_normalized_column(F, c) for c in cols])
+                # sum_t digit_t(a) * H[:, i*w + t] mod p, at [i, a]
+                digits = np.array([spec.to_digits(a) for a in reps], np.int32).reshape(-1, w)
+                Ht = H.reshape(len(H), self.n, w).transpose(1, 2, 0).astype(np.int32)
+                cols = sum(digits[None, :, t, None] * Ht[:, None, t, :] for t in range(w)) % F.p
+            cols = cols.reshape(len(where), len(H))
+            norm, keys = [None] * len(where), cols  # without parity rows every column is zero
+            if len(H):
+                lead, keys = _normalized(F, cols)
+                norm = [(tuple(k), c) if c else None for k, c in zip(keys.tolist(), lead.tolist())]
+            self._columns = (where, cols, norm, keys)
         return self._columns
 
     def _pair_sums(self) -> "_PairSums":
@@ -396,17 +416,11 @@ class AdditiveCode(Code):
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Sequence[int]], n: int | None = None,
                  claimed_distance: int | None = None):
-        rows = [tuple(r) for r in rows]
-        if n is None:
-            if not rows:
-                raise ValueError("empty additive code needs an explicit length")
-            n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise ValueError("ragged rows")
+        g = Matrix(spec, rows, ncols=n)
         self.spec = spec
-        self.n = n
-        expanded = Matrix(spec.prime_field, [self.coordinates(r) for r in rows],
-                          ncols=n * spec.ell)
+        self.n = g.ncols
+        digits = g.array[:, :, None] // spec.p ** np.arange(spec.ell) % spec.p
+        expanded = Matrix._of(spec.prime_field, digits.reshape(g.nrows, self.n * spec.ell))
         self._setup(expanded.rref()[0], claimed_distance)
 
     @classmethod
@@ -463,42 +477,17 @@ def distance_at_least(code: Code, w: int) -> bool:
     return find_low_weight_word(code, w - 1) is None
 
 
-def _normalized_column(spec: FieldSpec, col: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-    """(monic column, leading scale) or None for the zero column."""
-    for v in col:
-        if v:
-            inv = spec.inv(v)
-            return tuple(spec.mul(inv, x) for x in col), v
-    return None
+def _normalized(F: FieldSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leading entry of each row of s, and the row divided by it (for
+    nonzero rows; a zero row leads with 0 and its quotient is meaningless)."""
+    log, exp = field_tables(F)
+    lead = s[np.arange(len(s)), np.argmax(s != 0, axis=1)]
+    return lead, np.take(exp, np.take(log, s) + (F.q - 1 - log[lead])[:, None])
 
 
 # most column pairs per chunk of the weight-3/4 search; larger chunks are no
 # faster, and their temporaries raise the peak RSS of a long-running process
 SEARCH_CHUNK = 1 << 10
-
-
-@functools.lru_cache(maxsize=None)
-def _field_tables(F: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """numpy log and exp tables of F, as ``FieldSpec.mul`` reads them.
-    log[0] is 2(q-1) and exp is zero from index 2(q-1) on, so a product
-    with a zero factor reads 0.  exp is uint8 for q <= 256 and uint16
-    beyond, the element size of a search key."""
-    q1 = F.q - 1
-    log = np.array([2 * q1] + F._log[1:], np.int32)
-    exp = np.array(F._exp + [0] * (q1 + 1), np.uint8 if F.q <= 256 else np.uint16)
-    return log, exp
-
-
-def _field_add(F: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``FieldSpec.add`` on arrays: XOR, or base-p digits added mod p."""
-    p = F.p
-    if p == 2:
-        return a ^ b
-    out = (a + b) % p
-    for t in range(1, F.ell):
-        pt = p**t
-        out += (a // pt + b // pt) % p * pt
-    return out
 
 
 class _PairSums:
@@ -509,13 +498,12 @@ class _PairSums:
     without zero or parallel columns, where each column has its own key."""
 
     def __init__(self, code: Code) -> None:
-        where, cols, _ = code._syndrome_columns()
+        where, self.cols, _, keys = code._syndrome_columns()
         self.F, self.q1 = code.field, code.field.q - 1
-        self.log, self.exp = _field_tables(self.F)
-        m, r = len(cols), len(cols[0])
-        self.cols = np.fromiter(itertools.chain.from_iterable(cols), np.int32, m * r).reshape(m, r)
+        self.log, self.exp = field_tables(self.F)
+        m = len(self.cols)
         self.logs = self.log[self.cols]
-        keys = self.normalized(self.cols)[1]
+        keys = self._void(keys)
         self.col_of = np.argsort(keys)  # the column of each sorted key
         self.col_keys = keys[self.col_of]
         coord = np.fromiter((i for i, _ in where), np.intp, m)
@@ -525,10 +513,13 @@ class _PairSums:
     def normalized(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The leading entry of each nonzero row of s, and the row divided
         by it as one void key (equal rows, equal keys)."""
-        log, exp = self.log, self.exp
-        lead = s[np.arange(len(s)), np.argmax(s != 0, axis=1)]
-        key = np.take(exp, np.take(log, s) + (self.q1 - log[lead])[:, None])
-        return lead, key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        lead, key = _normalized(self.F, s)
+        return lead, self._void(key)
+
+    @staticmethod
+    def _void(key: np.ndarray) -> np.ndarray:
+        """Each row of key as one void scalar, compared byte for byte."""
+        return key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
 
     def chunks(self):
         """[lo, hi) ranges over all pairs, a few pairs at first, then
@@ -547,7 +538,7 @@ class _PairSums:
         rem = idx - self.offset[c]
         d = self.start[c] + rem // self.q1
         lam = rem % self.q1 + 1
-        s = _field_add(self.F, self.cols[c], np.take(self.exp, self.logs[d] + self.log[lam][:, None]))
+        s = field_add(self.F, self.cols[c], np.take(self.exp, self.logs[d] + self.log[lam][:, None]))
         return (c, d, lam, *self.normalized(s))
 
     def column_of(self, key: np.ndarray) -> np.ndarray:
@@ -579,7 +570,7 @@ def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
         return None
     F = code.field
     mul, neg, inv = F.mul, F.neg, F.inv
-    where, _, norm = code._syndrome_columns()
+    where, _, norm, _ = code._syndrome_columns()
     coord = [i for i, _ in where]
 
     def word(*terms: tuple[int, int]) -> tuple[int, ...]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .code import min_distance, spanned_code
 from .matrix import InnerProductKind, Matrix
 from .product import tensor_generator
@@ -85,15 +87,11 @@ def band_window(s: ConvStabilizer, blocks: int) -> Matrix:
     by `frame` columns; shape (blocks*r) x (blocks*frame + overlap)."""
     if blocks < 1:
         raise ValueError("need at least one block")
-    width = blocks * s.frame + s.overlap
-    rows = []
+    r, c = s.block.nrows, s.block.ncols
+    out = np.zeros((blocks * r, blocks * s.frame + s.overlap), s.block.array.dtype)
     for b in range(blocks):
-        off = b * s.frame
-        for row in s.block.rows:
-            out = [0] * width
-            out[off:off + len(row)] = row
-            rows.append(out)
-    return Matrix(s.spec, rows, ncols=width)
+        out[b * r:(b + 1) * r, b * s.frame:b * s.frame + c] = s.block.array
+    return Matrix._of(s.spec, out)
 
 
 def band_window_factorization_ok(s: ConvStabilizer, blocks: int) -> bool | None:
@@ -118,16 +116,11 @@ def tail_biting(s: ConvStabilizer, blocks: int):
     n_total = blocks * s.frame
     if n_total < s.frame + s.overlap:
         raise ValueError(f"{blocks} blocks of frame {s.frame} cannot host overlap {s.overlap}")
-    rows = []
+    r, c = s.block.nrows, s.block.ncols
+    out = np.zeros((blocks * r, n_total), s.block.array.dtype)
     for b in range(blocks):
-        off = b * s.frame
-        for row in s.block.rows:
-            out = [0] * n_total
-            for j, v in enumerate(row):
-                if v:
-                    out[(off + j) % n_total] = v
-            rows.append(out)
-    return spanned_code(s.kind, s.spec, rows, n_total)
+        out[b * r:(b + 1) * r, (b * s.frame + np.arange(c)) % n_total] = s.block.array
+    return spanned_code(s.kind, s.spec, out, n_total)
 
 
 def tail_biting_qecc(s: ConvStabilizer, blocks: int, budget: int | None = None) -> QeccParams:
@@ -156,7 +149,7 @@ def free_distance_upper_bound(s: ConvStabilizer, window_blocks: int,
         raise ValueError("need at least one window block")
     width = window_blocks * s.frame + s.overlap
     constraints = band_window(s, window_blocks + 1).take_columns(range(width))
-    dual = spanned_code(s.kind, s.spec, constraints.rows, width).dual(s.kind)
+    dual = spanned_code(s.kind, s.spec, constraints.array, width).dual(s.kind)
     cert = min_distance(dual, budget=budget)
     if cert.degenerate or cert.upper is None:
         return None

@@ -10,11 +10,19 @@ supported field sizes (q <= 2^16).
 Each built-in field uses a fixed modulus polynomial (the Conway
 polynomial, regenerated by scripts/gen_modulus_table.py), so element
 encodings are reproducible across runs and machines.
+
+The same arithmetic runs on numpy arrays of elements (uint8 for q <= 256,
+uint16 above) through the kernels at the end of this module: products by
+log/exp tables, sums by XOR (p = 2) or base-p digits added mod p.  The
+low-weight search and the matrix layer share them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -285,8 +293,8 @@ class FieldSpec:
     # -- scalar operations (integer encoding) ------------------------------
 
     def check_value(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ValueError(f"value {a} out of range for GF({self.q})")
+        if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
+            raise ValueError(f"value {a!r} out of range for GF({self.q})")
         return a
 
     def add(self, a: int, b: int) -> int:
@@ -413,6 +421,57 @@ def GF(q: int) -> FieldSpec:
         spec = FieldSpec(p, ell, _EXTENSION_MODULI[key], generator=p)
     _SPEC_CACHE[q] = spec
     return spec
+
+
+# ---------------------------------------------------------------------------
+# array kernels
+
+def element_dtype(F: FieldSpec) -> type:
+    """The dtype of an array of elements of F."""
+    return np.uint8 if F.q <= 256 else np.uint16
+
+
+@functools.lru_cache(maxsize=None)
+def field_tables(F: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """numpy log and exp tables of F, as ``FieldSpec.mul`` reads them.
+    log[0] is 2(q-1) and exp is zero from index 2(q-1) through 4(q-1), so
+    exp[log[a] + log[b]] is a * b, and reads 0 when a factor is 0."""
+    q1 = F.q - 1
+    log = np.array([2 * q1] + F._log[1:], np.int32)
+    exp = np.array(F._exp + [0] * (2 * q1 + 1), element_dtype(F))
+    return log, exp
+
+
+@functools.lru_cache(maxsize=None)
+def field_map(F: FieldSpec, name: str) -> np.ndarray:
+    """The scalar map ``name`` of F ("frobenius_q" or "trace_to_prime") at
+    every element, as a table indexed by element."""
+    fn = getattr(F, name)
+    return np.array([fn(v) for v in range(F.q)], element_dtype(F))
+
+
+def field_add(F: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``FieldSpec.add`` on arrays: XOR, or base-p digits added mod p."""
+    p = F.p
+    if p == 2:
+        return a ^ b
+    out = np.add(a, b, dtype=np.int32) % p
+    for t in range(1, F.ell):
+        pt = p**t
+        out += np.add(a // pt, b // pt, dtype=np.int32) % p * pt
+    return out
+
+
+def field_sum(F: FieldSpec, x: np.ndarray, axis: int) -> np.ndarray:
+    """The field sum of the elements of x along ``axis``."""
+    p = F.p
+    if p == 2:
+        return np.bitwise_xor.reduce(x, axis=axis)
+    out = 0
+    for t in range(F.ell):
+        pt = p**t
+        out = out + (x // pt % p).sum(axis=axis, dtype=np.int64) % p * pt
+    return out
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def product(c1: Code, c2: Code) -> Code:
     claimed = None
     if c1.claimed_distance is not None and c2.claimed_distance is not None:
         claimed = c1.claimed_distance * c2.claimed_distance
-    out = type(c2).from_rows(c2.spec, tensor_generator(c1, c2).rows, n=c1.n * c2.n,
+    out = type(c2).from_rows(c2.spec, tensor_generator(c1, c2).array, n=c1.n * c2.n,
                              claimed_distance=claimed)
     if out.dim != c1.dim * c2.dim:
         raise AssertionError("tensor generators were not independent")

@@ -1,5 +1,6 @@
-"""Shared test oracles: brute-force enumerations and random code builders
-that stay independent of the library's blocked numpy scan."""
+"""Shared test oracles: brute-force enumerations, pure-Python linear
+algebra and random code builders that stay independent of the library's
+numpy scan, search and matrix layer."""
 from __future__ import annotations
 
 import itertools
@@ -7,7 +8,7 @@ import random
 
 from qproduct.code import AdditiveCode, LinearCode
 from qproduct.galois import FieldSpec
-from qproduct.matrix import InnerProductKind, Matrix
+from qproduct.matrix import InnerProductKind, Matrix, _require_even_degree
 
 
 def brute_codewords(code):
@@ -73,7 +74,8 @@ def low_weight_oracle(code, max_w: int = 4):
         return None
     F = code.field
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    where, cols, _ = code._syndrome_columns()
+    where, cols, _, _ = code._syndrome_columns()
+    cols = cols.tolist()
     coord = [i for i, _ in where]
 
     def normalized(col):
@@ -173,13 +175,106 @@ def check_certificate(code, cert) -> None:
         assert cert.witness is not None
 
 
+def inner_product(spec: FieldSpec, v, w, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> int:
+    """The scalar oracle for ``Matrix.gram``: the inner product of two
+    coordinate vectors, a value in GF(q) for the Euclidean and Hermitian
+    kinds and a prime-field value (< p) for the symplectic kind."""
+    if len(v) != len(w):
+        raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
+    _require_even_degree(spec, kind)
+    acc = 0
+    for a, b in zip(v, w):
+        if a and b:
+            if kind is not InnerProductKind.EUCLIDEAN:
+                b = spec.frobenius_q(b)
+            acc = spec.add(acc, spec.mul(a, b))
+    return spec.trace_to_prime(acc) if kind is InnerProductKind.SYMPLECTIC else acc
+
+
+def gram_scalar(spec: FieldSpec, v, w, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> int:
+    """The library's inner product of two coordinate vectors: the one entry
+    of ``Matrix.gram`` on two one-row matrices."""
+    return Matrix(spec, [v]).gram(Matrix(spec, [w]), kind).rows[0][0]
+
+
 def orthogonal_pairwise(matrix: Matrix, kind: InnerProductKind) -> bool:
     """Direct pairwise orthogonality of all row pairs (oracle for gram)."""
-    from qproduct.matrix import inner_product
-
     rows = matrix.rows
     for v in rows:
         for w in rows:
             if inner_product(matrix.spec, v, w, kind) != 0:
                 return False
     return True
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product a @ b over the field, entry by entry."""
+    assert a.spec == b.spec and a.ncols == b.nrows
+    spec = a.spec
+    out = []
+    for row in a.rows:
+        out_row = []
+        for col in zip(*b.rows) if b.nrows else [()] * b.ncols:
+            acc = 0
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = spec.add(acc, spec.mul(x, y))
+            out_row.append(acc)
+        out.append(out_row)
+    return Matrix(spec, out, ncols=b.ncols)
+
+
+def rref_oracle(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """The row-by-row oracle for ``Matrix.rref``: leftmost pivots, rows
+    scanned top-down, one entry at a time; zero rows dropped."""
+    spec = m.spec
+    add_, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for col in range(m.ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        c = inv(rows[r][col])
+        rows[r] = [mul(c, v) for v in rows[r]]
+        prow = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = neg(rows[i][col])
+                rows[i] = [add_(cv, mul(c, pv)) for cv, pv in zip(rows[i], prow)]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return Matrix(spec, rows[:r], ncols=m.ncols), tuple(pivots)
+
+
+def kernel_oracle(m: Matrix) -> Matrix:
+    """The two-elimination oracle for ``Matrix.kernel``: reduce, read one
+    null vector off each free column, then reduce those vectors."""
+    spec = m.spec
+    red, pivots = rref_oracle(m)
+    basis = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        vec = [0] * m.ncols
+        vec[f] = 1
+        for t, pc in enumerate(pivots):
+            vec[pc] = spec.neg(red.rows[t][f])
+        basis.append(vec)
+    return rref_oracle(Matrix(spec, basis, ncols=m.ncols))[0]
+
+
+def kronecker_oracle(a: Matrix, b: Matrix) -> Matrix:
+    """Block (i, j) of the Kronecker product is a[i][j] * b, entry by entry."""
+    spec = a.spec
+    rows = [[spec.mul(x, y) for x in arow for y in brow] for arow in a.rows for brow in b.rows]
+    return Matrix(spec, rows, ncols=a.ncols * b.ncols)
+
+
+def gram_oracle(a: Matrix, b: Matrix, kind: InnerProductKind) -> Matrix:
+    """Pairwise scalar inner products of the rows of a and b."""
+    spec = a.spec.prime_field if kind is InnerProductKind.SYMPLECTIC else a.spec
+    rows = [[inner_product(a.spec, v, w, kind) for w in b.rows] for v in a.rows]
+    return Matrix(spec, rows, ncols=b.nrows)

@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import brute_min_distance, random_additive_code, random_linear_code
+from helpers import brute_min_distance, gram_scalar, random_additive_code, random_linear_code
 from qproduct.catalog import hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, distance_at_least, find_low_weight_word,
                            hamming_weight, min_distance, weight_enumerator)
@@ -16,7 +16,7 @@ from qproduct.convolutional import (ConvStabilizer, band_window, check_band_self
                                     tail_biting_qecc)
 from qproduct.cyclic import rs_code, rs_product_params
 from qproduct.galois import GF
-from qproduct.matrix import InnerProductKind, Matrix, inner_product
+from qproduct.matrix import InnerProductKind, Matrix
 from qproduct.product import (dual_distance_ceiling, dual_of_product_generator, product,
                               product_additive)
 from qproduct.quantum import css_qecc, hermitian_qecc, rate_comparison, symplectic_qecc
@@ -182,8 +182,8 @@ def test_criterion_07_tensor_inner_product_identities():
             w, w2 = ([rng.randrange(q) for _ in range(m)] for _ in range(2))
             tvw = [spec.mul(a, b) for a in v for b in w]
             tvw2 = [spec.mul(a, b) for a in v2 for b in w2]
-            assert inner_product(spec, tvw, tvw2, E) == spec.mul(
-                inner_product(spec, v, v2, E), inner_product(spec, w, w2, E))
+            assert gram_scalar(spec, tvw, tvw2, E) == spec.mul(
+                gram_scalar(spec, v, v2, E), gram_scalar(spec, w, w2, E))
             checked += 1
     spec = GF(4)
     for _ in range(1000):
@@ -192,8 +192,8 @@ def test_criterion_07_tensor_inner_product_identities():
         w, w2 = ([rng.randrange(4) for _ in range(m)] for _ in range(2))
         tvw = [spec.mul(a, b) for a in v for b in w]
         tvw2 = [spec.mul(a, b) for a in v2 for b in w2]
-        assert inner_product(spec, tvw, tvw2, H) == spec.mul(
-            inner_product(spec, v, v2, H), inner_product(spec, w, w2, H))
+        assert gram_scalar(spec, tvw, tvw2, H) == spec.mul(
+            gram_scalar(spec, v, v2, H), gram_scalar(spec, w, w2, H))
         checked += 1
     for q in (4, 9):
         spec = GF(q)
@@ -204,8 +204,8 @@ def test_criterion_07_tensor_inner_product_identities():
             w, w2 = ([rng.randrange(q) for _ in range(m)] for _ in range(2))
             tvw = [spec.mul(a, b) for a in v for b in w]
             tvw2 = [spec.mul(a, b) for a in v2 for b in w2]
-            assert inner_product(spec, tvw, tvw2, S) == pf.mul(
-                inner_product(pf, v, v2, E), inner_product(spec, w, w2, S))
+            assert gram_scalar(spec, tvw, tvw2, S) == pf.mul(
+                gram_scalar(pf, v, v2, E), gram_scalar(spec, w, w2, S))
             checked += 1
     _report(7, f"tensor compatibility identities on {checked} random quadruples", started)
 

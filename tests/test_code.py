@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerator,
-                     check_certificate, gray_scan, low_weight_oracle, random_additive_code,
-                     random_linear_code)
+                     check_certificate, gray_scan, gram_scalar, low_weight_oracle,
+                     random_additive_code, random_linear_code)
 from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
                            min_distance, to_additive_over, weight_enumerator)
 from qproduct.cyclic import rs_code
 from qproduct.galois import GF
-from qproduct.matrix import InnerProductKind, Matrix, inner_product
+from qproduct.matrix import InnerProductKind, Matrix
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
@@ -24,10 +24,10 @@ S = InnerProductKind.SYMPLECTIC
 
 
 def test_inner_product_worked_values():
-    assert inner_product(GF(2), (1, 1, 0), (1, 1, 1), E) == 0
-    assert inner_product(GF(4), (2, 0), (2, 1), H) == 1  # w * w^2 = 1
-    assert inner_product(GF(4), (2,), (2,), S) == 0
-    assert inner_product(GF(4), (1,), (2,), S) == 1
+    assert gram_scalar(GF(2), (1, 1, 0), (1, 1, 1), E) == 0
+    assert gram_scalar(GF(4), (2, 0), (2, 1), H) == 1  # w * w^2 = 1
+    assert gram_scalar(GF(4), (2,), (2,), S) == 0
+    assert gram_scalar(GF(4), (1,), (2,), S) == 1
 
 
 def test_dual_of_hamming_is_distance_4():
@@ -90,7 +90,7 @@ def test_symplectic_dual_membership_is_orthogonality():
     dual = code.symplectic_dual()
     import itertools
     for vec in itertools.product(range(4), repeat=4):
-        in_dual = all(inner_product(spec, g, vec, S) == 0 for g in code.generator.rows)
+        in_dual = all(gram_scalar(spec, g, vec, S) == 0 for g in code.generator.rows)
         assert dual.contains(vec) == in_dual
 
 

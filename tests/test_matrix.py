@@ -1,13 +1,16 @@
 """Matrix decompositions: echelon forms, kernels, Kronecker products,
 complements, Gram matrices, and the text format."""
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import orthogonal_pairwise, random_matrix
-from qproduct.galois import GF
-from qproduct.matrix import (InnerProductKind, Matrix, complement_basis, from_text,
-                             inner_product, to_text)
+from helpers import (gram_oracle, gram_scalar, kernel_oracle, kronecker_oracle, matmul,
+                     orthogonal_pairwise, random_matrix, rref_oracle)
+from qproduct.galois import GF, FieldSpec
+from qproduct.matrix import InnerProductKind, Matrix, complement_basis, from_text, to_text
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
@@ -56,7 +59,7 @@ def test_kernel_of_hamming_generator():
                        [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]])
     k = m.kernel()
     assert k.nrows == 3
-    assert m.matmul(k.transpose()).is_zero()
+    assert matmul(m, k.transpose()).is_zero()
 
 
 @pytest.mark.parametrize("q", [2, 4, 5])
@@ -99,8 +102,8 @@ def test_kronecker_mixed_product(q):
         b = random_matrix(rng, GF(q), 2, 4)
         c = random_matrix(rng, GF(q), 2, 3)
         d = random_matrix(rng, GF(q), 2, 4)
-        lhs = a.kronecker(b).matmul(c.kronecker(d).transpose())
-        rhs = a.matmul(c.transpose()).kronecker(b.matmul(d.transpose()))
+        lhs = matmul(a.kronecker(b), c.kronecker(d).transpose())
+        rhs = matmul(a, c.transpose()).kronecker(matmul(b, d.transpose()))
         assert lhs == rhs
 
 
@@ -165,8 +168,8 @@ def test_gram_hermitian_example():
 
 def test_symplectic_scalars():
     F4 = GF(4)
-    assert inner_product(F4, (2,), (2,), S) == 0  # tr(w * w^2) = tr(1) = 0
-    assert inner_product(F4, (1,), (2,), S) == 1  # tr(w^2) = 1
+    assert gram_scalar(F4, (2,), (2,), S) == 0  # tr(w * w^2) = tr(1) = 0
+    assert gram_scalar(F4, (1,), (2,), S) == 1  # tr(w^2) = 1
 
 
 def test_symplectic_gram_lives_over_prime_field():
@@ -191,7 +194,7 @@ def test_hermitian_requires_even_degree():
 
 def test_inner_product_length_mismatch():
     with pytest.raises(ValueError):
-        inner_product(GF(2), (1, 0), (1,), E)
+        gram_scalar(GF(2), (1, 0), (1,), E)
 
 
 def test_field_mismatch():
@@ -211,3 +214,100 @@ def test_text_format_roundtrip():
 def test_text_format_validates():
     with pytest.raises(ValueError):
         from_text("2 1 3\n1 0\n")
+
+
+@pytest.mark.parametrize("value", [-1, 4, 1 << 70, 1.5])
+def test_out_of_range_entries_raise_at_every_boundary(value, tmp_path, capsys):
+    from qproduct.catalog import code_from_json
+    from qproduct.cli import main
+    from qproduct.code import AdditiveCode, LinearCode
+
+    rows = [[1, 0, 2], [0, value, 1]]
+    with pytest.raises(ValueError):
+        Matrix(GF(4), rows)
+    with pytest.raises(ValueError):
+        LinearCode.from_rows(GF(4), rows)
+    with pytest.raises(ValueError):
+        AdditiveCode.from_rows(GF(4), rows)
+    with pytest.raises(ValueError):
+        from_text(f"4 2 3\n1 0 2\n0 {value} 1\n")
+    for code in (LinearCode.from_rows(GF(4), [[1, 0, 2]]), AdditiveCode.from_rows(GF(4), [[1, 0, 2]])):
+        with pytest.raises(ValueError):
+            code.contains(rows[1])
+    for kind in ("linear", "additive"):
+        with pytest.raises(ValueError):
+            code_from_json({"field": 4, "kind": kind, "generator": rows})
+        path = tmp_path / f"{kind}.json"
+        path.write_text(f'{{"field": 4, "kind": "{kind}", "generator": {rows}}}')
+        assert main(["build", "--code-json", str(path)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert ("out of range" if isinstance(value, int) else "not an integer") in error["message"]
+
+
+# fields of the oracle test: prime, extension, one custom modulus (x^4 + x^3
+# + x^2 + x + 1, whose root is not primitive) and q = 289 > 256 (uint16)
+ORACLE_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 289)] + [
+    FieldSpec(2, 4, (1, 1, 1, 1, 1))]
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Two matrices over one field with the same column count, each with
+    rows that are fresh, zero, scaled copies or sums of earlier rows."""
+    spec = draw(st.sampled_from(ORACLE_FIELDS))
+    ncols = draw(st.integers(0, 7))
+    element = st.integers(0, spec.q - 1)
+
+    def rows():
+        out = []
+        for how in draw(st.lists(st.sampled_from(["fresh", "zero", "scaled", "sum"]),
+                                 max_size=6)):
+            if how == "zero" or (how != "fresh" and not out):
+                out.append([0] * ncols)
+            elif how == "fresh":
+                out.append(draw(st.lists(element, min_size=ncols, max_size=ncols)))
+            else:
+                a, b = (out[draw(st.integers(0, len(out) - 1))] for _ in range(2))
+                lam = draw(element)
+                b = b if how == "sum" else [0] * ncols
+                out.append([spec.add(spec.mul(lam, x), y) for x, y in zip(a, b)])
+        return Matrix(spec, out, ncols=ncols)
+
+    return rows(), rows()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_matrix_pairs())
+@example(pair=(Matrix.zeros(GF(9), 3, 4), Matrix.empty(GF(9), 4)))
+@example(pair=(Matrix.identity(GF(289), 4), Matrix.identity(GF(289), 4)))
+def test_array_layer_matches_the_pure_python_oracle(pair):
+    a, b = pair
+    assert a.rref() == rref_oracle(a)
+    assert a.kernel() == kernel_oracle(a)
+    assert a.kronecker(b) == kronecker_oracle(a, b)
+    for kind in (E, H, S):
+        if kind is E or a.spec.ell % 2 == 0:
+            assert a.gram(b, kind) == gram_oracle(a, b, kind)
+
+
+def _dual_cases():
+    from qproduct.catalog import hamming
+    from qproduct.code import AdditiveCode, LinearCode
+
+    rng = random.Random(7)
+    gf4 = LinearCode(random_matrix(rng, GF(4), 3, 7))
+    additive = AdditiveCode(GF(4), [[rng.randrange(4) for _ in range(6)] for _ in range(4)])
+    return [(hamming(3, 2), E), (gf4, E), (gf4, H), (additive, S)]
+
+
+@pytest.mark.parametrize("code, kind", _dual_cases())
+def test_dual_parity_rows_are_the_kept_form_without_a_kernel(code, kind, monkeypatch):
+    dual = code.dual(kind)
+    expected = dual.basis.kernel()
+    calls = []
+    kernel = Matrix.kernel
+    monkeypatch.setattr(Matrix, "kernel", lambda m: calls.append(m) or kernel(m))
+    assert dual.parity_rows() == expected
+    dual._syndrome_columns()
+    assert calls == []
