@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time and first-use memory of the exhaustive scan and of the low-weight
+"""Time and first-use memory of the exhaustive scan, of a weight
+enumerator found by the MacWilliams transform and of the low-weight
 search, per shape.
 
     python3 scripts/scan_profile.py [--repeats 3]
@@ -10,11 +11,15 @@ a long-running process would.
 
 A scan shape is a field, a length, a number of generator rows, and with
 or without a weight enumerator; its rows are random, seeded, and the same
-on every run.  A search shape is a code above the enumeration budget:
-the Euclidean dual of an RS product rs(q, q-mu1) x rs(q, q-mu2), whose
-weight-4 search runs in full, or the 91-column dual of the binary
-hamming_dual(3,2) band, the window of its free-distance bound, where an
-early pair gives a weight-3 word.  The code and its syndrome columns are
+on every run.  The transform shape is ``weight_enumerator`` of the
+2^22-word Euclidean dual of hamming_dual(3,2) x [4,2]_2 (the CSS job of
+the enumerate workload), found from one counted scan of the 2^6-word
+product and the transform; each call starts without cached counts, and
+the codes are built before the clock starts.  A search shape is a code
+above the enumeration budget: the Euclidean dual of an RS product
+rs(q, q-mu1) x rs(q, q-mu2), whose weight-4 search runs in full, or the
+91-column dual of the binary hamming_dual(3,2) band, the window of its
+free-distance bound, where an early pair gives a weight-3 word.  The code and its syndrome columns are
 built before the clock starts.  For each shape this prints
 
   first_rss_kib  peak RSS growth over the first call (kernel code pages
@@ -43,6 +48,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCAN_SHAPES = (
     (2, 28, 22, False),   # the binary 2^22-word dual of the enumerate workload
     (2, 28, 22, True),
+    ("transform",),       # a dual of that shape: its weight enumerator by the transform
     (4, 15, 22, False),   # the (15, 2^22) symplectic dual of the additive chain
     (4, 15, 22, True),
     (8, 30, 12, False),   # GF(8) with 3n > 64
@@ -101,6 +107,27 @@ def profile_scan(q: int, n: int, k: int, with_counts: bool, repeats: int) -> dic
             "ms": round(median * 1e3, 2), "words_per_s": round(spec.p**k / median)}
 
 
+def profile_transform(repeats: int) -> dict:
+    """The transform shape, in this interpreter."""
+    from qproduct.catalog import hamming_dual
+    from qproduct.code import LinearCode, weight_enumerator
+    from qproduct.galois import GF
+    from qproduct.matrix import InnerProductKind
+    from qproduct.product import product
+
+    prod = product(LinearCode.from_rows(GF(2), [[1, 1, 0, 0], [0, 0, 1, 1]]), hamming_dual(3, 2))
+    dual = prod.dual(InnerProductKind.EUCLIDEAN)
+
+    def enumerate_dual() -> None:
+        prod._weights = dual._weights = None  # count afresh each time
+        weight_enumerator(dual)
+
+    growth, first, median = first_and_repeats(enumerate_dual, repeats)
+    return {"shape": f"transform n={dual.n} dual=2^{dual.dim}",
+            "first_rss_kib": round(growth / 1024), "first_ms": round(first * 1e3, 2),
+            "ms": round(median * 1e3, 2), "words_per_s": ""}
+
+
 def search_code(shape: tuple):
     from qproduct.catalog import hamming_dual
     from qproduct.code import spanned_code
@@ -148,7 +175,9 @@ def main() -> None:
     if args.shape:
         sys.path.insert(0, str(SRC))
         shape = json.loads(args.shape)
-        if isinstance(shape[0], str):
+        if shape[0] == "transform":
+            result = profile_transform(args.repeats)
+        elif isinstance(shape[0], str):
             result = profile_search(tuple(shape), args.repeats)
         else:
             result = profile_scan(*shape, args.repeats)

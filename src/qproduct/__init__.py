@@ -2,14 +2,13 @@
 quantum block / tail-biting convolutional codes derived from them, with
 independent minimum-distance certification."""
 
-from .galois import GF, FieldElement, FieldSpec
+from .galois import GF, FieldSpec
 from .matrix import InnerProductKind, Matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GF",
-    "FieldElement",
     "FieldSpec",
     "InnerProductKind",
     "Matrix",

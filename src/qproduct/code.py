@@ -12,12 +12,18 @@ columns, and weights 3 and 4 meet in the middle over the normalized sums
 of column pairs, formed as numpy arrays in chunks of at most SEARCH_CHUNK
 pairs and compared as one void key per sum.  A certificate never reports
 "exact" unless lower and upper bound meet.
+
+A weight enumerator is counted by the same scan, once per code, on the
+smaller side: a dual whose primal has no more words takes the primal's
+counts through the MacWilliams transform, in exact integers.
 """
 from __future__ import annotations
 
 import os
+import weakref
 from array import array
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -231,6 +237,7 @@ class Code:
         self._parity = parity
         self._dual_cache: dict[InnerProductKind, Code] = {}
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
+        self._primal: weakref.ref | None = None  # the code this is the dual of, if built so
         self._columns: tuple | None = None
         self._pairs: _PairSums | None = None
 
@@ -311,12 +318,15 @@ class Code:
 
     def dual(self, kind: InnerProductKind | None = None) -> "Code":
         """The dual under ``kind``: the F-kernel of ``_form(kind)``, which
-        it keeps as its parity rows.  Matrix.kernel returns rref."""
+        it keeps as its parity rows.  Matrix.kernel returns rref.  The dual
+        refers back to this code weakly, so the pair forms no reference
+        cycle, and its own duals are built afresh."""
         kind = self._kind(kind)
         cached = self._dual_cache.get(kind)
         if cached is None:
             form = self._form(kind)
             cached = self._from_basis(self.spec, self.n, form.kernel(), form)
+            cached._primal = weakref.ref(self)
             self._dual_cache[kind] = cached
         return cached
 
@@ -652,14 +662,52 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
                                witness=witness, claimed=claimed)
 
 
+def macwilliams_transform(weights: dict[int, int], n: int, q: int) -> dict[int, int]:
+    """The weight distribution of the dual of a code of length n over an
+    alphabet of q letters with weight distribution ``weights``:
+    B_j = |C|^-1 sum_i A_i K_j(i), where the Krawtchouk values K_j(i) are
+    the coefficients of P_i(z) = (1 + (q-1)z)^(n-i) (1 - z)^i.  It holds
+    for the Euclidean and Hermitian duals of a linear code (MacWilliams &
+    Sloane, ch. 5) and the trace-symplectic dual of an additive code
+    (Ketkar, Klappenecker, Kumar & Sarvepalli, IEEE TIT 52, 2006).  Exact
+    integers throughout; raises ValueError when a count is not a
+    nonnegative integer, which no code's distribution gives."""
+    size = sum(weights.values())
+    poly = [comb(n, j) * (q - 1) ** j for j in range(n + 1)]  # P_0
+    totals = [0] * (n + 1)
+    for i in range(max(weights, default=0) + 1):
+        if i:  # P_i = P_(i-1) (1 - z) / (1 + (q-1)z), both exact, one pass
+            prev = quot = 0
+            for j in range(n + 1):
+                prev, quot = poly[j], poly[j] - prev - (q - 1) * quot
+                poly[j] = quot
+        if weights.get(i):
+            totals = [t + weights[i] * k for t, k in zip(totals, poly)]
+    if size < 1 or any(t < 0 or t % size for t in totals):
+        raise ValueError(f"{weights} is not the weight distribution of a code "
+                         f"of length {n} over {q} letters")
+    return {j: t // size for j, t in enumerate(totals) if t}
+
+
 def weight_enumerator(code: Code, budget: int | None = None) -> dict[int, int]:
-    """Counts of codewords per Hamming weight (includes weight 0); counted
-    once per code."""
+    """Counts of codewords per Hamming weight, the zero word included, in
+    ascending weight with nonzero counts only; a fresh dict per call.
+
+    The counts are found once per code.  A dual built by ``Code.dual``
+    takes its primal's counts through ``macwilliams_transform`` unless the
+    primal is the larger code; any other code, or a dual whose primal is
+    gone, is counted by the exhaustive scan.  Raises ValueError when the
+    code has more words than the budget."""
     budget = enumeration_budget(budget)
     if code.size() > budget:
         raise ValueError(f"code size {code.size()} exceeds budget {budget}")
     if code._weights is None:
-        counts = [0] * (code.n + 1)
-        _exhaustive_scan(code.spec, code.expanded_generators(), code.n, counts=counts)
-        code._weights = {w: c for w, c in enumerate(counts) if c}
+        primal = code._primal() if code._primal else None
+        if primal is not None and primal.size() <= code.size():
+            code._weights = macwilliams_transform(weight_enumerator(primal, budget),
+                                                  code.n, code.spec.q)
+        else:
+            counts = [0] * (code.n + 1)
+            _exhaustive_scan(code.spec, code.expanded_generators(), code.n, counts=counts)
+            code._weights = {w: c for w, c in enumerate(counts) if c}
     return dict(code._weights)

@@ -164,42 +164,6 @@ class Spectrum2D:
     alpha: int
     beta: int
 
-    @property
-    def n1(self) -> int:
-        return len(self.grid)
-
-    @property
-    def n2(self) -> int:
-        return len(self.grid[0]) if self.grid else 0
-
-    def inverse(self) -> tuple[tuple[int, ...], ...]:
-        """Recover the coefficient grid (inverse 2-D transform)."""
-        spec = self.spec
-        n1, n2 = self.n1, self.n2
-        ainv = spec.inv(self.alpha)
-        binv = spec.inv(self.beta)
-        # 1/(n1*n2) in GF(q): n copies of 1 summed, then inverted
-        scale = spec.inv(_embed_integer(spec, n1 * n2))
-        out = []
-        for a in range(n1):
-            row = []
-            for b in range(n2):
-                acc = 0
-                for i in range(n1):
-                    for j in range(n2):
-                        v = self.grid[i][j]
-                        if v:
-                            term = spec.mul(v, spec.mul(spec.power(ainv, i * a),
-                                                        spec.power(binv, j * b)))
-                            acc = spec.add(acc, term)
-                row.append(spec.mul(scale, acc))
-            out.append(tuple(row))
-        return tuple(out)
-
-
-def _embed_integer(spec: FieldSpec, m: int) -> int:
-    return spec.embed_prime(m % spec.p)
-
 
 def _check_order(spec: FieldSpec, x: int, n: int) -> None:
     if spec.power(x, n) != 1:
@@ -232,11 +196,6 @@ def spectrum_2d(spec: FieldSpec, word: Sequence[Sequence[int]], alpha: int, beta
             row.append(acc)
         grid.append(tuple(row))
     return Spectrum2D(spec=spec, grid=tuple(grid), alpha=alpha, beta=beta)
-
-
-def flat_to_grid(vec: Sequence[int], n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
-    """Product coordinate convention: flat index i*n2 + j -> grid[i][j]."""
-    return tuple(tuple(vec[i * n2 + j] for j in range(n2)) for i in range(n1))
 
 
 def product_spectrum_support(c1: CyclicCode, c2: CyclicCode) -> tuple[tuple[bool, ...], ...]:

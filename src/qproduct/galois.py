@@ -19,7 +19,6 @@ low-weight search and the matrix layer share them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -396,9 +395,6 @@ class FieldSpec:
     def from_digits(self, digits: Iterable[int]) -> int:
         return self._from_digits(digits)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, self.check_value(value))
-
 
 _SPEC_CACHE: dict[int, FieldSpec] = {}
 
@@ -472,42 +468,3 @@ def field_sum(F: FieldSpec, x: np.ndarray, axis: int) -> np.ndarray:
         pt = p**t
         out = out + (x // pt % p).sum(axis=axis, dtype=np.int64) % p * pt
     return out
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element: an integer value bound to its FieldSpec."""
-
-    spec: FieldSpec
-    value: int
-
-    def _same(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise ValueError(f"mismatched fields: {self.spec} vs {other.spec}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.spec, self.spec.add(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.spec, self.spec.sub(self.value, other.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.spec, self.spec.mul(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.power(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value}@GF({self.spec.q})"

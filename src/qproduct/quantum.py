@@ -115,10 +115,12 @@ def stabilizer_distance(code, construction: str, budget: int | None = None) -> i
     """True stabilizer distance: the minimum weight in dual \\ code.
 
     The code lies inside its dual, so dual \\ code has a word of weight w
-    exactly when the dual has more words of weight w than the code; both
-    weight enumerators are computed by full enumeration.  Returns None when
-    the dual exceeds the budget, and for stabilizer states, whose dual
-    equals the code.  Never smaller than the dual-distance bound.
+    exactly when the dual has more words of weight w than the code.  The
+    code's weight enumerator is counted by one scan of the code, and the
+    dual's follows from it by the MacWilliams transform, so the dual is
+    never enumerated here.  Returns None when the dual exceeds the
+    budget, and for stabilizer states, whose dual equals the code.  Never
+    smaller than the dual-distance bound.
     """
     kind = _KIND_BY_CONSTRUCTION.get(construction)
     if kind is None:

@@ -278,3 +278,33 @@ def gram_oracle(a: Matrix, b: Matrix, kind: InnerProductKind) -> Matrix:
     spec = a.spec.prime_field if kind is InnerProductKind.SYMPLECTIC else a.spec
     rows = [[inner_product(a.spec, v, w, kind) for w in b.rows] for v in a.rows]
     return Matrix(spec, rows, ncols=b.nrows)
+
+
+def flat_to_grid(vec, n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
+    """Product coordinate convention: flat index i*n2 + j -> grid[i][j]."""
+    return tuple(tuple(vec[i * n2 + j] for j in range(n2)) for i in range(n1))
+
+
+def inverse_spectrum_2d(sp) -> tuple[tuple[int, ...], ...]:
+    """The coefficient grid of a ``qproduct.cyclic.Spectrum2D``, by the
+    inverse 2-D transform: (n1*n2)^-1 sum_ij grid[i][j] alpha^-ia beta^-jb
+    at [a][b]."""
+    spec = sp.spec
+    n1, n2 = len(sp.grid), len(sp.grid[0]) if sp.grid else 0
+    ainv, binv = spec.inv(sp.alpha), spec.inv(sp.beta)
+    scale = spec.inv(spec.embed_prime(n1 * n2 % spec.p))
+    out = []
+    for a in range(n1):
+        row = []
+        for b in range(n2):
+            acc = 0
+            for i in range(n1):
+                for j in range(n2):
+                    v = sp.grid[i][j]
+                    if v:
+                        term = spec.mul(v, spec.mul(spec.power(ainv, i * a),
+                                                    spec.power(binv, j * b)))
+                        acc = spec.add(acc, term)
+            row.append(spec.mul(scale, acc))
+        out.append(tuple(row))
+    return tuple(out)

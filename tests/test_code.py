@@ -13,7 +13,8 @@ from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerato
 from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
-                           min_distance, to_additive_over, weight_enumerator)
+                           macwilliams_transform, min_distance, to_additive_over,
+                           weight_enumerator)
 from qproduct.cyclic import rs_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
@@ -305,8 +306,11 @@ def test_weight_enumerator_budget_error():
 
 def test_weight_enumerator_counts_a_code_once(monkeypatch):
     """The CSS transfer product hamming_dual(3,2) x [4,2]_2: its 2^22-word
-    dual is scanned by the distance certificate and once more for the
-    weight enumerator, which the stabilizer distance then reuses."""
+    dual is scanned once, uncounted, by the distance certificate.  Its
+    weight enumerator is the MacWilliams transform of one counted scan of
+    the 2^6-word product, which the stabilizer distance then reuses.  A
+    dual whose product is gone is counted by its own scan, to the same
+    counts."""
     from qproduct.product import product
     from qproduct.quantum import css_qecc, stabilizer_distance
 
@@ -318,14 +322,66 @@ def test_weight_enumerator_counts_a_code_once(monkeypatch):
         return real(spec, rows, n, counts)
 
     monkeypatch.setattr(code_module, "_exhaustive_scan", counted)
-    prod = product(LinearCode.from_rows(GF(2), [[1, 1, 0, 0], [0, 0, 1, 1]]), hamming_dual(3, 2))
+    c1 = LinearCode.from_rows(GF(2), [[1, 1, 0, 0], [0, 0, 1, 1]])
+    prod = product(c1, hamming_dual(3, 2))
     dual = prod.dual(E)
     assert css_qecc(prod).distance.exact
     table = weight_enumerator(dual)
     assert stabilizer_distance(prod, "css") is not None
     table[0] = 0  # the caller's copy; the cached counts stay intact
     assert weight_enumerator(dual)[0] == 1
-    assert scans == [(22, False), (22, True), (6, True)]
+    assert scans == [(22, False), (6, True)]
+
+    scans.clear()
+    orphan = product(c1, hamming_dual(3, 2)).dual(E)  # nothing else holds the product
+    assert orphan._primal() is None
+    assert weight_enumerator(orphan) == weight_enumerator(dual)
+    assert scans == [(22, True)]
+
+
+def test_macwilliams_transform_rejects_a_non_code_distribution():
+    with pytest.raises(ValueError, match="not the weight distribution"):
+        macwilliams_transform({0: 1, 1: 1}, 2, 3)  # B_1 = 5/2
+    with pytest.raises(ValueError, match="not the weight distribution"):
+        macwilliams_transform({0: 1, 2: 3}, 2, 2)  # integral, but B_1 = -1
+    assert macwilliams_transform({0: 1, 2: 1}, 2, 2) == {0: 1, 2: 1}  # the [2,1] repetition code
+
+
+@st.composite
+def _dual_pairs(draw):
+    """A code over GF(2..9) and a kind it takes duals under: Euclidean
+    (linear), Hermitian (linear, even degree) or symplectic (additive, even
+    degree).  The code is random, the zero code or the full space, in an
+    ambient space of at most 2^12 words."""
+    spec = GF(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    kinds = [E] + ([H, S] if spec.ell % 2 == 0 else [])
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, max(m for m in range(1, 13) if spec.q**m <= 1 << 12)))
+    scalars = [spec.p**t for t in range(spec.ell)] if kind is S else [1]
+    shape = draw(st.sampled_from(["random", "zero", "full"]))
+    if shape == "zero":
+        rows = []
+    elif shape == "full":
+        rows = [[a if j == i else 0 for j in range(n)] for i in range(n) for a in scalars]
+    else:
+        row = st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
+        rows = draw(st.lists(row, min_size=1, max_size=n * len(scalars)))
+    cls = AdditiveCode if kind is S else LinearCode
+    return cls.from_rows(spec, rows, n=n), kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_dual_pairs())
+def test_dual_weight_enumerator_matches_the_counted_scan(case):
+    code, kind = case
+    dual = code.dual(kind)
+    counts = [0] * (dual.n + 1)
+    code_module._exhaustive_scan(dual.spec, dual.expanded_generators(), dual.n, counts)
+    table = weight_enumerator(dual)
+    assert table == {w: c for w, c in enumerate(counts) if c} == brute_weight_enumerator(dual)
+    assert list(table) == sorted(table)
+    assert macwilliams_transform(weight_enumerator(code), code.n, code.spec.q) == table
+    assert weight_enumerator(dual.dual(kind)) == brute_weight_enumerator(code)
 
 
 def test_additive_from_linear_size():
