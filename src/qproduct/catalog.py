@@ -53,8 +53,8 @@ def hamming(r: int, q: int) -> LinearCode:
 
 
 def hamming_dual(r: int, q: int) -> LinearCode:
-    """Euclidean dual of the Hamming code (equals the simplex code)."""
-    return LinearCode(projective_point_matrix(GF(q), r), claimed_distance=q ** (r - 1))
+    """Euclidean dual of the Hamming code, which is the simplex code."""
+    return simplex(r, q)
 
 
 def quaternary_hamming_dual_5() -> LinearCode:
@@ -64,8 +64,6 @@ def quaternary_hamming_dual_5() -> LinearCode:
     code.claimed_distance = 4
     return code
 
-
-_KINDS = {k.value: k for k in InnerProductKind}
 
 _CATALOG_HELP = (
     "simplex(r, q), hamming(r, q), hamming_dual(r, q), quaternary_hamming_dual_5, "
@@ -128,11 +126,12 @@ def _resolve(node):
     name, args = node
     name = name.replace("-", "_").lower()
     if args is None:
-        if name in _KINDS:
-            return _KINDS[name]
         if name == "quaternary_hamming_dual_5":
             return quaternary_hamming_dual_5()
-        raise DescriptorError(f"unknown name {name!r}; catalog: {_CATALOG_HELP}")
+        try:
+            return InnerProductKind(name)
+        except ValueError:
+            raise DescriptorError(f"unknown name {name!r}; catalog: {_CATALOG_HELP}") from None
     vals = [_resolve(a) for a in args]
     try:
         if name == "simplex":

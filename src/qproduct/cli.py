@@ -20,16 +20,13 @@ from .code import AdditiveCode, LinearCode, distance_at_least, min_distance, spa
 from .convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
                             check_band_self_orthogonal, conv_from_product,
                             free_distance_upper_bound, tail_biting, tail_biting_qecc)
-from .cyclic import (CyclicCode, cyclic_from_roots, dual_support_map,
-                     product_spectrum_support, rs_code, rs_product_dual_certificate,
-                     rs_product_params)
+from .cyclic import (CyclicCode, _rs_product_dual_certificate, cyclic_from_roots,
+                     dual_support_map, product_spectrum_support, rs_code, rs_product_params)
 from .galois import GF
 from .matrix import InnerProductKind, from_text
 from .product import dual_distance_ceiling, dual_of_product_generator, product, product_additive
-from .quantum import (css_qecc, hermitian_qecc, rate_comparison, rs_prod_qecc,
-                      stabilizer_distance, symplectic_qecc)
-
-_KIND_BY_NAME = {k.value: k for k in InnerProductKind}
+from .quantum import (_KIND_BY_CONSTRUCTION, css_qecc, hermitian_qecc, qecc, rate_comparison,
+                      rs_prod_qecc, stabilizer_distance, symplectic_qecc)
 
 
 def _field_block(spec) -> dict:
@@ -76,6 +73,15 @@ def _resolve_code(args, attr="code"):
     return LinearCode(matrix)
 
 
+def _under(code, kind: InnerProductKind):
+    """``code`` lifted to its additive view when ``kind`` is symplectic and
+    the code is linear; the library rejects any other kind the code does
+    not take."""
+    if kind is InnerProductKind.SYMPLECTIC and code.linear:
+        return AdditiveCode.from_linear(code)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns a JSON-able report dict)
 
@@ -96,7 +102,7 @@ def cmd_build(args) -> dict:
 
 def cmd_dual(args) -> dict:
     code = _resolve_code(args)
-    kind = _KIND_BY_NAME[args.kind]
+    kind = InnerProductKind(args.kind)
     dual = code.dual(kind)
     return {
         "primal": _code_block(code, budget=args.budget),
@@ -130,9 +136,9 @@ def _product_conformance(c1, c2, prod, kind, budget) -> dict:
 
 
 def cmd_product(args) -> dict:
+    kind = InnerProductKind(args.kind)
     c1 = parse_descriptor(args.code1)
-    c2 = parse_descriptor(args.code2)
-    kind = _KIND_BY_NAME[args.kind]
+    c2 = _under(parse_descriptor(args.code2), kind)
     prod = product(c1, c2)
     report = {
         "factors": [_code_block(c1, budget=args.budget), _code_block(c2, budget=args.budget)],
@@ -143,24 +149,6 @@ def cmd_product(args) -> dict:
     }
     if c2.is_self_orthogonal(kind):
         report["self_orthogonality_transfer"] = prod.is_self_orthogonal(kind)
-    return report
-
-
-def cmd_product_additive(args) -> dict:
-    c1 = parse_descriptor(args.code1)
-    c2 = parse_descriptor(args.code2)
-    if isinstance(c2, LinearCode):
-        c2 = AdditiveCode.from_linear(c2)
-    prod = product_additive(c1, c2)
-    report = {
-        "factors": [_code_block(c1, budget=args.budget), _code_block(c2, budget=args.budget)],
-        "kind": "symplectic",
-        "product": _code_block(prod, budget=args.budget),
-        "claimed_distance": prod.claimed_distance,
-        "conformance": _product_conformance(c1, c2, prod, InnerProductKind.SYMPLECTIC, args.budget),
-    }
-    if c2.is_self_orthogonal():
-        report["self_orthogonality_transfer"] = prod.is_self_orthogonal()
     return report
 
 
@@ -201,7 +189,7 @@ def cmd_spectrum(args) -> dict:
         "support": _support_lines(mask),
     }
     if args.dual:
-        kind = _KIND_BY_NAME[args.kind]
+        kind = InnerProductKind(args.kind)
         frob = c1.spec.frobenius_power if kind is InnerProductKind.HERMITIAN else None
         n1, n2 = c1.n, c2.n
         dual_mask = tuple(
@@ -221,19 +209,10 @@ def cmd_qecc(args) -> dict:
         predicted = rs_product_params(args.q, args.q - args.mu1, args.q - args.mu2)
         return {"qecc": params.to_dict(), "rate_comparison": rates.to_dict(),
                 "predicted": predicted.to_dict(), "dual_certificate": params.distance.to_dict()}
-    code = _resolve_code(args)
-    if args.construction == "css":
-        params = css_qecc(code, budget=args.budget)
-    elif args.construction == "hermitian":
-        params = hermitian_qecc(code, budget=args.budget)
-    elif args.construction == "symplectic":
-        if isinstance(code, LinearCode):
-            code = AdditiveCode.from_linear(code)
-        params = symplectic_qecc(code, budget=args.budget)
-    else:
-        raise DescriptorError(f"unknown construction {args.construction!r}")
-    report = {"source": _code_block(code, budget=args.budget),
-              "qecc": params.to_dict()}
+    kind = _KIND_BY_CONSTRUCTION[args.construction]
+    code = _under(_resolve_code(args), kind)
+    params = qecc(code, kind, budget=args.budget)
+    report = {"source": _code_block(code, budget=args.budget), "qecc": params.to_dict()}
     if args.refine_distance:
         report["stabilizer_distance"] = stabilizer_distance(code, args.construction,
                                                             budget=args.budget)
@@ -243,10 +222,8 @@ def cmd_qecc(args) -> dict:
 def _build_band(args) -> ConvStabilizer:
     c1 = parse_descriptor(args.code1)
     c2 = parse_descriptor(args.code2)
-    kind = _KIND_BY_NAME[args.kind]
-    if isinstance(c2, AdditiveCode):
-        kind = InnerProductKind.SYMPLECTIC
-    return conv_from_product(c1, c2, args.t, kind)
+    kind = InnerProductKind(args.kind) if args.kind else c2.kinds[0]
+    return conv_from_product(c1, _under(c2, kind), args.t, kind)
 
 
 def _band_block(s: ConvStabilizer) -> dict:
@@ -280,7 +257,7 @@ def cmd_conv(args) -> dict:
         return {"band": _band_block(s), "window_pairwise_orthogonal": oracle}
     # tailbite
     code = tail_biting(s, args.blocks)
-    qecc = tail_biting_qecc(s, args.blocks, budget=args.budget)
+    params = tail_biting_qecc(s, args.blocks, budget=args.budget)
     rank = code.dim
     return {
         "band": _band_block(s),
@@ -289,7 +266,7 @@ def cmd_conv(args) -> dict:
         "rank": rank,
         "expected_rank": args.blocks * s.rows_per_frame,
         "rank_deficient": rank < args.blocks * s.rows_per_frame,
-        "qecc": qecc.to_dict(),
+        "qecc": params.to_dict(),
     }
 
 
@@ -348,7 +325,7 @@ def _pipeline_additive_chain(budget) -> dict:
     dual = prod.symplectic_dual()
     exhaustive = min_distance(dual, budget=budget)
     search = min_distance(dual, budget=0)  # forced onto the low-weight search
-    qecc = symplectic_qecc(prod, budget=budget)
+    params = symplectic_qecc(prod, budget=budget)
     return {
         "factors": [_code_block(c1, budget), _code_block(c2, budget)],
         "product": _code_block(prod, budget),
@@ -356,7 +333,7 @@ def _pipeline_additive_chain(budget) -> dict:
         "dual_distance_exhaustive": exhaustive.to_dict(),
         "dual_distance_search": {"lower": search.lower, "witness_weight": search.upper},
         "methods_agree": exhaustive.exact and search.exact and exhaustive.value == search.value,
-        "qecc": qecc.to_dict(),
+        "qecc": params.to_dict(),
     }
 
 
@@ -414,7 +391,7 @@ def _pipeline_rs_product_grid(budget) -> dict:
                 prod = product(rs_code(q, delta1).code, rs_code(q, delta2).code)
                 entry["dimensions_match"] = (prod.k == rep.dimension
                                              and prod.n - prod.k == rep.dual_dimension)
-                rect = rs_product_dual_certificate(q, delta1, delta2, budget=budget)
+                rect = _rs_product_dual_certificate(prod, delta1, delta2, budget)
                 entry["rectangle_certificate"] = rect.to_dict()
                 if q <= 5:
                     dual = prod.dual(InnerProductKind.EUCLIDEAN)
@@ -608,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="dual code under a chosen inner product")
     _add_code_source(p)
-    p.add_argument("--kind", choices=sorted(_KIND_BY_NAME), default="euclidean")
+    p.add_argument("--kind", choices=[str(k) for k in InnerProductKind], default="euclidean")
     _add_common(p)
     p.set_defaults(func=cmd_dual)
 
@@ -628,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code1", required=True, help="factor over the prime field")
     p.add_argument("--code2", required=True, help="additive factor (additive(...) descriptor)")
     _add_common(p)
-    p.set_defaults(func=cmd_product_additive)
+    p.set_defaults(func=cmd_product, kind="symplectic")
 
     p = sub.add_parser("spectrum", help="support grid of a bicyclic product spectrum")
     p.add_argument("--code1", required=True, help="rs(q, delta) or cyclic(q, n, roots...)")
@@ -660,8 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--code1", required=True)
         cp.add_argument("--code2", required=True)
         cp.add_argument("--t", type=int, default=1, help="overlap in multiples of n2")
-        cp.add_argument("--kind", choices=["euclidean", "hermitian", "symplectic"],
-                        default="euclidean")
+        cp.add_argument("--kind", choices=[str(k) for k in InnerProductKind],
+                        help="inner product of the band (default: code2's own, euclidean "
+                             "for a linear code2 and symplectic for an additive one)")
         if action == "build":
             cp.add_argument("--window", type=int, default=2,
                             help="window blocks for the free-distance bound")

@@ -242,10 +242,11 @@ class Code:
         self._pairs: _PairSums | None = None
 
     @classmethod
-    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix) -> "Code":
+    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix,
+                    claimed_distance: int | None = None) -> "Code":
         code = cls.__new__(cls)
         code.spec, code.n = spec, n
-        code._setup(basis, None, parity)
+        code._setup(basis, claimed_distance, parity)
         return code
 
     @property

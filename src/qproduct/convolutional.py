@@ -15,7 +15,7 @@ import numpy as np
 from .code import min_distance, spanned_code
 from .matrix import InnerProductKind, Matrix
 from .product import tensor_generator
-from .quantum import QeccParams, css_qecc, hermitian_qecc, symplectic_qecc
+from .quantum import QeccParams, qecc
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,7 @@ def tail_biting(s: ConvStabilizer, blocks: int):
 def tail_biting_qecc(s: ConvStabilizer, blocks: int, budget: int | None = None) -> QeccParams:
     """Quantum code from the tail-biting block code, via the construction
     matching the band's inner product kind."""
-    code = tail_biting(s, blocks)
-    if s.kind is InnerProductKind.EUCLIDEAN:
-        return css_qecc(code, budget=budget)
-    if s.kind is InnerProductKind.HERMITIAN:
-        return hermitian_qecc(code, budget=budget)
-    return symplectic_qecc(code, budget=budget)
+    return qecc(tail_biting(s, blocks), s.kind, budget)
 
 
 def free_distance_upper_bound(s: ConvStabilizer, window_blocks: int,

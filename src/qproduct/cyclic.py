@@ -1,109 +1,42 @@
 """Cyclic and Reed-Solomon codes in the spectral regime n | q-1, their
 bicyclic products, two-dimensional spectra, dual coordinate maps, and the
 rectangle lower bound used to certify dual distances of products.
+
+A cyclic code is given by its zeros Z, exponents mod n: the words c with
+c(alpha^z) = 0 for z in Z, the code of prod_{z in Z} (X - alpha^z).  That
+polynomial is never formed; the check rows (alpha^(z*j))_j define the code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .code import DistanceCertificate, LinearCode, min_distance
-from .galois import GF, FieldSpec
+from .galois import GF, FieldSpec, field_tables
 from .matrix import InnerProductKind, Matrix
-
-# polynomials over GF(q) are little-endian coefficient tuples
-
-
-def poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
-        i -= 1
-    return tuple(coeffs[:i])
-
-
-def poly_mul(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    a, b = poly_trim(a), poly_trim(b)
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                if bv:
-                    out[i + j] = spec.add(out[i + j], spec.mul(av, bv))
-    return poly_trim(out)
-
-
-def poly_divmod(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    a, b = list(poly_trim(a)), poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv_lead = spec.inv(b[-1])
-    quot = [0] * max(0, len(a) - db)
-    while len(poly_trim(a)) - 1 >= db:
-        a = list(poly_trim(a))
-        shift = len(a) - 1 - db
-        c = spec.mul(a[-1], inv_lead)
-        quot[shift] = c
-        for i, bv in enumerate(b):
-            a[shift + i] = spec.sub(a[shift + i], spec.mul(c, bv))
-    return poly_trim(quot), poly_trim(a)
-
-
-def poly_from_roots(spec: FieldSpec, roots: Sequence[int]) -> tuple[int, ...]:
-    f: tuple[int, ...] = (1,)
-    for r in roots:
-        f = poly_mul(spec, f, (spec.neg(r), 1))
-    return f
-
-
-def poly_eval(spec: FieldSpec, f: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(poly_trim(f)):
-        acc = spec.add(spec.mul(acc, x), c)
-    return acc
-
-
-def x_n_minus_1(spec: FieldSpec, n: int) -> tuple[int, ...]:
-    f = [0] * (n + 1)
-    f[0] = spec.neg(1)
-    f[n] = 1
-    return tuple(f)
-
-
-def poly_monic(spec: FieldSpec, f: Sequence[int]) -> tuple[int, ...]:
-    f = poly_trim(f)
-    if not f:
-        return f
-    inv = spec.inv(f[-1])
-    return tuple(spec.mul(inv, c) for c in f)
-
-
-def reciprocal(spec: FieldSpec, f: Sequence[int]) -> tuple[int, ...]:
-    return poly_trim(tuple(reversed(poly_trim(f))))
 
 
 class CyclicCode:
-    """Cyclic code of length n | q-1 with a fixed generator polynomial."""
+    """Cyclic code of length n | q-1 given by its zero set: the exponents
+    z mod n with c(alpha^z) = 0 for every codeword c, alpha the field's
+    primitive n-th root of unity.  ``code`` is the kernel of the check
+    rows (alpha^(z*j))_j, one per zero, so k = n - |zeros|."""
 
-    def __init__(self, spec: FieldSpec, n: int, gen_poly: Sequence[int],
+    def __init__(self, spec: FieldSpec, n: int, zeros: Sequence[int],
                  claimed_distance: int | None = None):
-        gen_poly = poly_monic(spec, gen_poly)
-        quot, rem = poly_divmod(spec, x_n_minus_1(spec, n), gen_poly)
-        if rem:
-            raise ValueError("generator polynomial does not divide X^n - 1")
-        self.spec = spec
-        self.n = n
-        self.gen_poly = gen_poly
-        k = n - (len(gen_poly) - 1)
-        rows = []
-        for i in range(k):
-            row = [0] * n
-            for j, c in enumerate(gen_poly):
-                row[i + j] = c
-            rows.append(row)
-        self.code = LinearCode(Matrix(spec, rows, ncols=n), claimed_distance=claimed_distance)
+        if n < 1 or (spec.q - 1) % n != 0:
+            raise ValueError(f"length {n} does not divide q-1 = {spec.q - 1}")
+        exps = [z % n for z in zeros]
+        if len(set(exps)) != len(exps):
+            raise ValueError(f"duplicate root exponents in {list(zeros)}")
+        self.spec, self.n, self.zeros = spec, n, frozenset(exps)
+        # exp is to the base g, the field generator, and alpha = g^((q-1)/n)
+        _, exp = field_tables(spec)
+        z = np.array(sorted(self.zeros), np.int64)[:, None] * ((spec.q - 1) // n)
+        checks = Matrix._of(spec, exp[z * np.arange(n) % (spec.q - 1)])
+        self.code = LinearCode._from_basis(spec, n, checks.kernel(), checks, claimed_distance)
 
     @property
     def k(self) -> int:
@@ -115,32 +48,17 @@ class CyclicCode:
 
 def cyclic_from_roots(q: int | FieldSpec, n: int, exponents: Sequence[int],
                       claimed_distance: int | None = None) -> CyclicCode:
-    """Cyclic code with g(X) = prod (X - alpha^s) over the exponent set."""
+    """Cyclic code of length n | q-1 with zeros alpha^s over the exponent set."""
     spec = q if isinstance(q, FieldSpec) else GF(q)
-    if (spec.q - 1) % n != 0:
-        raise ValueError(f"length {n} does not divide q-1 = {spec.q - 1}")
-    exps = [e % n for e in exponents]
-    if len(set(exps)) != len(exps):
-        raise ValueError(f"duplicate root exponents in {list(exponents)}")
-    alpha = spec.root_of_unity(n)
-    g = poly_from_roots(spec, [spec.power(alpha, e) for e in exps])
-    return CyclicCode(spec, n, g, claimed_distance=claimed_distance)
+    return CyclicCode(spec, n, exponents, claimed_distance=claimed_distance)
 
 
 def rs_code(q: int | FieldSpec, delta: int) -> CyclicCode:
-    """Reed-Solomon code [q-1, q-delta, delta] with roots alpha^0..alpha^(delta-2)."""
+    """Reed-Solomon code [q-1, q-delta, delta] with zeros alpha^0..alpha^(delta-2)."""
     spec = q if isinstance(q, FieldSpec) else GF(q)
     if not 2 <= delta <= spec.q - 1:
         raise ValueError(f"designed distance must be in [2, q-1], got {delta}")
     return cyclic_from_roots(spec, spec.q - 1, range(delta - 1), claimed_distance=delta)
-
-
-def dual_generator_poly(spec: FieldSpec, g: Sequence[int], n: int) -> tuple[int, ...]:
-    """Monic generator of the Euclidean dual: the reciprocal of (X^n-1)/g."""
-    quot, rem = poly_divmod(spec, x_n_minus_1(spec, n), g)
-    if rem:
-        raise ValueError("generator polynomial does not divide X^n - 1")
-    return poly_monic(spec, reciprocal(spec, quot))
 
 
 def dual_support_map(i: int, n: int, kind: InnerProductKind, frob_power: int | None = None) -> int:
@@ -201,12 +119,8 @@ def spectrum_2d(spec: FieldSpec, word: Sequence[Sequence[int]], alpha: int, beta
 def product_spectrum_support(c1: CyclicCode, c2: CyclicCode) -> tuple[tuple[bool, ...], ...]:
     """Forced-zero mask of the product's spectrum: grid[i][j] is True when
     every codeword's spectrum vanishes at (i, j)."""
-    spec = c1.spec
-    a = spec.root_of_unity(c1.n)
-    b = spec.root_of_unity(c2.n)
-    zero1 = [poly_eval(spec, c1.gen_poly, spec.power(a, i)) == 0 for i in range(c1.n)]
-    zero2 = [poly_eval(spec, c2.gen_poly, spec.power(b, j)) == 0 for j in range(c2.n)]
-    return tuple(tuple(zero1[i] or zero2[j] for j in range(c2.n)) for i in range(c1.n))
+    return tuple(tuple(i in c1.zeros or j in c2.zeros for j in range(c2.n))
+                 for i in range(c1.n))
 
 
 def bch_rectangle_bound(a: int, b: int) -> int:

@@ -51,7 +51,7 @@ _KIND_BY_CONSTRUCTION = {
 _CONSTRUCTION_BY_KIND = {kind: name for name, kind in _KIND_BY_CONSTRUCTION.items()}
 
 
-def _qecc(code: Code, kind: InnerProductKind, budget: int | None) -> QeccParams:
+def qecc(code: Code, kind: InnerProductKind, budget: int | None = None) -> QeccParams:
     """Quantum code from a code self-orthogonal under ``kind``, distance
     from the certified dual distance.  CSS takes qudits of dimension q and
     the code twice (X and Z); the Hermitian and symplectic routes take
@@ -75,19 +75,19 @@ def _qecc(code: Code, kind: InnerProductKind, budget: int | None) -> QeccParams:
 def css_qecc(code: LinearCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a Euclidean self-orthogonal [n, k] code:
     n - 2k logical qudits, distance from the certified dual distance."""
-    return _qecc(code, InnerProductKind.EUCLIDEAN, budget)
+    return qecc(code, InnerProductKind.EUCLIDEAN, budget)
 
 
 def hermitian_qecc(code: LinearCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a Hermitian self-orthogonal code over GF(q^2):
     qudits of dimension q, n - 2k logical, distance from the Hermitian dual."""
-    return _qecc(code, InnerProductKind.HERMITIAN, budget)
+    return qecc(code, InnerProductKind.HERMITIAN, budget)
 
 
 def symplectic_qecc(code: AdditiveCode, budget: int | None = None) -> QeccParams:
     """Quantum code from a symplectically self-orthogonal additive code
     over GF(p^(2m)): qudits of dimension p^m, k = n - k_p/m logical."""
-    return _qecc(code, InnerProductKind.SYMPLECTIC, budget)
+    return qecc(code, InnerProductKind.SYMPLECTIC, budget)
 
 
 def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None) -> QeccParams:

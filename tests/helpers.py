@@ -308,3 +308,17 @@ def inverse_spectrum_2d(sp) -> tuple[tuple[int, ...], ...]:
             row.append(spec.mul(scale, acc))
         out.append(tuple(row))
     return tuple(out)
+
+
+def cyclic_oracle(spec: FieldSpec, n: int, zeros) -> LinearCode:
+    """The cyclic code of length n | q-1 generated by the polynomial
+    g = prod_{z in zeros} (X - alpha^z), alpha = ``spec.root_of_unity(n)``,
+    multiplied out one root at a time: its rows are the n - deg g shifts
+    X^i g(X) of g's coefficients."""
+    alpha = spec.root_of_unity(n)
+    g = [1]  # little-endian coefficients
+    for z in zeros:
+        r = spec.neg(spec.power(alpha, z))
+        g = [spec.add(a, spec.mul(r, b)) for a, b in zip([0] + g, g + [0])]  # g * (X + r)
+    rows = [[0] * i + g + [0] * (n - len(g) - i) for i in range(n - len(g) + 1)]
+    return LinearCode(Matrix(spec, rows, ncols=n))

@@ -238,3 +238,50 @@ def test_reproduce_paper_detects_corruption(capsys, tmp_path, monkeypatch):
     failed = out["report"]["failed"]
     assert list(failed) == ["hamming-dual-chain"]
     assert any("/qecc/k" in d for d in failed["hamming-dual-chain"])
+
+
+def test_write_golden_regenerates_every_golden_byte_for_byte(capsys, tmp_path, monkeypatch):
+    committed = cli._golden_dir()
+    golden = tmp_path / "golden"  # an empty directory, not a copy of the goldens
+    monkeypatch.setattr(cli, "_golden_dir", lambda: golden)
+    code, payload = run_json(capsys, "reproduce-paper", "--write-golden")
+    assert code == 0 and payload["report"]["written"] == str(golden)
+    names = sorted(p.name for p in committed.glob("*.json"))
+    assert len(names) == 8
+    assert sorted(p.name for p in golden.iterdir()) == names
+    for name in names:
+        assert (golden / name).read_bytes() == (committed / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("descriptor", ["hamming_dual(0,2)", "cyclic(4,0)"])
+def test_empty_length_descriptor_is_a_descriptor_error(capsys, descriptor):
+    code, payload = run_json(capsys, "build", "--code", descriptor)
+    assert code == 1
+    assert payload["error"]["type"] == "DescriptorError"
+
+
+ADDITIVE_BAND = ("--code1", "simplex(2,2)", "--code2", "additive(quaternary_hamming_dual_5)")
+
+
+def test_conv_kind_defaults_to_the_kind_of_code2(capsys):
+    _, linear = run_json(capsys, "conv", "check", "--code1", "hamming_dual(3,2)",
+                         "--code2", "hamming_dual(3,2)")
+    assert linear["report"]["band"]["kind"] == "euclidean"
+    code, additive = run_json(capsys, "conv", "check", *ADDITIVE_BAND)
+    assert code == 0 and additive["report"]["band"]["kind"] == "symplectic"
+
+
+def test_conv_symplectic_kind_lifts_a_linear_code2(capsys):
+    _, lifted = run_json(capsys, "conv", "build", "--code1", "simplex(2,2)",
+                         "--code2", "quaternary_hamming_dual_5", "--kind", "symplectic")
+    _, additive = run_json(capsys, "conv", "build", *ADDITIVE_BAND)
+    assert lifted["report"] == additive["report"]
+    assert lifted["report"]["band"]["self_orthogonal_band"] is True
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hermitian"])
+def test_conv_linear_kind_rejects_an_additive_code2(capsys, kind):
+    code, payload = run_json(capsys, "conv", "build", *ADDITIVE_BAND, "--kind", kind)
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert f"not {kind}" in payload["error"]["message"]

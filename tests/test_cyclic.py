@@ -4,35 +4,60 @@ import random
 
 import pytest
 
-from helpers import flat_to_grid, inverse_spectrum_2d
-from qproduct.code import distance_at_least, find_low_weight_word, min_distance
-from qproduct.cyclic import (CyclicCode, bch_rectangle_bound, cyclic_from_roots,
-                             dual_generator_poly, dual_support_map, poly_eval,
-                             product_spectrum_support, rs_code,
-                             rs_product_dual_certificate, rs_product_params, spectrum_2d,
-                             x_n_minus_1)
+from helpers import cyclic_oracle, flat_to_grid, inverse_spectrum_2d
+from qproduct.code import LinearCode, distance_at_least, find_low_weight_word, min_distance
+from qproduct.cyclic import (bch_rectangle_bound, cyclic_from_roots, dual_support_map,
+                             product_spectrum_support, rs_code, rs_product_dual_certificate,
+                             rs_product_params, spectrum_2d)
 from qproduct.galois import GF
-from qproduct.matrix import InnerProductKind
+from qproduct.matrix import InnerProductKind, Matrix
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
 
 
+def mapped_complement(zeros, n):
+    """The zeros of the Euclidean dual of the cyclic code with zero set
+    ``zeros``: the complement in Z_n, mapped by i -> -i mod n."""
+    return frozenset(dual_support_map(i, n, E) for i in range(n) if i not in zeros)
+
+
 def test_cyclic_from_roots_basic():
     c = cyclic_from_roots(8, 7, [0, 1, 2])
-    assert (c.n, c.k) == (7, 4)
+    assert (c.n, c.k) == (7, 4) and c.zeros == frozenset({0, 1, 2})
+    assert cyclic_from_roots(8, 7, [8, -1]).zeros == frozenset({1, 6})  # exponents mod n
     c_full = cyclic_from_roots(8, 7, [])
-    assert c_full.k == 7 and c_full.gen_poly == (1,)
+    assert c_full.k == 7 and c_full.zeros == frozenset()
 
 
 def test_cyclic_from_roots_rejects_bad_length():
-    with pytest.raises(ValueError):
-        cyclic_from_roots(4, 5, [0])
+    for n in (5, 0, -3):
+        with pytest.raises(ValueError):
+            cyclic_from_roots(4, n, [0])
 
 
 def test_cyclic_from_roots_rejects_duplicates():
     with pytest.raises(ValueError):
         cyclic_from_roots(8, 7, [1, 1])
+    with pytest.raises(ValueError):
+        cyclic_from_roots(8, 7, [2, 9])  # equal mod n
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16])
+def test_cyclic_code_matches_the_generator_polynomial_oracle(q):
+    """The kernel of the check rows is the code of prod (X - alpha^z):
+    random zero sets at every length n | q-1, and every RS code."""
+    spec = GF(q)
+    rng = random.Random(q)
+    for n in (n for n in range(1, q) if (q - 1) % n == 0):
+        for size in range(n + 1):
+            zeros = rng.sample(range(n), size)
+            code = cyclic_from_roots(spec, n, zeros)
+            assert code.code == cyclic_oracle(spec, n, zeros) and code.k == n - size
+    for delta in range(2, q):
+        rs = rs_code(spec, delta)
+        assert rs.code == cyclic_oracle(spec, q - 1, range(delta - 1))
+        assert rs.code.claimed_distance == delta
 
 
 def test_rs_parameters():
@@ -61,30 +86,33 @@ def test_rs_is_mds(q):
 
 @pytest.mark.parametrize("q,n", [(8, 7), (5, 4), (4, 3), (9, 8), (9, 4)])
 def test_dual_generator_poly_matches_kernel(q, n):
+    """The Euclidean dual of the cyclic code with zeros Z is the cyclic
+    code on the mapped complement of Z: the library's kernel equals the
+    code of the dual's generator polynomial, prod (X - alpha^z) over that
+    complement, and mapping the complement twice gives Z back."""
     spec = GF(q)
     rng = random.Random(q * n)
-    alpha = spec.root_of_unity(n)
     for _ in range(6):
         exps = sorted(rng.sample(range(n), rng.randint(0, n - 1)))
         code = cyclic_from_roots(spec, n, exps)
-        h = dual_generator_poly(spec, code.gen_poly, n)
-        assert CyclicCode(spec, n, h).code == code.code.dual(E)
+        dual_zeros = mapped_complement(code.zeros, n)
+        assert cyclic_oracle(spec, n, dual_zeros) == code.code.dual(E)
+        assert cyclic_from_roots(spec, n, dual_zeros).code == code.code.dual(E)
         # involution
-        assert dual_generator_poly(spec, h, n) == code.gen_poly
+        assert mapped_complement(dual_zeros, n) == code.zeros
 
 
 def test_dual_generator_poly_extremes():
+    """No zeros is the full space (generator 1) and every zero the zero
+    code (generator X^n - 1); each is the other's dual."""
     spec = GF(8)
-    assert dual_generator_poly(spec, x_n_minus_1(spec, 7), 7) == (1,)
-    full = dual_generator_poly(spec, (1,), 7)
-    assert full == tuple(x_n_minus_1(spec, 7))
-
-
-def test_dual_generator_poly_requires_divisor():
-    spec = GF(8)
-    # X^2 + X + 1 has no roots in GF(8), while X^7 - 1 splits there
-    with pytest.raises(ValueError):
-        dual_generator_poly(spec, (1, 1, 1), 7)
+    full = cyclic_from_roots(spec, 7, [])
+    zero = cyclic_from_roots(spec, 7, range(7))
+    assert full.code == LinearCode(Matrix.identity(spec, 7)) == cyclic_oracle(spec, 7, [])
+    assert zero.k == 0 and zero.code == cyclic_oracle(spec, 7, range(7))
+    assert mapped_complement(full.zeros, 7) == zero.zeros
+    assert mapped_complement(zero.zeros, 7) == full.zeros
+    assert full.code.dual(E) == zero.code and zero.code.dual(E) == full.code
 
 
 def test_spectrum_zero_and_impulse():
@@ -173,18 +201,25 @@ def test_dual_support_map_requires_frobenius_power():
 
 @pytest.mark.parametrize("delta", range(2, 8))
 def test_dual_spectrum_is_mapped_complement(delta):
-    """The dual's generator roots sit exactly at the coordinate-mapped
-    complement of the primal root positions."""
+    """The dual's zeros, the exponents i at which every dual word c has
+    c(alpha^i) = 0, sit exactly at the coordinate-mapped complement of the
+    primal zeros."""
     spec = GF(8)
     n = 7
     alpha = spec.root_of_unity(n)
     code = rs_code(spec, delta)
-    h = dual_generator_poly(spec, code.gen_poly, n)
-    primal_zero = {i for i in range(n)
-                   if poly_eval(spec, code.gen_poly, spec.power(alpha, i)) == 0}
-    dual_zero = {i for i in range(n) if poly_eval(spec, h, spec.power(alpha, i)) == 0}
-    mapped = {dual_support_map(i, n, E) for i in range(n) if i not in primal_zero}
-    assert dual_zero == mapped
+    dual = code.code.dual(E)
+
+    def evaluate(word, x):
+        acc = 0
+        for j, c in enumerate(word):
+            acc = spec.add(acc, spec.mul(c, spec.power(x, j)))
+        return acc
+
+    dual_zero = {i for i in range(n)
+                 if all(evaluate(row, spec.power(alpha, i)) == 0 for row in dual.generator.rows)}
+    assert dual_zero == mapped_complement(code.zeros, n)
+    assert cyclic_from_roots(spec, n, mapped_complement(code.zeros, n)).code == dual
 
 
 def test_bch_rectangle_bound_values():
@@ -281,3 +316,21 @@ def test_rs_product_dual_certificate_beyond_small_support():
     cert = rs_product_dual_certificate(8, 5, 5)
     assert cert.lower_method == "bch-rectangle"
     assert cert.exact and cert.value == 4
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_product_spectrum_support_frees_one_position_per_dimension(q):
+    """The free (unforced) spectral positions of a bicyclic product are
+    its degrees of freedom: their count is the product's dimension, and
+    the forced ones are the rows of the first factor's zeros and the
+    columns of the second's."""
+    from qproduct.product import product
+
+    spec = GF(q)
+    for d1 in range(2, q):
+        for d2 in range(2, q):
+            c1, c2 = rs_code(spec, d1), rs_code(spec, d2)
+            mask = product_spectrum_support(c1, c2)
+            assert sum(not m for row in mask for m in row) == product(c1.code, c2.code).k
+            assert all(mask[i][j] for i in range(d1 - 1) for j in range(q - 1))
+            assert all(mask[i][j] for i in range(q - 1) for j in range(d2 - 1))
