@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time and first-use memory of the exhaustive scan, of a weight
-enumerator found by the MacWilliams transform and of the low-weight
-search, per shape.
+enumerator found by the MacWilliams transform, of an exhaustive distance
+certificate and of the low-weight search, per shape.
 
     python3 scripts/scan_profile.py [--repeats 3]
 
@@ -15,7 +15,13 @@ on every run.  The transform shape is ``weight_enumerator`` of the
 2^22-word Euclidean dual of hamming_dual(3,2) x [4,2]_2 (the CSS job of
 the enumerate workload), found from one counted scan of the 2^6-word
 product and the transform; each call starts without cached counts, and
-the codes are built before the clock starts.  A search shape is a code
+the codes are built before the clock starts.  The min_distance shape is
+the certificate of the (15, 2^22) symplectic dual of the additive-chain
+pipeline, simplex(2,2) x the additive quaternary_hamming_dual_5: one
+counted scan of the 2^8-word product, the transform, and a walk of the
+dual that stops at its first word of the least weight; each call starts
+without cached counts (compare the full walk of the random rows of the
+same shape, ``scan q=4 n=15 rows=22``).  A search shape is a code
 above the enumeration budget: the Euclidean dual of an RS product
 rs(q, q-mu1) x rs(q, q-mu2), whose weight-4 search runs in full, or the
 91-column dual of the binary hamming_dual(3,2) band, the window of its
@@ -50,6 +56,7 @@ SCAN_SHAPES = (
     (2, 28, 22, True),
     ("transform",),       # a dual of that shape: its weight enumerator by the transform
     (4, 15, 22, False),   # the (15, 2^22) symplectic dual of the additive chain
+    ("min_distance",),    # that dual's certificate, stopped at its known minimum
     (4, 15, 22, True),
     (8, 30, 12, False),   # GF(8) with 3n > 64
     (2, 100, 14, True),   # p = 2 with n > 64: two lanes per plane
@@ -128,6 +135,25 @@ def profile_transform(repeats: int) -> dict:
             "ms": round(median * 1e3, 2), "words_per_s": ""}
 
 
+def profile_min_distance(repeats: int) -> dict:
+    """The min_distance shape, in this interpreter."""
+    from qproduct.catalog import quaternary_hamming_dual_5, simplex
+    from qproduct.code import AdditiveCode, min_distance
+    from qproduct.product import product_additive
+
+    prod = product_additive(simplex(2, 2), AdditiveCode.from_linear(quaternary_hamming_dual_5()))
+    dual = prod.symplectic_dual()
+
+    def certify() -> None:
+        prod._weights = dual._weights = None  # count and walk afresh each time
+        min_distance(dual)
+
+    growth, first, median = first_and_repeats(certify, repeats)
+    return {"shape": f"min_distance n={dual.n} dual=2^{dual.dim}",
+            "first_rss_kib": round(growth / 1024), "first_ms": round(first * 1e3, 2),
+            "ms": round(median * 1e3, 2), "words_per_s": ""}
+
+
 def search_code(shape: tuple):
     from qproduct.catalog import hamming_dual
     from qproduct.code import spanned_code
@@ -177,6 +203,8 @@ def main() -> None:
         shape = json.loads(args.shape)
         if shape[0] == "transform":
             result = profile_transform(args.repeats)
+        elif shape[0] == "min_distance":
+            result = profile_min_distance(args.repeats)
         elif isinstance(shape[0], str):
             result = profile_search(tuple(shape), args.repeats)
         else:

@@ -20,8 +20,9 @@ from .code import AdditiveCode, LinearCode, distance_at_least, min_distance, spa
 from .convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
                             check_band_self_orthogonal, conv_from_product,
                             free_distance_upper_bound, tail_biting, tail_biting_qecc)
-from .cyclic import (CyclicCode, _rs_product_dual_certificate, cyclic_from_roots,
-                     dual_support_map, product_spectrum_support, rs_code, rs_product_params)
+from .cyclic import (CyclicCode, _rs_product_dual_certificate, _rs_product_report,
+                     cyclic_from_roots, dual_support_map, product_spectrum_support, rs_code,
+                     rs_product_params)
 from .galois import GF
 from .matrix import InnerProductKind, from_text
 from .product import dual_distance_ceiling, dual_of_product_generator, product, product_additive
@@ -385,17 +386,18 @@ def _pipeline_rs_product_grid(budget) -> dict:
                 continue
             for mu2 in range(1, q - 1):
                 delta1, delta2 = q - mu1, q - mu2
-                rep = rs_product_params(q, delta1, delta2)
+                c1, c2 = rs_code(q, delta1), rs_code(q, delta2)
+                prod = product(c1.code, c2.code)
+                rep = _rs_product_report(c1, c2, prod)
                 entry = rep.to_dict()
                 entry["mu"] = [mu1, mu2]
-                prod = product(rs_code(q, delta1).code, rs_code(q, delta2).code)
                 entry["dimensions_match"] = (prod.k == rep.dimension
                                              and prod.n - prod.k == rep.dual_dimension)
-                rect = _rs_product_dual_certificate(prod, delta1, delta2, budget)
+                dual = prod.dual(InnerProductKind.EUCLIDEAN)
+                cert = min_distance(dual, budget=budget) if q <= 5 else None
+                rect = _rs_product_dual_certificate(prod, delta1, delta2, budget, cert)
                 entry["rectangle_certificate"] = rect.to_dict()
                 if q <= 5:
-                    dual = prod.dual(InnerProductKind.EUCLIDEAN)
-                    cert = min_distance(dual, budget=budget)
                     entry["certified_dual_distance"] = cert.to_dict()
                     entry["matches_stated"] = cert.exact and cert.value == rep.stated_dual_distance
                     entry["matches_corrected"] = (cert.exact

@@ -15,7 +15,8 @@ pairs and compared as one void key per sum.  A certificate never reports
 
 A weight enumerator is counted by the same scan, once per code, on the
 smaller side: a dual whose primal has no more words takes the primal's
-counts through the MacWilliams transform, in exact integers.
+counts through the MacWilliams transform, in exact integers.  Known counts
+stop a certificate's walk at its first word of their least nonzero weight.
 """
 from __future__ import annotations
 
@@ -128,12 +129,15 @@ def _unpack(word: int, bits: int, n: int) -> tuple[int, ...]:
 
 
 def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
-                     counts: list[int] | None = None) -> tuple[int, tuple[int, ...] | None]:
+                     counts: list[int] | None = None,
+                     floor: int = 0) -> tuple[int, tuple[int, ...] | None]:
     """Minimum weight over the words at steps t >= 1 of the Gray walk of
     the GF(p)-span of rows (the minimum nonzero weight when the rows are
     independent), with the first word of that weight in Gray order as
     witness ((n + 1, None) when there are no rows).  With ``counts``, also
-    tallies every word's weight, the zero word included."""
+    tallies every word's weight, the zero word included.  Without it, the
+    walk ends after the first block with a word of weight <= ``floor``, the
+    whole walk's witness when no word is lighter (blocks go in walk order)."""
     p, ell, K = spec.p, spec.ell, len(rows)
     # a word is ell planes of L lanes; an odd-p digit fills a field of f bytes
     if p == 2:
@@ -199,6 +203,8 @@ def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
             if k in ws:
                 best_w, best = k, add(T[ws.index(k)], offset)
                 break
+        if counts is None and best_w <= floor:
+            break
     if best is None:
         return best_w, None
     if p == 2:
@@ -643,7 +649,12 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     """Minimum-distance certificate: exact by enumeration within budget,
     otherwise one complete search for a word of weight <= 4.  A witness
     of weight w proves d = w; without one, d >= 5 and no upper bound is
-    known."""
+    known.  Within budget the witness is the first lightest word of the
+    Gray walk.  A walk of more than one block stops at its first word of
+    weight ``floor``: 1, as independent rows give no zero word after step
+    0, or, when the counts are cached or a smaller primal's transform,
+    their least nonzero weight; a walk that ends elsewhere then raises.
+    The method stays "exhaustive": a count of every word, on either side."""
     budget = enumeration_budget(budget)
     n = code.n
     claimed = code.claimed_distance
@@ -651,7 +662,11 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
         return DistanceCertificate(lower=n + 1, upper=n + 1, lower_method="exhaustive",
                                    witness=None, degenerate=True, claimed=claimed)
     if code.size() <= budget:
-        w, witness = _exhaustive_scan(code.spec, code.expanded_generators(), n)
+        known = _weight_counts(code, budget, scan=False) if code.size() > SCAN_BLOCK else None
+        floor = min(w for w in known if w) if known else 1
+        w, witness = _exhaustive_scan(code.spec, code.expanded_generators(), n, floor=floor)
+        if known and w != floor:
+            raise AssertionError(f"the walk ends at weight {w}, the weight counts at {floor}")
         return DistanceCertificate(lower=w, upper=w, lower_method="exhaustive",
                                    witness=witness, claimed=claimed)
     witness = find_low_weight_word(code, max_w=4)
@@ -699,16 +714,22 @@ def weight_enumerator(code: Code, budget: int | None = None) -> dict[int, int]:
     primal is the larger code; any other code, or a dual whose primal is
     gone, is counted by the exhaustive scan.  Raises ValueError when the
     code has more words than the budget."""
-    budget = enumeration_budget(budget)
+    return dict(_weight_counts(code, enumeration_budget(budget)))
+
+
+def _weight_counts(code: Code, budget: int, scan: bool = True) -> dict[int, int] | None:
+    """``weight_enumerator``'s counts, not copied; without ``scan``, None if they need a scan."""
     if code.size() > budget:
         raise ValueError(f"code size {code.size()} exceeds budget {budget}")
     if code._weights is None:
         primal = code._primal() if code._primal else None
         if primal is not None and primal.size() <= code.size():
-            code._weights = macwilliams_transform(weight_enumerator(primal, budget),
+            code._weights = macwilliams_transform(_weight_counts(primal, budget),
                                                   code.n, code.spec.q)
+        elif not scan:
+            return None
         else:
             counts = [0] * (code.n + 1)
             _exhaustive_scan(code.spec, code.expanded_generators(), code.n, counts=counts)
             code._weights = {w: c for w, c in enumerate(counts) if c}
-    return dict(code._weights)
+    return code._weights

@@ -13,9 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import DistanceCertificate, LinearCode, min_distance
+from .code import DistanceCertificate, LinearCode, enumeration_budget, min_distance
 from .galois import GF, FieldSpec, field_tables
 from .matrix import InnerProductKind, Matrix
+from .product import product
 
 
 class CyclicCode:
@@ -173,21 +174,23 @@ def rs_product_dual_certificate(q: int, delta1: int, delta2: int,
     is None without one.
     """
     spec = GF(q)
-    from .product import product  # local import to avoid a cycle at module load
-
     prod = product(rs_code(spec, delta1).code, rs_code(spec, delta2).code)
     return _rs_product_dual_certificate(prod, delta1, delta2, budget)
 
 
 def _rs_product_dual_certificate(prod: LinearCode, delta1: int, delta2: int,
-                                 budget: int | None) -> DistanceCertificate:
-    """``rs_product_dual_certificate`` for the product, already built."""
-    cert = min_distance(prod.dual(InnerProductKind.EUCLIDEAN), budget=budget)
-    if cert.lower_method == "exhaustive":
-        return cert
+                                 budget: int | None,
+                                 cert: DistanceCertificate | None = None) -> DistanceCertificate:
+    """``rs_product_dual_certificate`` for the product, already built, and
+    the dual's ``min_distance`` ``cert`` if known.  Above the budget, a
+    rectangle bound >= 5 leaves the weight-4 search nothing to find."""
+    dual = prod.dual(InnerProductKind.EUCLIDEAN)
     q = prod.spec.q
     rect_lower = bch_rectangle_bound(q - delta1, q - delta2)
-    if rect_lower < cert.lower:
+    if cert is None and rect_lower >= 5 and dual.size() > enumeration_budget(budget):
+        return DistanceCertificate(lower=rect_lower, upper=None, lower_method="bch-rectangle")
+    cert = cert or min_distance(dual, budget=budget)
+    if cert.lower_method == "exhaustive" or rect_lower < cert.lower:
         return cert
     return DistanceCertificate(lower=rect_lower, upper=cert.upper,
                                lower_method="bch-rectangle", witness=cert.witness,
@@ -204,14 +207,13 @@ def rs_product_params(q: int, delta1: int, delta2: int) -> RsProductReport:
     corrected 1 + min(q-delta1, q-delta2).
     """
     spec = GF(q)
-    for d in (delta1, delta2):
-        if not 2 <= d <= q - 1:
-            raise ValueError(f"designed distance must be in [2, q-1], got {d}")
-    c1 = rs_code(spec, delta1)
-    c2 = rs_code(spec, delta2)
-    from .product import product  # local import to avoid a cycle at module load
+    c1, c2 = rs_code(spec, delta1), rs_code(spec, delta2)
+    return _rs_product_report(c1, c2, product(c1.code, c2.code))
 
-    prod = product(c1.code, c2.code)
+
+def _rs_product_report(c1: CyclicCode, c2: CyclicCode, prod: LinearCode) -> RsProductReport:
+    """``rs_product_params`` for the factors and their product, already built."""
+    q, delta1, delta2 = prod.spec.q, c1.code.claimed_distance, c2.code.claimed_distance
     n = (q - 1) ** 2
     k = (q - delta1) * (q - delta2)
     if prod.n != n or prod.k != k:

@@ -253,6 +253,30 @@ def test_write_golden_regenerates_every_golden_byte_for_byte(capsys, tmp_path, m
         assert (golden / name).read_bytes() == (committed / name).read_bytes(), name
 
 
+def test_rs_product_grid_builds_each_product_once(monkeypatch):
+    """The grid's 33 entries build two RS factors and one product each,
+    and hand them to the report and the dual certificate."""
+    import qproduct.cyclic as cyclic_module
+    import qproduct.product as product_module
+
+    calls = {"product": 0, "rs_code": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name, real in (("product", product_module.product), ("rs_code", cyclic_module.rs_code)):
+        wrapped = counted(name, real)
+        for module in (cli, cyclic_module, product_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    grid = cli.PIPELINES["rs-product-grid"](None)
+    assert sum(len(entries) for entries in grid.values()) == 33
+    assert calls == {"product": 33, "rs_code": 66}
+
+
 @pytest.mark.parametrize("descriptor", ["hamming_dual(0,2)", "cyclic(4,0)"])
 def test_empty_length_descriptor_is_a_descriptor_error(capsys, descriptor):
     code, payload = run_json(capsys, "build", "--code", descriptor)

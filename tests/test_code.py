@@ -305,21 +305,22 @@ def test_weight_enumerator_budget_error():
 
 
 def test_weight_enumerator_counts_a_code_once(monkeypatch):
-    """The CSS transfer product hamming_dual(3,2) x [4,2]_2: its 2^22-word
-    dual is scanned once, uncounted, by the distance certificate.  Its
-    weight enumerator is the MacWilliams transform of one counted scan of
-    the 2^6-word product, which the stabilizer distance then reuses.  A
-    dual whose product is gone is counted by its own scan, to the same
-    counts."""
+    """The CSS transfer product hamming_dual(3,2) x [4,2]_2: its weight
+    enumerator is the MacWilliams transform of one counted scan of the
+    2^6-word product.  The distance certificate reads it first, and walks
+    the 2^22-word dual once, uncounted, down to the enumerator's minimum
+    weight; the stabilizer distance then reuses the counts.  A dual whose
+    product is gone is counted by its own scan, to the same counts."""
     from qproduct.product import product
     from qproduct.quantum import css_qecc, stabilizer_distance
 
-    scans = []
+    scans, floors = [], []
     real = code_module._exhaustive_scan
 
-    def counted(spec, rows, n, counts=None):
+    def counted(spec, rows, n, counts=None, floor=0):
         scans.append((len(rows), counts is not None))
-        return real(spec, rows, n, counts)
+        floors.append(floor)
+        return real(spec, rows, n, counts, floor)
 
     monkeypatch.setattr(code_module, "_exhaustive_scan", counted)
     c1 = LinearCode.from_rows(GF(2), [[1, 1, 0, 0], [0, 0, 1, 1]])
@@ -330,7 +331,8 @@ def test_weight_enumerator_counts_a_code_once(monkeypatch):
     assert stabilizer_distance(prod, "css") is not None
     table[0] = 0  # the caller's copy; the cached counts stay intact
     assert weight_enumerator(dual)[0] == 1
-    assert scans == [(22, False), (6, True)]
+    assert scans == [(6, True), (22, False)]
+    assert floors[1] == min(w for w in weight_enumerator(dual) if w)
 
     scans.clear()
     orphan = product(c1, hamming_dual(3, 2)).dual(E)  # nothing else holds the product
@@ -382,6 +384,86 @@ def test_dual_weight_enumerator_matches_the_counted_scan(case):
     assert list(table) == sorted(table)
     assert macwilliams_transform(weight_enumerator(code), code.n, code.spec.q) == table
     assert weight_enumerator(dual.dual(kind)) == brute_weight_enumerator(code)
+
+
+@st.composite
+def _distance_cases(draw):
+    """A code over GF(2..9) in an ambient space of at most 2^13 words and
+    a kind it takes duals under: random, rank-deficient (one row the sum of
+    two others), the zero code or the full space; and whether its weight
+    counts are cached before its certificate is asked for."""
+    spec = GF(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    kind = draw(st.sampled_from([E] + ([H, S] if spec.ell % 2 == 0 else [])))
+    n = draw(st.integers(1, max(m for m in range(1, 14) if spec.q**m <= 1 << 13)))
+    scalars = [spec.p**t for t in range(spec.ell)] if kind is S else [1]
+    shape = draw(st.sampled_from(["random", "deficient", "zero", "full"]))
+    if shape == "zero":
+        rows = []
+    elif shape == "full":
+        rows = [[a if j == i else 0 for j in range(n)] for i in range(n) for a in scalars]
+    else:
+        row = st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
+        rows = draw(st.lists(row, min_size=1, max_size=n * len(scalars)))
+        if shape == "deficient":
+            rows.append([spec.add(x, y) for x, y in zip(rows[0], rows[-1])])
+    cls = AdditiveCode if kind is S else LinearCode
+    return cls.from_rows(spec, rows, n=n), kind, draw(st.booleans())
+
+
+@pytest.mark.parametrize("block", ["p", "small", "default"])
+@settings(max_examples=50, deadline=None)
+@given(case=_distance_cases())
+def test_min_distance_equals_the_full_walk(block, case):
+    """The walk that stops at the floor gives the certificate of the full
+    walk, for a code and its dual, with counts cached or not."""
+    code, kind, counted = case
+    size = {"p": code.spec.p, "small": 1 << 6, "default": code_module.SCAN_BLOCK}[block]
+    with mock.patch.object(code_module, "SCAN_BLOCK", size):
+        for c in (code, code.dual(kind)):
+            if counted:
+                weight_enumerator(c)
+            w, witness = code_module._exhaustive_scan(c.spec, c.expanded_generators(), c.n)
+            cert = min_distance(c)
+            assert (cert.lower, cert.upper, cert.witness) == (w, w, witness)
+            assert cert.lower_method == "exhaustive"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_scan_floor_ends_the_walk_after_its_block(q):
+    """The last row repeats the first, so a later block holds the zero word
+    at a step t >= 1.  With floor 0 the walk runs on to it; with the floor
+    at the lightest weight of block 0, the span of the first a rows, the
+    walk ends after block 0 with its witness.  A counting walk never stops."""
+    spec, a, n = GF(q), 3, 9
+    rng = random.Random(300 + q)
+    rows = [tuple(1 if i in (j, a + j) else rng.randrange(q) * (i >= 2 * a) for i in range(n))
+            for j in range(a)]
+    rows.append(rows[0])
+    w0, witness0 = code_module._exhaustive_scan(spec, rows[:a], n)
+    assert w0 >= 1
+    want = [0] * (n + 1)
+    assert gray_scan(spec, rows, n, want) == (0, (0,) * n)
+    with mock.patch.object(code_module, "SCAN_BLOCK", spec.p**a):
+        assert code_module._exhaustive_scan(spec, rows, n) == (0, (0,) * n)
+        assert code_module._exhaustive_scan(spec, rows, n, floor=w0) == (w0, witness0)
+        got = [0] * (n + 1)
+        assert code_module._exhaustive_scan(spec, rows, n, got, floor=w0) == (0, (0,) * n)
+    assert got == want
+
+
+@pytest.mark.parametrize("wrong", [2, 4])
+def test_min_distance_refuses_a_walk_that_misses_the_counted_minimum(monkeypatch, wrong):
+    """The [15, 11, 3] Hamming code walked in blocks of 2^6 words: counts
+    that put its minimum at 2 or 4 make the walk end at weight 3, and the
+    certificate is refused."""
+    primal = hamming_dual(4, 2)
+    code = primal.dual(E)
+    monkeypatch.setattr(code_module, "SCAN_BLOCK", 1 << 6)
+    assert min_distance(code).value == 3
+    monkeypatch.setattr(code_module, "_weight_counts",
+                        lambda code, budget, scan=True: {0: 1, wrong: 1})
+    with pytest.raises(AssertionError, match="weight counts"):
+        min_distance(code)
 
 
 def test_additive_from_linear_size():

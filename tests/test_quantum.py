@@ -144,9 +144,10 @@ def test_rs_prod_qecc_builds_the_product_once(monkeypatch):
 
 @pytest.mark.parametrize("q,mu,lower", [(13, 5, 6), (16, 7, 8)])
 def test_rs_prod_qecc_above_the_budget(monkeypatch, q, mu, lower):
-    """The duals hold q^(n - mu^2) words, far above the budget: one search
-    finds no word of weight <= 4, and the rectangle bound lifts the lower
-    bound to 1 + mu, with no upper bound.  GF(16) is an extension field."""
+    """The duals hold q^(n - mu^2) words, far above the budget, and the
+    rectangle bound 1 + mu >= 5 already rules out a word of weight <= 4,
+    so the certificate is that bound, with no upper bound and no search.
+    GF(16) is an extension field."""
     import qproduct.code as code_module
 
     found = []
@@ -161,7 +162,27 @@ def test_rs_prod_qecc_above_the_budget(monkeypatch, q, mu, lower):
     assert [distance.lower, distance.upper] == [lower, None]
     assert distance.lower_method == "bch-rectangle"
     assert distance.witness is None
-    assert found == [(4, None)]
+    assert found == []
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_rectangle_bound_above_five_leaves_the_search_nothing(q):
+    """The RS product certificate skips the weight-4 search when the dual
+    is above the budget and the rectangle bound is at least 5; on every
+    such product with q <= 9 the search indeed finds nothing."""
+    from qproduct.code import enumeration_budget, find_low_weight_word
+    from qproduct.cyclic import bch_rectangle_bound, rs_code
+
+    cases = 0
+    for delta1 in range(2, q):
+        for delta2 in range(2, q):
+            if bch_rectangle_bound(q - delta1, q - delta2) < 5:
+                continue
+            dual = product(rs_code(q, delta1).code, rs_code(q, delta2).code).dual(E)
+            assert dual.size() > enumeration_budget()
+            assert find_low_weight_word(dual) is None
+            cases += 1
+    assert cases == (q - 5) ** 2
 
 
 def test_rs_prod_qecc_rejects_large_mu1():
