@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 from .code import AdditiveCode, Code, LinearCode
-from .cyclic import cyclic_from_roots, rs_code
+from .cyclic import CyclicCode, cyclic_from_roots, rs_code
 from .galois import GF, FieldSpec
 from .matrix import InnerProductKind, Matrix, from_text
 from .product import product, product_additive
@@ -132,7 +132,7 @@ def _resolve(node):
             return InnerProductKind(name)
         except ValueError:
             raise DescriptorError(f"unknown name {name!r}; catalog: {_CATALOG_HELP}") from None
-    vals = [_resolve(a) for a in args]
+    vals = [_code_of(_resolve(a)) for a in args]
     try:
         if name == "simplex":
             return simplex(*vals)
@@ -141,10 +141,10 @@ def _resolve(node):
         if name == "hamming_dual":
             return hamming_dual(*vals)
         if name == "rs":
-            return rs_code(*vals).code
+            return rs_code(*vals)
         if name == "cyclic":
             q, n, *roots = vals
-            return cyclic_from_roots(q, n, roots).code
+            return cyclic_from_roots(q, n, roots)
         if name == "product":
             return product(*vals)
         if name == "product_additive":
@@ -162,8 +162,12 @@ def _resolve(node):
     raise DescriptorError(f"unknown constructor {name!r}; catalog: {_CATALOG_HELP}")
 
 
-def parse_descriptor(text: str):
-    """Resolve a descriptor expression to a code object."""
+def _code_of(value):
+    """The code of an rs(...) or cyclic(...) descriptor; anything else as is."""
+    return value.code if isinstance(value, CyclicCode) else value
+
+
+def _resolve_text(text: str):
     tokens = _tokenize(text)
     if not tokens:
         raise DescriptorError("empty descriptor")
@@ -173,9 +177,23 @@ def parse_descriptor(text: str):
         raise DescriptorError(f"unbalanced parentheses in {text!r}") from None
     if pos != len(tokens):
         raise DescriptorError(f"trailing input after descriptor: {tokens[pos:]}")
-    result = _resolve(node)
+    return _resolve(node)
+
+
+def parse_descriptor(text: str):
+    """Resolve a descriptor expression to a code object."""
+    result = _code_of(_resolve_text(text))
     if not isinstance(result, Code):
         raise DescriptorError(f"descriptor {text!r} does not resolve to a code")
+    return result
+
+
+def parse_cyclic(text: str) -> CyclicCode:
+    """Resolve an rs(q, delta) or cyclic(q, n, roots...) descriptor to its
+    cyclic code, zeros included."""
+    result = _resolve_text(text)
+    if not isinstance(result, CyclicCode):
+        raise DescriptorError("spectrum needs rs(q, delta) or cyclic(q, n, roots...) factors")
     return result
 
 

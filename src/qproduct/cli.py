@@ -14,20 +14,18 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .catalog import (DescriptorError, hamming_dual, load_code_json, parse_descriptor,
-                      quaternary_hamming_dual_5, simplex)
+from .catalog import (DescriptorError, hamming_dual, load_code_json, parse_cyclic,
+                      parse_descriptor, quaternary_hamming_dual_5, simplex)
 from .code import AdditiveCode, LinearCode, distance_at_least, min_distance, spanned_code
 from .convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
                             check_band_self_orthogonal, conv_from_product,
-                            free_distance_upper_bound, tail_biting, tail_biting_qecc)
-from .cyclic import (CyclicCode, _rs_product_dual_certificate, _rs_product_report,
-                     cyclic_from_roots, dual_support_map, product_spectrum_support, rs_code,
-                     rs_product_params)
+                            free_distance_upper_bound, tail_biting)
+from .cyclic import dual_support_map, product_spectrum_support, rs_product_params
 from .galois import GF
 from .matrix import InnerProductKind, from_text
 from .product import dual_distance_ceiling, dual_of_product_generator, product, product_additive
-from .quantum import (_KIND_BY_CONSTRUCTION, css_qecc, hermitian_qecc, qecc, rate_comparison,
-                      rs_prod_qecc, stabilizer_distance, symplectic_qecc)
+from .quantum import (_KIND_BY_CONSTRUCTION, qecc, rate_comparison, rs_product_report,
+                      rs_report_qecc, stabilizer_distance, symplectic_qecc)
 
 
 def _field_block(spec) -> dict:
@@ -153,20 +151,6 @@ def cmd_product(args) -> dict:
     return report
 
 
-def _parse_cyclic(expr: str) -> CyclicCode:
-    code = None
-    expr = expr.strip()
-    if expr.startswith("rs(") and expr.endswith(")"):
-        q, delta = (int(x) for x in expr[3:-1].split(","))
-        code = rs_code(q, delta)
-    elif expr.startswith("cyclic(") and expr.endswith(")"):
-        vals = [int(x) for x in expr[7:-1].split(",")]
-        code = cyclic_from_roots(vals[0], vals[1], vals[2:])
-    if code is None:
-        raise DescriptorError("spectrum needs rs(q, delta) or cyclic(q, n, roots...) factors")
-    return code
-
-
 def _support_lines(mask) -> list[str]:
     """Rows j from high to low (the figures' vertical axis), i across."""
     n1 = len(mask)
@@ -178,8 +162,8 @@ def _support_lines(mask) -> list[str]:
 
 
 def cmd_spectrum(args) -> dict:
-    c1 = _parse_cyclic(args.code1)
-    c2 = _parse_cyclic(args.code2)
+    c1 = parse_cyclic(args.code1)
+    c2 = parse_cyclic(args.code2)
     if c1.spec != c2.spec:
         raise DescriptorError("spectrum factors must share one field")
     mask = product_spectrum_support(c1, c2)
@@ -205,9 +189,9 @@ def cmd_qecc(args) -> dict:
     if args.construction == "rs-product":
         if args.q is None or args.mu1 is None or args.mu2 is None:
             raise DescriptorError("rs-product needs --q, --mu1, --mu2")
-        params = rs_prod_qecc(args.q, args.mu1, args.mu2, budget=args.budget)
+        predicted = rs_product_report(args.q, args.mu1, args.mu2)
+        params = rs_report_qecc(predicted, budget=args.budget)
         rates = rate_comparison(args.q, args.mu1, args.mu2)
-        predicted = rs_product_params(args.q, args.q - args.mu1, args.q - args.mu2)
         return {"qecc": params.to_dict(), "rate_comparison": rates.to_dict(),
                 "predicted": predicted.to_dict(), "dual_certificate": params.distance.to_dict()}
     kind = _KIND_BY_CONSTRUCTION[args.construction]
@@ -258,7 +242,7 @@ def cmd_conv(args) -> dict:
         return {"band": _band_block(s), "window_pairwise_orthogonal": oracle}
     # tailbite
     code = tail_biting(s, args.blocks)
-    params = tail_biting_qecc(s, args.blocks, budget=args.budget)
+    params = qecc(code, s.kind, args.budget)
     rank = code.dim
     return {
         "band": _band_block(s),
@@ -274,48 +258,47 @@ def cmd_conv(args) -> dict:
 # ---------------------------------------------------------------------------
 # reference pipelines and golden reports
 
+def _chain(code, kind, budget) -> dict:
+    """The code, its dual under ``kind`` and the quantum code they give."""
+    return {"code": _code_block(code, budget), "dual": _code_block(code.dual(kind), budget),
+            "qecc": qecc(code, kind, budget).to_dict()}
+
+
 def _pipeline_hamming_dual_chain(budget) -> dict:
-    code = hamming_dual(3, 2)
-    dual = code.dual(InnerProductKind.EUCLIDEAN)
-    return {
-        "code": _code_block(code, budget),
-        "dual": _code_block(dual, budget),
-        "qecc": css_qecc(code, budget=budget).to_dict(),
-    }
+    return _chain(hamming_dual(3, 2), InnerProductKind.EUCLIDEAN, budget)
 
 
 def _pipeline_binary_product_chain(budget) -> dict:
     code = hamming_dual(3, 2)
+    kind = InnerProductKind.EUCLIDEAN
     prod = product(code, code)
-    dual = prod.dual(InnerProductKind.EUCLIDEAN)
-    stacked = dual_of_product_generator(code, code, InnerProductKind.EUCLIDEAN)
+    dual = prod.dual(kind)
+    stacked = dual_of_product_generator(code, code, kind)
+    params = qecc(prod, kind, budget)
     return {
         "product": _code_block(prod, budget),
         "claimed_distance": prod.claimed_distance,
         "dual_dimension": dual.k,
-        "dual_distance": min_distance(dual, budget=budget).to_dict(),
+        "dual_distance": params.distance.to_dict(),
         "dual_distance_at_least_3": distance_at_least(dual, 3),
         "dual_distance_at_least_4": distance_at_least(dual, 4),
-        "dual_generator_matches": stacked.same_row_space(dual.generator),
-        "dual_distance_ceiling": dual_distance_ceiling(code, code, InnerProductKind.EUCLIDEAN,
-                                                       budget=budget),
-        "qecc": css_qecc(prod, budget=budget).to_dict(),
+        "dual_generator_matches": spanned_code(kind, prod.spec, stacked.array, prod.n) == dual,
+        "dual_distance_ceiling": dual_distance_ceiling(code, code, kind, budget=budget),
+        "qecc": params.to_dict(),
     }
 
 
 def _pipeline_hermitian_chain(budget) -> dict:
     code = quaternary_hamming_dual_5()
-    dual = code.dual(InnerProductKind.HERMITIAN)
+    kind = InnerProductKind.HERMITIAN
     prod = product(code, code)
-    prod_dual = prod.dual(InnerProductKind.HERMITIAN)
+    params = qecc(prod, kind, budget)
     return {
-        "code": _code_block(code, budget),
-        "dual": _code_block(dual, budget),
-        "qecc": hermitian_qecc(code, budget=budget).to_dict(),
+        **_chain(code, kind, budget),
         "product": _code_block(prod, budget),
-        "product_dual_dimension": prod_dual.k,
-        "product_dual_distance": min_distance(prod_dual, budget=budget).to_dict(),
-        "product_qecc": hermitian_qecc(prod, budget=budget).to_dict(),
+        "product_dual_dimension": prod.dual(kind).k,
+        "product_dual_distance": params.distance.to_dict(),
+        "product_qecc": params.to_dict(),
     }
 
 
@@ -344,14 +327,14 @@ def _pipeline_tail_biting(budget) -> dict:
     out = {}
     for blocks in (2, 3):
         tb = tail_biting(s, blocks)
-        dual = tb.dual(InnerProductKind.EUCLIDEAN)
+        params = qecc(tb, s.kind, budget)
         out[f"N={blocks}"] = {
             "code": [tb.n, tb.k],
             "rank": tb.k,
             "expected_rank": blocks * s.rows_per_frame,
-            "self_orthogonal": tb.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
-            "dual_distance": min_distance(dual, budget=budget).to_dict(),
-            "qecc": tail_biting_qecc(s, blocks, budget=budget).to_dict(),
+            "self_orthogonal": tb.is_self_orthogonal(s.kind),
+            "dual_distance": params.distance.to_dict(),
+            "qecc": params.to_dict(),
         }
     return out
 
@@ -381,22 +364,17 @@ def _pipeline_rs_product_grid(budget) -> dict:
     grid = {}
     for q in (4, 5, 7, 8):
         entries = []
-        for mu1 in range(1, q - 1):
-            if 2 * mu1 >= q - 1:
-                continue
+        for mu1 in range(1, q // 2):  # mu1 < (q-1)/2
             for mu2 in range(1, q - 1):
-                delta1, delta2 = q - mu1, q - mu2
-                c1, c2 = rs_code(q, delta1), rs_code(q, delta2)
-                prod = product(c1.code, c2.code)
-                rep = _rs_product_report(c1, c2, prod)
+                rep = rs_product_params(q, q - mu1, q - mu2)
+                prod = rep.code
                 entry = rep.to_dict()
                 entry["mu"] = [mu1, mu2]
                 entry["dimensions_match"] = (prod.k == rep.dimension
                                              and prod.n - prod.k == rep.dual_dimension)
                 dual = prod.dual(InnerProductKind.EUCLIDEAN)
                 cert = min_distance(dual, budget=budget) if q <= 5 else None
-                rect = _rs_product_dual_certificate(prod, delta1, delta2, budget, cert)
-                entry["rectangle_certificate"] = rect.to_dict()
+                entry["rectangle_certificate"] = rep.dual_certificate(budget, cert).to_dict()
                 if q <= 5:
                     entry["certified_dual_distance"] = cert.to_dict()
                     entry["matches_stated"] = cert.exact and cert.value == rep.stated_dual_distance

@@ -474,15 +474,6 @@ def spanned_code(kind: InnerProductKind, spec: FieldSpec, rows: Iterable[Sequenc
     return cls.from_rows(spec, rows, n=n)
 
 
-def to_additive_over(code: LinearCode, target: FieldSpec) -> AdditiveCode:
-    """The GF(q')-row-span of a prime-field code, as an additive code.
-
-    Each generator row contributes all its x^t multiples over the target
-    field, so the result is the full GF(q')-span.
-    """
-    return AdditiveCode.from_linear(LinearCode(code.generator.over(target)))
-
-
 # ---------------------------------------------------------------------------
 # distance services
 

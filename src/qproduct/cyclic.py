@@ -8,7 +8,7 @@ polynomial is never formed; the check rows (alpha^(z*j))_j define the code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -136,7 +136,8 @@ def bch_rectangle_bound(a: int, b: int) -> int:
 class RsProductReport:
     """Parameters predicted for the product of two Reed-Solomon codes and
     its Euclidean dual, carrying both the stated and the corrected dual
-    distance (they differ by one; see `expected_dual_distance`)."""
+    distance (they differ by one; see `expected_dual_distance`).  ``code``
+    is the product itself, kept out of ``to_dict()``, equality and repr."""
 
     q: int
     delta1: int
@@ -150,6 +151,7 @@ class RsProductReport:
     factor1_self_orthogonal: bool
     factor2_self_orthogonal: bool
     product_self_orthogonal: bool
+    code: LinearCode = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -163,43 +165,33 @@ class RsProductReport:
             "product_self_orthogonal": self.product_self_orthogonal,
         }
 
+    def dual_certificate(self, budget: int | None = None,
+                         cert: DistanceCertificate | None = None) -> DistanceCertificate:
+        """Distance certificate for the product's Euclidean dual, reusing
+        ``cert``, the dual's ``min_distance``, when known.
 
-def rs_product_dual_certificate(q: int, delta1: int, delta2: int,
-                                budget: int | None = None) -> DistanceCertificate:
-    """Distance certificate for the Euclidean dual of an RS product.
-
-    When the dual is too large to enumerate, the rectangle bound supplies
-    the lower bound (it can exceed the 5 that the low-weight search proves
-    on its own); the upper bound comes from a witness of weight <= 4, and
-    is None without one.
-    """
-    spec = GF(q)
-    prod = product(rs_code(spec, delta1).code, rs_code(spec, delta2).code)
-    return _rs_product_dual_certificate(prod, delta1, delta2, budget)
-
-
-def _rs_product_dual_certificate(prod: LinearCode, delta1: int, delta2: int,
-                                 budget: int | None,
-                                 cert: DistanceCertificate | None = None) -> DistanceCertificate:
-    """``rs_product_dual_certificate`` for the product, already built, and
-    the dual's ``min_distance`` ``cert`` if known.  Above the budget, a
-    rectangle bound >= 5 leaves the weight-4 search nothing to find."""
-    dual = prod.dual(InnerProductKind.EUCLIDEAN)
-    q = prod.spec.q
-    rect_lower = bch_rectangle_bound(q - delta1, q - delta2)
-    if cert is None and rect_lower >= 5 and dual.size() > enumeration_budget(budget):
-        return DistanceCertificate(lower=rect_lower, upper=None, lower_method="bch-rectangle")
-    cert = cert or min_distance(dual, budget=budget)
-    if cert.lower_method == "exhaustive" or rect_lower < cert.lower:
-        return cert
-    return DistanceCertificate(lower=rect_lower, upper=cert.upper,
-                               lower_method="bch-rectangle", witness=cert.witness,
-                               claimed=cert.claimed)
+        When the dual is too large to enumerate, the rectangle bound supplies
+        the lower bound (it can exceed the 5 that the low-weight search proves
+        on its own); a bound >= 5 leaves the weight-4 search nothing to find,
+        so it is skipped.  Otherwise the upper bound comes from a witness of
+        weight <= 4, and is None without one.
+        """
+        dual = self.code.dual(InnerProductKind.EUCLIDEAN)
+        rect_lower = bch_rectangle_bound(self.q - self.delta1, self.q - self.delta2)
+        if cert is None and rect_lower >= 5 and dual.size() > enumeration_budget(budget):
+            return DistanceCertificate(lower=rect_lower, upper=None, lower_method="bch-rectangle")
+        cert = cert or min_distance(dual, budget=budget)
+        if cert.lower_method == "exhaustive" or rect_lower < cert.lower:
+            return cert
+        return DistanceCertificate(lower=rect_lower, upper=cert.upper,
+                                   lower_method="bch-rectangle", witness=cert.witness,
+                                   claimed=cert.claimed)
 
 
 def rs_product_params(q: int, delta1: int, delta2: int) -> RsProductReport:
     """Predicted parameters of rs(q, delta1) (x) rs(q, delta2) and of its
-    Euclidean dual, cross-checked structurally.
+    Euclidean dual, cross-checked structurally against the product, which
+    is built once and kept as the report's ``code``.
 
     The dual dimension comes out of q*(d1+d2-2) - d1*d2 + 1, which equals
     (q-1)^2 - (q-delta1)*(q-delta2) identically; both dual distance
@@ -208,12 +200,7 @@ def rs_product_params(q: int, delta1: int, delta2: int) -> RsProductReport:
     """
     spec = GF(q)
     c1, c2 = rs_code(spec, delta1), rs_code(spec, delta2)
-    return _rs_product_report(c1, c2, product(c1.code, c2.code))
-
-
-def _rs_product_report(c1: CyclicCode, c2: CyclicCode, prod: LinearCode) -> RsProductReport:
-    """``rs_product_params`` for the factors and their product, already built."""
-    q, delta1, delta2 = prod.spec.q, c1.code.claimed_distance, c2.code.claimed_distance
+    prod = product(c1.code, c2.code)
     n = (q - 1) ** 2
     k = (q - delta1) * (q - delta2)
     if prod.n != n or prod.k != k:
@@ -221,15 +208,20 @@ def _rs_product_report(c1: CyclicCode, c2: CyclicCode, prod: LinearCode) -> RsPr
     k_dual = q * (delta1 + delta2 - 2) - delta1 * delta2 + 1
     if k_dual != n - k:
         raise AssertionError("dual dimension formula disagrees with n - k")
-    so1 = c1.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN)
-    so2 = c2.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN)
     return RsProductReport(
         q=q, delta1=delta1, delta2=delta2,
         length=n, dimension=k, distance=delta1 * delta2,
         dual_dimension=k_dual,
         stated_dual_distance=min(q - delta1, q - delta2),
         expected_dual_distance=1 + min(q - delta1, q - delta2),
-        factor1_self_orthogonal=so1,
-        factor2_self_orthogonal=so2,
+        factor1_self_orthogonal=c1.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
+        factor2_self_orthogonal=c2.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
         product_self_orthogonal=prod.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
+        code=prod,
     )
+
+
+def rs_product_dual_certificate(q: int, delta1: int, delta2: int,
+                                budget: int | None = None) -> DistanceCertificate:
+    """``RsProductReport.dual_certificate`` of rs(q, delta1) (x) rs(q, delta2)."""
+    return rs_product_params(q, delta1, delta2).dual_certificate(budget)

@@ -146,20 +146,6 @@ class FieldSpec:
 
     # -- construction internals ------------------------------------------
 
-    def _digits(self, value: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.ell):
-            out.append(value % p)
-            value //= p
-        return out
-
-    def _from_digits(self, digits: Iterable[int]) -> int:
-        value = 0
-        for d in reversed(list(digits)):
-            value = value * self.p + (d % self.p)
-        return value
-
     def _raw_add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
@@ -176,8 +162,8 @@ class FieldSpec:
     def _raw_mul(self, a: int, b: int) -> int:
         """Polynomial product reduced by the modulus, no tables."""
         p, ell = self.p, self.ell
-        da = self._digits(a)
-        db = self._digits(b)
+        da = self.to_digits(a)
+        db = self.to_digits(b)
         prod = [0] * (2 * ell - 1)
         for i, ai in enumerate(da):
             if ai:
@@ -190,7 +176,7 @@ class FieldSpec:
                 prod[deg] = 0
                 for i in range(ell):
                     prod[deg - ell + i] = (prod[deg - ell + i] - c * self.modulus[i]) % p
-        return self._from_digits(prod[:ell])
+        return self.from_digits(prod[:ell])
 
     def _modulus_irreducible(self) -> bool:
         """Trial division by monic polynomials of degree <= ell/2."""
@@ -319,13 +305,6 @@ class FieldSpec:
             mult *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.ell == 1:
-            return (a - b) % self.p
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -380,20 +359,23 @@ class FieldSpec:
             raise ValueError(f"{n} does not divide q-1 = {self.q - 1}")
         return self.power(self.generator, (self.q - 1) // n)
 
-    def embed_prime(self, x: int) -> int:
-        if not 0 <= x < self.p:
-            raise ValueError(f"prime-field value {x} out of range for GF({self.p})")
-        return x
-
     @property
     def prime_field(self) -> "FieldSpec":
         return GF(self.p)
 
     def to_digits(self, a: int) -> tuple[int, ...]:
-        return tuple(self._digits(a))
+        """The ell base-p digits of a, least significant first."""
+        out = []
+        for _ in range(self.ell):
+            a, d = divmod(a, self.p)
+            out.append(d)
+        return tuple(out)
 
     def from_digits(self, digits: Iterable[int]) -> int:
-        return self._from_digits(digits)
+        value = 0
+        for d in reversed(list(digits)):
+            value = value * self.p + (d % self.p)
+        return value
 
 
 _SPEC_CACHE: dict[int, FieldSpec] = {}

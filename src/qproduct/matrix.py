@@ -227,11 +227,6 @@ class Matrix:
         lead = np.argmax(self.array != 0, axis=1)
         return np.array_equal(_products_sum(self.spec, v[None, lead], self.array.T)[0], v)
 
-    def same_row_space(self, other: "Matrix") -> bool:
-        a, _ = self.rref()
-        b, _ = other.rref()
-        return a == b
-
     # -- products -------------------------------------------------------------
 
     def kronecker(self, other: "Matrix") -> "Matrix":

@@ -1,7 +1,6 @@
 """Product codes under the Euclidean, Hermitian, and symplectic inner
 products: Kronecker generators, the explicit stacked generator of the
-dual of a product, the dual-distance ceiling, and the self-orthogonality
-transfer checks.
+dual of a product, and the dual-distance ceiling.
 
 The first factor is a linear code over the scalar field F of the second:
 over GF(q) when the second is linear, over GF(p) when it is additive.
@@ -86,11 +85,3 @@ def dual_distance_ceiling(c1: Code, c2: Code, kind: InnerProductKind,
     duals = (c1.dual(_first_factor_kind(kind)), c2.dual(kind))
     certs = [min_distance(d, budget=budget) for d in duals]
     return min((c.value for c in certs if not c.degenerate), default=None)
-
-
-def check_selforth_transfer(c_arbitrary: Code, c_selforth: Code, kind: InnerProductKind) -> bool:
-    """Build the product of an arbitrary code with a self-orthogonal one
-    and report whether the product is self-orthogonal (it always must be)."""
-    if not c_selforth.is_self_orthogonal(kind):
-        raise ValueError(f"second factor is not self-orthogonal under {kind}")
-    return product(c_arbitrary, c_selforth).is_self_orthogonal(kind)

@@ -10,9 +10,8 @@ from fractions import Fraction
 
 from .code import (AdditiveCode, Code, DistanceCertificate, LinearCode, enumeration_budget,
                    min_distance, weight_enumerator)
-from .cyclic import _rs_product_dual_certificate, rs_code
+from .cyclic import RsProductReport, rs_product_params
 from .matrix import InnerProductKind
-from .product import product
 
 
 @dataclass(frozen=True)
@@ -90,25 +89,28 @@ def symplectic_qecc(code: AdditiveCode, budget: int | None = None) -> QeccParams
     return qecc(code, InnerProductKind.SYMPLECTIC, budget)
 
 
-def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None) -> QeccParams:
-    """Quantum code from the product of two Reed-Solomon codes of
-    dimensions mu1 and mu2; mu1 < (q-1)/2 guarantees the first factor is
-    self-orthogonal, and the distance is certified, not assumed: it is
-    the RS-product dual certificate, rectangle bound included."""
+def rs_product_report(q: int, mu1: int, mu2: int) -> RsProductReport:
+    """The report of the product of two Reed-Solomon codes of dimensions
+    mu1 and mu2; mu1 < (q-1)/2 guarantees the first factor is
+    self-orthogonal, and is checked before anything is built."""
     if not 2 * mu1 < q - 1:
         raise ValueError(f"mu1 = {mu1} must satisfy mu1 < (q-1)/2 = {(q - 1) / 2}")
-    c1 = rs_code(q, q - mu1)
-    c2 = rs_code(q, q - mu2)
-    if not c1.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN):
-        raise AssertionError("first Reed-Solomon factor is unexpectedly not self-orthogonal")
-    prod = product(c1.code, c2.code)
-    if not prod.is_self_orthogonal(InnerProductKind.EUCLIDEAN):
+    return rs_product_params(q, q - mu1, q - mu2)
+
+
+def rs_report_qecc(rep: RsProductReport, budget: int | None = None) -> QeccParams:
+    """CSS code of the product in ``rep``, its distance certified, not
+    assumed: it is the report's dual certificate, rectangle bound included."""
+    if not (rep.factor1_self_orthogonal and rep.product_self_orthogonal):
         raise AssertionError("Reed-Solomon product is unexpectedly not self-orthogonal")
-    n = (q - 1) ** 2
-    if prod.n != n or prod.k != mu1 * mu2:
-        raise AssertionError("constructed parameters disagree with the dimension formula")
-    cert = _rs_product_dual_certificate(prod, q - mu1, q - mu2, budget)
-    return QeccParams(n=n, k=n - 2 * mu1 * mu2, alphabet=q, distance=cert, construction="css")
+    return QeccParams(n=rep.length, k=rep.length - 2 * rep.dimension, alphabet=rep.q,
+                      distance=rep.dual_certificate(budget), construction="css")
+
+
+def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None) -> QeccParams:
+    """Quantum code from the product of two Reed-Solomon codes of
+    dimensions mu1 and mu2 (see ``rs_product_report``)."""
+    return rs_report_qecc(rs_product_report(q, mu1, mu2), budget)
 
 
 def stabilizer_distance(code, construction: str, budget: int | None = None) -> int | None:

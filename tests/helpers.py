@@ -292,7 +292,7 @@ def inverse_spectrum_2d(sp) -> tuple[tuple[int, ...], ...]:
     spec = sp.spec
     n1, n2 = len(sp.grid), len(sp.grid[0]) if sp.grid else 0
     ainv, binv = spec.inv(sp.alpha), spec.inv(sp.beta)
-    scale = spec.inv(spec.embed_prime(n1 * n2 % spec.p))
+    scale = spec.inv(n1 * n2 % spec.p)  # a prime-field value is itself
     out = []
     for a in range(n1):
         row = []

@@ -5,7 +5,12 @@ import shutil
 
 import pytest
 
+import qproduct.catalog as catalog_module
 import qproduct.cli as cli
+import qproduct.convolutional as conv_module
+import qproduct.cyclic as cyclic_module
+import qproduct.product as product_module
+import qproduct.quantum as quantum_module
 from qproduct.cli import main
 
 
@@ -253,28 +258,56 @@ def test_write_golden_regenerates_every_golden_byte_for_byte(capsys, tmp_path, m
         assert (golden / name).read_bytes() == (committed / name).read_bytes(), name
 
 
+def _count_calls(monkeypatch, *names):
+    """Count calls of the library functions ``names`` (module, function)
+    through every module that holds them by name."""
+    modules = (cli, catalog_module, conv_module, cyclic_module, product_module, quantum_module)
+    calls = {}
+    for home, name in names:
+        real = getattr(home, name)
+        calls[name] = 0
+
+        def call(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, call)
+    return calls
+
+
 def test_rs_product_grid_builds_each_product_once(monkeypatch):
     """The grid's 33 entries build two RS factors and one product each,
     and hand them to the report and the dual certificate."""
-    import qproduct.cyclic as cyclic_module
-    import qproduct.product as product_module
-
-    calls = {"product": 0, "rs_code": 0}
-
-    def counted(name, real):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return call
-
-    for name, real in (("product", product_module.product), ("rs_code", cyclic_module.rs_code)):
-        wrapped = counted(name, real)
-        for module in (cli, cyclic_module, product_module):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
+    calls = _count_calls(monkeypatch, (product_module, "product"), (cyclic_module, "rs_code"))
     grid = cli.PIPELINES["rs-product-grid"](None)
     assert sum(len(entries) for entries in grid.values()) == 33
     assert calls == {"product": 33, "rs_code": 66}
+
+
+def test_qecc_rs_product_builds_the_product_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, (product_module, "product"), (cyclic_module, "rs_code"))
+    code, payload = run_json(capsys, "qecc", "--construction", "rs-product",
+                             "--q", "8", "--mu1", "3", "--mu2", "3")
+    assert code == 0 and payload["report"]["qecc"]["distance"]["lower"] == 4
+    assert calls == {"product": 1, "rs_code": 2}
+
+
+def test_tail_biting_reports_build_each_code_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, (conv_module, "tail_biting"))
+    code, _ = run_json(capsys, "conv", "tailbite", "--code1", "hamming_dual(3,2)",
+                       "--code2", "hamming_dual(3,2)", "--t", "1", "--blocks", "3")
+    assert code == 0 and calls == {"tail_biting": 1}
+    report = cli.PIPELINES["tail-biting"](None)
+    assert sorted(report) == ["N=2", "N=3"] and calls == {"tail_biting": 3}
+
+
+@pytest.mark.parametrize("factor", ["cyclic(5)", "cyclic()", "rs(5,3,1)"])
+def test_spectrum_bad_factor_is_a_descriptor_error(capsys, factor):
+    code, payload = run_json(capsys, "spectrum", "--code1", factor, "--code2", "rs(5,3)")
+    assert code == 1
+    assert payload["error"]["type"] == "DescriptorError"
 
 
 @pytest.mark.parametrize("descriptor", ["hamming_dual(0,2)", "cyclic(4,0)"])

@@ -13,8 +13,7 @@ from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerato
 from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
-                           macwilliams_transform, min_distance, to_additive_over,
-                           weight_enumerator)
+                           macwilliams_transform, min_distance, weight_enumerator)
 from qproduct.cyclic import rs_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
@@ -475,9 +474,9 @@ def test_additive_from_linear_size():
         assert add.contains(word)
 
 
-def test_to_additive_over_lifts_binary_rows():
+def test_binary_rows_lifted_to_gf4_span_their_multiples():
     code = hamming_dual(3, 2)
-    lifted = to_additive_over(code, GF(4))
+    lifted = AdditiveCode.from_linear(LinearCode(code.generator.over(GF(4))))
     assert lifted.k_p == 2 * code.k
     spec = GF(4)
     for g in code.generator.rows:

@@ -318,6 +318,24 @@ def test_rs_product_dual_certificate_beyond_small_support():
     assert cert.exact and cert.value == 4
 
 
+def test_rs_product_dual_certificate_is_the_report_certificate():
+    """Over the rs-product-grid's (q, mu) pairs, the certificate function
+    is the report's method on a product built once."""
+    for q in (4, 5, 7, 8):
+        for mu1 in range(1, q // 2):
+            for mu2 in range(1, q - 1):
+                delta1, delta2 = q - mu1, q - mu2
+                assert (rs_product_dual_certificate(q, delta1, delta2)
+                        == rs_product_params(q, delta1, delta2).dual_certificate())
+
+
+def test_rs_product_report_keeps_its_product_out_of_the_payload():
+    rep = rs_product_params(5, 3, 3)
+    assert (rep.code.n, rep.code.k) == (rep.length, rep.dimension)
+    assert "code" not in rep.to_dict() and "code=" not in repr(rep)
+    assert rep == rs_product_params(5, 3, 3) and rep.code is not rs_product_params(5, 3, 3).code
+
+
 @pytest.mark.parametrize("q", [4, 5, 7, 8])
 def test_product_spectrum_support_frees_one_position_per_dimension(q):
     """The free (unforced) spectral positions of a bicyclic product are

@@ -106,16 +106,6 @@ def test_root_of_unity_has_exact_order(q):
             assert spec.power(r, k) != 1
 
 
-def test_embed_prime():
-    assert GF(4).embed_prime(1) == 1
-    assert GF(9).embed_prime(0) == 0
-    F9 = GF(9)
-    two = F9.embed_prime(2)
-    assert F9.mul(two, two) == F9.embed_prime(4 % 3)
-    with pytest.raises(ValueError):
-        GF(9).embed_prime(3)
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 121, 128,
                                169, 243, 256, 289, 343, 361, 512])
 def test_field_axioms_random_triples(q):

@@ -7,11 +7,11 @@ import pytest
 
 from helpers import brute_min_distance, gram_scalar, random_additive_code, random_linear_code
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
-from qproduct.code import AdditiveCode, LinearCode, min_distance
+from qproduct.code import AdditiveCode, LinearCode, min_distance, spanned_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
-from qproduct.product import (check_selforth_transfer, dual_distance_ceiling,
-                              dual_of_product_generator, product, product_additive)
+from qproduct.product import (dual_distance_ceiling, dual_of_product_generator, product,
+                              product_additive)
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
@@ -23,7 +23,7 @@ def _tensor(spec, v, w):
 
 
 def _tensor_p(spec, v, w):
-    return tuple(spec.mul(spec.embed_prime(a), b) for a in v for b in w)
+    return tuple(spec.mul(a, b) for a in v for b in w)  # a prime-field value is itself
 
 
 def test_product_of_dual_hamming():
@@ -131,7 +131,7 @@ def test_dual_of_product_generator_linear(q, kind):
         stacked = dual_of_product_generator(c1, c2, kind)
         dual = product(c1, c2).dual(kind)
         assert stacked.nrows == c1.n * c2.n - c1.k * c2.k
-        assert stacked.same_row_space(dual.generator)
+        assert spanned_code(kind, spec, stacked.array, dual.n) == dual
 
 
 def test_dual_of_product_generator_symplectic():
@@ -153,7 +153,7 @@ def test_dual_of_product_full_space_factor():
     stacked = dual_of_product_generator(full, c2, E)
     h2 = c2.dual(E).generator
     expected = Matrix.identity(GF(2), 3).kronecker(h2)
-    assert stacked.same_row_space(expected)
+    assert stacked.rref()[0] == expected.rref()[0]
 
 
 def test_dual_distance_ceiling_examples():
@@ -198,7 +198,7 @@ def test_selforth_transfer_euclidean():
     c_so = hamming_dual(3, 2)
     for _ in range(5):
         arbitrary = random_linear_code(rng, GF(2), rng.randint(2, 5), 3)
-        assert check_selforth_transfer(arbitrary, c_so, E)
+        assert product(arbitrary, c_so).is_self_orthogonal(E)
 
 
 def test_selforth_transfer_hermitian():
@@ -206,7 +206,7 @@ def test_selforth_transfer_hermitian():
     c_so = quaternary_hamming_dual_5()
     for _ in range(5):
         arbitrary = random_linear_code(rng, GF(4), rng.randint(2, 5), 3)
-        assert check_selforth_transfer(arbitrary, c_so, H)
+        assert product(arbitrary, c_so).is_self_orthogonal(H)
 
 
 def test_selforth_transfer_symplectic():
@@ -215,10 +215,4 @@ def test_selforth_transfer_symplectic():
     assert c_so.is_self_orthogonal()
     for _ in range(5):
         arbitrary = random_linear_code(rng, GF(2), rng.randint(2, 5), 3)
-        assert check_selforth_transfer(arbitrary, c_so, S)
-
-
-def test_selforth_transfer_rejects_bad_factor():
-    full = LinearCode(Matrix.identity(GF(2), 3))
-    with pytest.raises(ValueError):
-        check_selforth_transfer(hamming_dual(3, 2), full, E)
+        assert product(arbitrary, c_so).is_self_orthogonal(S)

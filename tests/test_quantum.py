@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_codewords
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
-from qproduct.code import AdditiveCode, LinearCode, min_distance, to_additive_over
+from qproduct.code import AdditiveCode, LinearCode, min_distance
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
 from qproduct.product import product, product_additive
@@ -98,7 +98,7 @@ def test_symplectic_agrees_with_css_on_lifted_codes():
     """A binary Euclidean self-orthogonal code lifted to a GF(4) additive
     stabilizer gives the same logical count as its CSS derivation."""
     code = hamming_dual(3, 2)
-    lifted = to_additive_over(code, GF(4))
+    lifted = AdditiveCode.from_linear(LinearCode(code.generator.over(GF(4))))
     assert lifted.is_self_orthogonal()
     sp = symplectic_qecc(lifted)
     cs = css_qecc(code)
@@ -125,8 +125,8 @@ def test_rs_prod_qecc_dimension_identity():
 
 
 def test_rs_prod_qecc_builds_the_product_once(monkeypatch):
+    import qproduct.cyclic as cyclic_module
     import qproduct.product as product_module
-    import qproduct.quantum as quantum_module
 
     built = []
     real = product_module.product
@@ -136,7 +136,7 @@ def test_rs_prod_qecc_builds_the_product_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(product_module, "product", counted)
-    monkeypatch.setattr(quantum_module, "product", counted)
+    monkeypatch.setattr(cyclic_module, "product", counted)
     params = rs_prod_qecc(8, 3, 3)
     assert len(built) == 1
     assert params.distance.lower == 4
