@@ -167,7 +167,7 @@ def _code_of(value):
     return value.code if isinstance(value, CyclicCode) else value
 
 
-def _resolve_text(text: str):
+def _parse_text(text: str):
     tokens = _tokenize(text)
     if not tokens:
         raise DescriptorError("empty descriptor")
@@ -177,7 +177,14 @@ def _resolve_text(text: str):
         raise DescriptorError(f"unbalanced parentheses in {text!r}") from None
     if pos != len(tokens):
         raise DescriptorError(f"trailing input after descriptor: {tokens[pos:]}")
-    return _resolve(node)
+    return node
+
+
+def _resolve_text(text: str):
+    try:
+        return _resolve(_parse_text(text))
+    except RecursionError:  # _parse and _resolve recurse once per level
+        raise DescriptorError("descriptor nested too deeply") from None
 
 
 def parse_descriptor(text: str):

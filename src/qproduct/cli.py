@@ -33,16 +33,12 @@ def _field_block(spec) -> dict:
 
 
 def _selforth_flags(code) -> dict:
-    flags = {}
-    if isinstance(code, LinearCode):
-        flags["euclidean"] = code.is_self_orthogonal(InnerProductKind.EUCLIDEAN)
-        if code.spec.ell % 2 == 0:
-            flags["hermitian"] = code.is_self_orthogonal(InnerProductKind.HERMITIAN)
-            flags["symplectic"] = AdditiveCode.from_linear(code).is_self_orthogonal()
-    else:
-        if code.spec.ell % 2 == 0:
-            flags["symplectic"] = code.is_self_orthogonal()
-    return flags
+    """Self-orthogonality under each inner product the code takes: the
+    Euclidean when linear, and over an even-degree field the Hermitian
+    (linear codes) and the symplectic (every code)."""
+    return {str(kind): _under(code, kind).is_self_orthogonal(kind) for kind in InnerProductKind
+            if (code.linear or kind is InnerProductKind.SYMPLECTIC)
+            and (kind is InnerProductKind.EUCLIDEAN or code.spec.ell % 2 == 0)}
 
 
 def _code_block(code, budget=None, with_distance=True) -> dict:
@@ -54,20 +50,16 @@ def _code_block(code, budget=None, with_distance=True) -> dict:
     return out
 
 
-def _resolve_code(args, attr="code"):
-    expr = getattr(args, attr, None)
-    json_attr = getattr(args, f"{attr}_json", None)
-    file_attr = getattr(args, f"{attr.replace('code', 'matrix')}_file", None)
-    sources = [s for s in (expr, json_attr, file_attr) if s]
+def _resolve_code(args):
+    sources = [s for s in (args.code, args.code_json, args.matrix_file) if s]
     if len(sources) != 1:
-        raise DescriptorError(
-            f"exactly one of --{attr}, --{attr}-json, or a matrix file must be given")
-    if expr:
-        return parse_descriptor(expr)
-    if json_attr:
-        return load_code_json(json_attr)
-    matrix = from_text(Path(file_attr).read_text())
-    if getattr(args, "additive", False):
+        raise DescriptorError("exactly one of --code, --code-json, or --matrix-file must be given")
+    if args.code:
+        return parse_descriptor(args.code)
+    if args.code_json:
+        return load_code_json(args.code_json)
+    matrix = from_text(Path(args.matrix_file).read_text())
+    if args.additive:
         return AdditiveCode(matrix.spec, matrix.array, n=matrix.ncols)
     return LinearCode(matrix)
 
@@ -530,19 +522,15 @@ def _emit(args, report: dict) -> None:
 
 def _add_common(parser) -> None:
     parser.add_argument("--budget", type=int, default=None,
-                        help="max codewords for exhaustive enumeration (default 2^24; "
-                             "QPRODUCT_BUDGET overrides)")
+                        help="max codewords for exhaustive enumeration (default 2^24)")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     parser.add_argument("--pretty", action="store_true", help="human-readable rendering")
 
 
-def _add_code_source(parser, name="code") -> None:
-    parser.add_argument(f"--{name}", help="catalog descriptor expression")
-    parser.add_argument(f"--{name}-json", dest=f"{name}_json",
-                        help="code descriptor JSON file")
-    parser.add_argument(f"--{name.replace('code', 'matrix')}-file",
-                        dest=f"{name.replace('code', 'matrix')}_file",
-                        help="matrix text file (header 'q r c')")
+def _add_code_source(parser) -> None:
+    parser.add_argument("--code", help="catalog descriptor expression")
+    parser.add_argument("--code-json", help="code descriptor JSON file")
+    parser.add_argument("--matrix-file", help="matrix text file (header 'q r c', then r rows)")
     parser.add_argument("--additive", action="store_true",
                         help="treat a matrix file as additive generators")
 

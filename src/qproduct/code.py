@@ -20,7 +20,6 @@ stop a certificate's walk at its first word of their least nonzero weight.
 """
 from __future__ import annotations
 
-import os
 import weakref
 from array import array
 from dataclasses import dataclass
@@ -36,13 +35,8 @@ DEFAULT_BUDGET = 1 << 24
 
 
 def enumeration_budget(budget: int | None = None) -> int:
-    """Effective codeword budget; QPRODUCT_BUDGET overrides the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("QPRODUCT_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    """Effective codeword budget: ``budget``, or DEFAULT_BUDGET when None."""
+    return DEFAULT_BUDGET if budget is None else budget
 
 
 def hamming_weight(vec: Sequence[int]) -> int:

@@ -1,6 +1,6 @@
-"""Cyclic and Reed-Solomon codes in the spectral regime n | q-1, their
-bicyclic products, two-dimensional spectra, dual coordinate maps, and the
-rectangle lower bound used to certify dual distances of products.
+"""Cyclic and Reed-Solomon codes in the spectral regime n | q-1, the
+spectral support of their bicyclic products, dual coordinate maps, and
+the rectangle lower bound used to certify dual distances of products.
 
 A cyclic code is given by its zeros Z, exponents mod n: the words c with
 c(alpha^z) = 0 for z in Z, the code of prod_{z in Z} (X - alpha^z).  That
@@ -71,50 +71,6 @@ def dual_support_map(i: int, n: int, kind: InnerProductKind, frob_power: int | N
             raise ValueError("Hermitian coordinate map needs the Frobenius power q")
         return (-frob_power * i) % n
     raise ValueError(f"no spectral coordinate map for {kind}")
-
-
-@dataclass(frozen=True)
-class Spectrum2D:
-    """Two-dimensional spectrum: evaluations of the word's bivariate
-    polynomial at (alpha^i, beta^j)."""
-
-    spec: FieldSpec
-    grid: tuple[tuple[int, ...], ...]  # [i][j]
-    alpha: int
-    beta: int
-
-
-def _check_order(spec: FieldSpec, x: int, n: int) -> None:
-    if spec.power(x, n) != 1:
-        raise ValueError(f"element {x} is not an order-{n} root of unity")
-    for d in range(1, n):
-        if n % d == 0 and spec.power(x, d) == 1:
-            raise ValueError(f"element {x} has order < {n}")
-
-
-def spectrum_2d(spec: FieldSpec, word: Sequence[Sequence[int]], alpha: int, beta: int) -> Spectrum2D:
-    """Evaluate the bivariate polynomial with coefficient grid `word` at
-    all points (alpha^i, beta^j)."""
-    n1 = len(word)
-    n2 = len(word[0]) if word else 0
-    _check_order(spec, alpha, n1)
-    _check_order(spec, beta, n2)
-    apow = [spec.power(alpha, i) for i in range(n1)]
-    bpow = [spec.power(beta, j) for j in range(n2)]
-    grid = []
-    for i in range(n1):
-        row = []
-        for j in range(n2):
-            acc = 0
-            for a in range(n1):
-                xa = spec.power(apow[i], a)
-                for b in range(n2):
-                    w = word[a][b]
-                    if w:
-                        acc = spec.add(acc, spec.mul(w, spec.mul(xa, spec.power(bpow[j], b))))
-            row.append(acc)
-        grid.append(tuple(row))
-    return Spectrum2D(spec=spec, grid=tuple(grid), alpha=alpha, beta=beta)
 
 
 def product_spectrum_support(c1: CyclicCode, c2: CyclicCode) -> tuple[tuple[bool, ...], ...]:

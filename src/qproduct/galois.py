@@ -50,23 +50,6 @@ _EXTENSION_MODULI = {
     (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
 }
 
-# add tables are only materialized for odd-characteristic extension fields of
-# small order; beyond this the digit-wise path is used.  Characteristic 2
-# always goes through XOR, and prime fields through arithmetic mod p.
-_ADD_TABLE_MAX = 512
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -110,16 +93,29 @@ class FieldSpec:
     """A finite field GF(p^l) with a fixed modulus and primitive element.
 
     Use :func:`GF` to obtain the canonical (cached) spec for an order;
-    construct directly only to supply a custom modulus polynomial.
+    construct directly only to supply a custom modulus polynomial f.  The
+    generator g defaults to the smallest primitive root mod p when l = 1,
+    and to x (encoded p) when l > 1; a modulus in which x is not primitive
+    needs an explicit ``generator``.
+
+    One check builds the field: the walk that fills the log tables raises
+    unless g^0, ..., g^(q-2) are distinct and g^(q-1) = 1 in
+    R = GF(p)[x]/(f).  A walk that passes also proves f irreducible.  No
+    power of g is 0, since g^i = 0 would give g^(q-1) = g^i * g^(q-1-i) = 0.
+    So the q - 1 distinct powers are all q - 1 nonzero elements of R, and
+    each is a unit, with inverse g^(q-1-i).  A factorization f = a * b with
+    0 < deg a < l would make a a nonzero zero divisor of R (a * b = 0),
+    never a unit.  Hence a reducible modulus raises ValueError whatever the
+    generator.
     """
 
     __slots__ = (
         "p", "ell", "q", "modulus", "generator",
-        "_exp", "_log", "_add_table", "_frob_table", "_trace_table",
+        "_exp", "_log", "_frob_table", "_trace_table",
     )
 
     def __init__(self, p: int, ell: int, modulus: tuple[int, ...], generator: int | None = None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic must be prime, got {p}")
         if ell < 1:
             raise ValueError(f"extension degree must be >= 1, got {ell}")
@@ -133,31 +129,14 @@ class FieldSpec:
         self.ell = ell
         self.q = q
         self.modulus = modulus
-        if ell > 1 and not self._modulus_irreducible():
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-
-        self._add_table: list[int] | None = None
         self._frob_table: list[int] | None = None
         self._trace_table: list[int] | None = None
         if generator is None:
-            generator = self._find_generator()
-        self.generator = generator
+            generator = _smallest_primitive_root(p) if ell == 1 else p
+        self.generator = self.check_value(generator)
         self._build_log_tables()
 
     # -- construction internals ------------------------------------------
-
-    def _raw_add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.ell):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
 
     def _raw_mul(self, a: int, b: int) -> int:
         """Polynomial product reduced by the modulus, no tables."""
@@ -178,58 +157,9 @@ class FieldSpec:
                     prod[deg - ell + i] = (prod[deg - ell + i] - c * self.modulus[i]) % p
         return self.from_digits(prod[:ell])
 
-    def _modulus_irreducible(self) -> bool:
-        """Trial division by monic polynomials of degree <= ell/2."""
-        p, ell = self.p, self.ell
-
-        def rem_zero(divisor: list[int]) -> bool:
-            f = [c % p for c in self.modulus]
-            dd = len(divisor) - 1
-            for deg in range(ell, dd - 1, -1):
-                c = f[deg]
-                if c:
-                    f[deg] = 0
-                    for i in range(dd):
-                        f[deg - dd + i] = (f[deg - dd + i] - c * divisor[i]) % p
-            return not any(f[:dd])
-
-        for d in range(1, ell // 2 + 1):
-            for idx in range(p**d):
-                divisor = []
-                v = idx
-                for _ in range(d):
-                    divisor.append(v % p)
-                    v //= p
-                divisor.append(1)
-                if rem_zero(divisor):
-                    return False
-        return True
-
-    def _find_generator(self) -> int:
-        if self.ell == 1:
-            return _smallest_primitive_root(self.p)
-        # for the canonical moduli x itself is primitive; fall back to search
-        order_facs = _prime_factors(self.q - 1)
-        for cand in range(self.p, self.q):
-            if self._order_is_full(cand, order_facs):
-                return cand
-        raise ValueError("no primitive element found (modulus not primitive?)")
-
-    def _order_is_full(self, a: int, order_facs: list[int]) -> bool:
-        def raw_pow(base: int, e: int) -> int:
-            acc = 1
-            while e:
-                if e & 1:
-                    acc = self._raw_mul(acc, base)
-                base = self._raw_mul(base, base)
-                e >>= 1
-            return acc
-
-        if raw_pow(a, self.q - 1) != 1:
-            return False
-        return all(raw_pow(a, (self.q - 1) // r) != 1 for r in order_facs)
-
     def _build_log_tables(self) -> None:
+        """Walk the generator's powers; the class docstring says why a walk
+        that passes proves the modulus irreducible."""
         q = self.q
         exp = [0] * (2 * (q - 1))
         log = [-1] * q
@@ -245,8 +175,6 @@ class FieldSpec:
             raise ValueError(f"generator {self.generator} does not have order {q - 1}")
         self._exp = exp
         self._log = log
-        if self.p != 2 and self.ell > 1 and self.q <= _ADD_TABLE_MAX:
-            self._add_table = [self._raw_add(a, b) for a in range(q) for b in range(q)]
 
     # -- identity ---------------------------------------------------------
 
@@ -287,23 +215,14 @@ class FieldSpec:
             return a ^ b
         if self.ell == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a * self.q + b]
-        return self._raw_add(a, b)
+        return self.from_digits(x + y for x, y in zip(self.to_digits(a), self.to_digits(b)))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        p = self.p
         if self.ell == 1:
-            return -a % p
-        out = 0
-        mult = 1
-        for _ in range(self.ell):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+            return -a % self.p
+        return self.from_digits(-d for d in self.to_digits(a))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -354,11 +273,6 @@ class FieldSpec:
             self._trace_table = table
         return self._trace_table[a]
 
-    def root_of_unity(self, n: int) -> int:
-        if n <= 0 or (self.q - 1) % n != 0:
-            raise ValueError(f"{n} does not divide q-1 = {self.q - 1}")
-        return self.power(self.generator, (self.q - 1) // n)
-
     @property
     def prime_field(self) -> "FieldSpec":
         return GF(self.p)
@@ -388,15 +302,12 @@ def GF(q: int) -> FieldSpec:
         return spec
     p, ell = _factor_prime_power(q)
     if ell == 1:
-        g = _smallest_primitive_root(p)
-        modulus = ((-g) % p, 1)
-        spec = FieldSpec(p, 1, modulus, generator=g)
+        spec = FieldSpec(p, 1, (-_smallest_primitive_root(p) % p, 1))
+    elif (p, ell) in _EXTENSION_MODULI:
+        spec = FieldSpec(p, ell, _EXTENSION_MODULI[p, ell])
     else:
-        key = (p, ell)
-        if key not in _EXTENSION_MODULI:
-            raise ValueError(
-                f"no built-in modulus for GF({q}); construct FieldSpec with a custom modulus")
-        spec = FieldSpec(p, ell, _EXTENSION_MODULI[key], generator=p)
+        raise ValueError(
+            f"no built-in modulus for GF({q}); construct FieldSpec with a custom modulus")
     _SPEC_CACHE[q] = spec
     return spec
 

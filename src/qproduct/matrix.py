@@ -86,20 +86,6 @@ class Matrix:
         m.array.flags.writeable = False
         return m
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls._of(spec, np.eye(n))
-
-    @classmethod
-    def zeros(cls, spec: FieldSpec, r: int, c: int) -> "Matrix":
-        return cls._of(spec, np.zeros((r, c)))
-
-    @classmethod
-    def empty(cls, spec: FieldSpec, ncols: int) -> "Matrix":
-        return cls.zeros(spec, 0, ncols)
-
     # -- basics -------------------------------------------------------------
 
     @property
@@ -131,9 +117,6 @@ class Matrix:
     def _same_spec(self, other: "Matrix") -> None:
         if self.spec != other.spec:
             raise ValueError(f"mismatched fields: {self.spec} vs {other.spec}")
-
-    def transpose(self) -> "Matrix":
-        return Matrix._of(self.spec, self.array.T)
 
     def stack(self, other: "Matrix") -> "Matrix":
         self._same_spec(other)
@@ -192,9 +175,6 @@ class Matrix:
             pivots.append(col)
             r += 1
         return Matrix._of(spec, a[:r]), tuple(pivots)
-
-    def rank(self) -> int:
-        return self.rref()[0].nrows
 
     def kernel(self) -> "Matrix":
         """Basis of the right null space {x : self @ x^T = 0}, in rref.
@@ -270,14 +250,9 @@ def complement_basis(h: Matrix, ambient_dim: int) -> Matrix:
 
 # -- text format -------------------------------------------------------------
 
-def to_text(m: Matrix) -> str:
-    """Matrix text format: header "q r c", then r rows of c integers."""
-    lines = [f"{m.spec.q} {m.nrows} {m.ncols}"]
-    lines.extend(" ".join(str(v) for v in row) for row in m.rows)
-    return "\n".join(lines) + "\n"
-
-
 def from_text(text: str) -> Matrix:
+    """Matrix text format: header "q r c", then exactly r rows of c
+    integers; blank lines are skipped."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
@@ -286,12 +261,12 @@ def from_text(text: str) -> Matrix:
         raise ValueError(f"bad matrix header: {lines[0]!r}")
     q, r, c = (int(x) for x in header)
     spec = GF(q)
+    if len(lines) - 1 != r:
+        raise ValueError(f"expected {r} rows, got {len(lines) - 1}")
     rows = []
-    for ln in lines[1:r + 1]:
+    for ln in lines[1:]:
         row = [int(x) for x in ln.split()]
         if len(row) != c:
             raise ValueError(f"expected {c} entries per row, got {len(row)}")
         rows.append(row)
-    if len(rows) != r:
-        raise ValueError(f"expected {r} rows, got {len(rows)}")
     return Matrix(spec, rows, ncols=c)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 from qproduct.code import AdditiveCode, LinearCode
 from qproduct.galois import FieldSpec
@@ -207,6 +209,18 @@ def orthogonal_pairwise(matrix: Matrix, kind: InnerProductKind) -> bool:
     return True
 
 
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.spec, m.array.T)
+
+
+def to_text(m: Matrix) -> str:
+    """The matrix text format ``qproduct.matrix.from_text`` reads: header
+    "q r c", then r rows of c integers."""
+    lines = [f"{m.spec.q} {m.nrows} {m.ncols}"]
+    lines.extend(" ".join(str(v) for v in row) for row in m.rows)
+    return "\n".join(lines) + "\n"
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """The matrix product a @ b over the field, entry by entry."""
     assert a.spec == b.spec and a.ncols == b.nrows
@@ -285,8 +299,58 @@ def flat_to_grid(vec, n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(vec[i * n2 + j] for j in range(n2)) for i in range(n1))
 
 
+def root_of_unity(spec: FieldSpec, n: int) -> int:
+    """The primitive n-th root of unity g^((q-1)/n), g the field's generator."""
+    assert n > 0 and (spec.q - 1) % n == 0, f"{n} does not divide q-1 = {spec.q - 1}"
+    return spec.power(spec.generator, (spec.q - 1) // n)
+
+
+@dataclass(frozen=True)
+class Spectrum2D:
+    """Two-dimensional spectrum: evaluations of the word's bivariate
+    polynomial at (alpha^i, beta^j)."""
+
+    spec: FieldSpec
+    grid: tuple[tuple[int, ...], ...]  # [i][j]
+    alpha: int
+    beta: int
+
+
+def _check_order(spec: FieldSpec, x: int, n: int) -> None:
+    if spec.power(x, n) != 1:
+        raise ValueError(f"element {x} is not an order-{n} root of unity")
+    for d in range(1, n):
+        if n % d == 0 and spec.power(x, d) == 1:
+            raise ValueError(f"element {x} has order < {n}")
+
+
+def spectrum_2d(spec: FieldSpec, word: Sequence[Sequence[int]], alpha: int, beta: int) -> Spectrum2D:
+    """Evaluate the bivariate polynomial with coefficient grid `word` at
+    all points (alpha^i, beta^j)."""
+    n1 = len(word)
+    n2 = len(word[0]) if word else 0
+    _check_order(spec, alpha, n1)
+    _check_order(spec, beta, n2)
+    apow = [spec.power(alpha, i) for i in range(n1)]
+    bpow = [spec.power(beta, j) for j in range(n2)]
+    grid = []
+    for i in range(n1):
+        row = []
+        for j in range(n2):
+            acc = 0
+            for a in range(n1):
+                xa = spec.power(apow[i], a)
+                for b in range(n2):
+                    w = word[a][b]
+                    if w:
+                        acc = spec.add(acc, spec.mul(w, spec.mul(xa, spec.power(bpow[j], b))))
+            row.append(acc)
+        grid.append(tuple(row))
+    return Spectrum2D(spec=spec, grid=tuple(grid), alpha=alpha, beta=beta)
+
+
 def inverse_spectrum_2d(sp) -> tuple[tuple[int, ...], ...]:
-    """The coefficient grid of a ``qproduct.cyclic.Spectrum2D``, by the
+    """The coefficient grid of a ``Spectrum2D``, by the
     inverse 2-D transform: (n1*n2)^-1 sum_ij grid[i][j] alpha^-ia beta^-jb
     at [a][b]."""
     spec = sp.spec
@@ -312,13 +376,36 @@ def inverse_spectrum_2d(sp) -> tuple[tuple[int, ...], ...]:
 
 def cyclic_oracle(spec: FieldSpec, n: int, zeros) -> LinearCode:
     """The cyclic code of length n | q-1 generated by the polynomial
-    g = prod_{z in zeros} (X - alpha^z), alpha = ``spec.root_of_unity(n)``,
+    g = prod_{z in zeros} (X - alpha^z), alpha = ``root_of_unity(spec, n)``,
     multiplied out one root at a time: its rows are the n - deg g shifts
     X^i g(X) of g's coefficients."""
-    alpha = spec.root_of_unity(n)
+    alpha = root_of_unity(spec, n)
     g = [1]  # little-endian coefficients
     for z in zeros:
         r = spec.neg(spec.power(alpha, z))
         g = [spec.add(a, spec.mul(r, b)) for a, b in zip([0] + g, g + [0])]  # g * (X + r)
     rows = [[0] * i + g + [0] * (n - len(g) - i) for i in range(n - len(g) + 1)]
     return LinearCode(Matrix(spec, rows, ncols=n))
+
+
+def poly_is_irreducible(p: int, coeffs) -> bool:
+    """Whether the monic polynomial with little-endian ``coeffs`` over GF(p)
+    is irreducible, by brute force: no product of two monic polynomials of
+    positive degree equals it."""
+    deg = len(coeffs) - 1
+    f = tuple(c % p for c in coeffs)
+
+    def monic(d):
+        for low in itertools.product(range(p), repeat=d):
+            yield low + (1,)
+
+    for d in range(1, deg // 2 + 1):
+        for a in monic(d):
+            for b in monic(deg - d):
+                prod = [0] * (deg + 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                if tuple(prod) == f:
+                    return False
+    return True

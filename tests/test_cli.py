@@ -56,6 +56,29 @@ def test_build_from_matrix_file(capsys, tmp_path):
     assert payload["report"]["code"]["dimension"] == 2
 
 
+def test_matrix_file_with_extra_rows_is_an_error(capsys, tmp_path):
+    """A header promising r rows must be followed by exactly r rows, so a
+    file is never read as a shorter code, given directly or by a JSON
+    descriptor."""
+    path = tmp_path / "m.txt"
+    path.write_text("2 1 3\n1 0 1\n0 1 1\n")
+    desc = tmp_path / "code.json"
+    desc.write_text(json.dumps({"field": 2, "kind": "linear", "generator": "m.txt"}))
+    for source in (("--matrix-file", str(path)), ("--code-json", str(desc))):
+        code, payload = run_json(capsys, "build", *source)
+        assert code == 1
+        assert payload["error"] == {"type": "ValueError", "message": "expected 1 rows, got 2"}
+
+
+def test_deeply_nested_descriptor_is_a_descriptor_error(capsys):
+    depth = 10**4
+    code, payload = run_json(capsys, "build", "--code",
+                             "additive(" * depth + "hamming(3,2)" + ")" * depth)
+    assert code == 1
+    assert payload["error"] == {"type": "DescriptorError",
+                                "message": "descriptor nested too deeply"}
+
+
 def test_dual_verb(capsys):
     code, payload = run_json(capsys, "dual", "--code", "quaternary_hamming_dual_5",
                              "--kind", "hermitian")
@@ -213,13 +236,6 @@ def test_pretty_rendering(capsys):
     code, out = run_cli(capsys, "field", "--q", "9", "--pretty")
     assert code == 0
     assert "modulus: x^2 + 2*x + 2" in out
-
-
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QPRODUCT_BUDGET", "10")
-    code, payload = run_json(capsys, "distance", "--code", "rs(8,4)")
-    assert code == 0
-    assert payload["report"]["distance"]["lower_method"] == "column-independence"
 
 
 def test_reproduce_paper_passes(capsys):

@@ -3,6 +3,7 @@ windowed brute force, window factorization, tail-biting codes and their
 quantum parameters, and the free-distance bound."""
 import random
 
+import numpy as np
 import pytest
 
 from helpers import random_matrix
@@ -52,7 +53,7 @@ def test_conv_from_product_rejects_bad_t():
 
 def test_conv_from_product_rejects_non_self_orthogonal():
     c = hamming_dual(3, 2)
-    full = LinearCode(Matrix.identity(GF(2), 3))
+    full = LinearCode(Matrix(GF(2), np.eye(3, dtype=int)))
     with pytest.raises(ValueError):
         conv_from_product(c, full, 1, E)
 
@@ -100,7 +101,7 @@ def test_band_window_two_blocks():
     s = _binary_band(1)
     w = band_window(s, 2)
     assert (w.nrows, w.ncols) == (18, 91)
-    assert w.rank() == 18
+    assert w.rref()[0].nrows == 18
 
 
 def test_band_window_factorization():

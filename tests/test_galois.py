@@ -1,9 +1,12 @@
 """Field arithmetic: worked values, axiom sweeps, trace/Frobenius laws."""
+import itertools
 import random
+from math import gcd
 
 import pytest
 
-from qproduct.galois import GF, FieldSpec, _EXTENSION_MODULI
+from helpers import poly_is_irreducible
+from qproduct.galois import GF, FieldSpec, _EXTENSION_MODULI, _prime_factors, _smallest_primitive_root
 
 ALL_BUILTIN_ORDERS = sorted([p**l for (p, l) in _EXTENSION_MODULI] +
                             [p for p in range(2, 512 + 1)
@@ -83,24 +86,13 @@ def test_trace_is_linear_and_nonzero(q):
             assert spec.trace_to_prime(spec.mul(c, a)) == (c * values[a]) % spec.p
 
 
-def test_root_of_unity():
-    F4 = GF(4)
-    r = F4.root_of_unity(3)
-    assert r == F4.generator == 2
-    assert GF(8).root_of_unity(7) == GF(8).generator
-    r5 = GF(5).root_of_unity(4)
-    assert GF(5).power(r5, 4) == 1 and GF(5).power(r5, 2) != 1
-    with pytest.raises(ValueError):
-        GF(4).root_of_unity(5)
-
-
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25])
 def test_root_of_unity_has_exact_order(q):
+    """g^((q-1)/d) has order exactly d for every d dividing q - 1."""
     spec = GF(q)
     n = spec.q - 1
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    for d in divisors:
-        r = spec.root_of_unity(d)
+    for d in [d for d in range(1, n + 1) if n % d == 0]:
+        r = spec.power(spec.generator, n // d)
         assert spec.power(r, d) == 1
         for k in range(1, d):
             assert spec.power(r, k) != 1
@@ -151,15 +143,70 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, 2, (0, 0, 1))  # x^2 = x * x
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2
+    for g in range(4):  # no generator makes a reducible modulus a field
+        with pytest.raises(ValueError):
+            FieldSpec(2, 2, (1, 0, 1), generator=g)
 
 
 def test_nonprimitive_modulus_gets_other_generator():
     # x^4+x^3+x^2+x+1 is irreducible over GF(2) but x has order 5 in it,
-    # so the designated generator cannot be x itself
-    spec = FieldSpec(2, 4, (1, 1, 1, 1, 1))
-    assert spec.generator != 2
+    # so x cannot be the generator and one must be given
+    with pytest.raises(ValueError, match="does not have order 15"):
+        FieldSpec(2, 4, (1, 1, 1, 1, 1))
+    spec = FieldSpec(2, 4, (1, 1, 1, 1, 1), generator=3)  # x + 1
+    assert spec.generator == 3
     assert spec.power(spec.generator, 15) == 1
+    assert all(spec.power(3, 15 // r) != 1 for r in (3, 5))
     assert spec.power(2, 5) == 1
+
+
+# every monic polynomial of degree 2-4 over GF(2), 2-3 over GF(3), 2 over GF(5)
+SMALL_MODULI = [(p, low + (1,)) for p, degrees in ((2, (2, 3, 4)), (3, (2, 3)), (5, (2,)))
+                for ell in degrees for low in itertools.product(range(p), repeat=ell)]
+
+
+def test_field_built_exactly_for_irreducible_moduli():
+    """One walk of the generator's powers is the whole field check: some
+    generator builds GF(p)[x]/(f) iff f is irreducible, by a brute-force
+    factor search, and the default generator x builds it iff f is
+    irreducible and x has order q - 1."""
+    irreducible = 0
+    for p, f in SMALL_MODULI:
+        ell = len(f) - 1
+        q = p**ell
+
+        def builds(**kw):
+            try:
+                FieldSpec(p, ell, f, **kw)
+            except ValueError:
+                return False
+            return True
+
+        working = [g for g in range(q) if builds(generator=g)]
+        assert bool(working) == poly_is_irreducible(p, f), (p, f)
+        x_primitive = False
+        if working:  # exactly the phi(q - 1) primitive elements generate
+            irreducible += 1
+            assert len(working) == sum(gcd(k, q - 1) == 1 for k in range(1, q))
+            spec = FieldSpec(p, ell, f, generator=working[0])
+            x_primitive = all(spec.power(p, (q - 1) // r) != 1 for r in _prime_factors(q - 1))
+        assert builds() == x_primitive, (p, f)
+    assert irreducible == 1 + 2 + 3 + 3 + 8 + 10  # Gauss's count, degrees as listed
+
+
+def test_builtin_fields_keep_modulus_and_generator():
+    """The default generator is the one GF() always used: the smallest
+    primitive root for a prime field (modulus x - g), x (= p) otherwise."""
+    for q in ALL_BUILTIN_ORDERS:
+        spec = GF(q)
+        if spec.ell == 1:
+            g = _smallest_primitive_root(spec.p)
+            assert (spec.modulus, spec.generator) == ((-g % spec.p, 1), g)
+        else:
+            assert (spec.modulus, spec.generator) == (_EXTENSION_MODULI[spec.p, spec.ell], spec.p)
+    worked = {2: ((1, 1), 1), 5: ((3, 1), 2), 7: ((4, 1), 3), 11: ((9, 1), 2),
+              9: ((2, 2, 1), 3), 16: ((1, 1, 0, 0, 1), 2), 25: ((2, 4, 1), 5)}
+    assert {q: (GF(q).modulus, GF(q).generator) for q in worked} == worked
 
 
 def test_bad_generator_rejected():

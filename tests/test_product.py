@@ -3,6 +3,7 @@ generator against kernel-computed duals, the dual-distance ceiling, and
 self-orthogonality transfer."""
 import random
 
+import numpy as np
 import pytest
 
 from helpers import brute_min_distance, gram_scalar, random_additive_code, random_linear_code
@@ -148,11 +149,11 @@ def test_dual_of_product_generator_symplectic():
 
 
 def test_dual_of_product_full_space_factor():
-    full = LinearCode(Matrix.identity(GF(2), 3))
+    full = LinearCode(Matrix(GF(2), np.eye(3, dtype=int)))
     c2 = hamming_dual(3, 2)
     stacked = dual_of_product_generator(full, c2, E)
     h2 = c2.dual(E).generator
-    expected = Matrix.identity(GF(2), 3).kronecker(h2)
+    expected = Matrix(GF(2), np.eye(3, dtype=int)).kronecker(h2)
     assert stacked.rref()[0] == expected.rref()[0]
 
 
@@ -165,7 +166,7 @@ def test_dual_distance_ceiling_examples():
     weak = LinearCode(Matrix(GF(2), [[1, 0]]))
     assert dual_distance_ceiling(weak, c, E) == 1
     # a full-space factor has a zero dual and imposes no constraint
-    full = LinearCode(Matrix.identity(GF(2), 1))
+    full = LinearCode(Matrix(GF(2), np.eye(1, dtype=int)))
     ham = hamming(3, 2)
     assert dual_distance_ceiling(ham, full, E) == 4
     assert min_distance(product(ham, full).dual(E)).value == 4
