@@ -22,11 +22,15 @@ counted scan of the 2^8-word product, the transform, and a walk of the
 dual that stops at its first word of the least weight; each call starts
 without cached counts (compare the full walk of the random rows of the
 same shape, ``scan q=4 n=15 rows=22``).  A search shape is a code
-above the enumeration budget: the Euclidean dual of an RS product
-rs(q, q-mu1) x rs(q, q-mu2), whose weight-4 search runs in full, or the
-91-column dual of the binary hamming_dual(3,2) band, the window of its
-free-distance bound, where an early pair gives a weight-3 word.  The code and its syndrome columns are
-built before the clock starts.  For each shape this prints
+above the enumeration budget, searched as its certificate searches it:
+the Euclidean dual of an RS product rs(q, q-mu1) x rs(q, q-mu2), from
+the floor of its rectangle bound 1 + min(mu1, mu2) (a floor >= 5 leaves
+nothing to search; at 4 the search stops at the first doubling prefix of
+the pairs that holds a repeated pair sum), or the 91-column dual of the
+binary hamming_dual(3,2) band, the window of its free-distance bound,
+from no floor, where an early pair gives a weight-3 word.  The code and
+its syndrome columns are built before the clock starts.  For each shape
+this prints
 
   first_rss_kib  peak RSS growth over the first call (kernel code pages
                  faulted in plus the call's arrays), in KiB
@@ -34,6 +38,11 @@ built before the clock starts.  For each shape this prints
   ms             median wall time of the repeated calls (a search repeats
                  from its syndrome columns, without the arrays it caches)
   words_per_s    words scanned per second at that median (scans only)
+
+and for a search shape also
+
+  full_ms        median wall time of the same search from no floor
+  pairs          the pair sums the floored search formed, of all pairs
 """
 from __future__ import annotations
 
@@ -70,7 +79,13 @@ SCAN_SHAPES = (
 SEARCH_SHAPES = (
     ("rs", 8, 3, 3),
     ("rs", 9, 3, 5),
-    ("rs", 11, 4, 4),
+    ("rs", 11, 3, 3),     # d = 4: floored at 4
+    ("rs", 11, 3, 7),
+    ("rs", 13, 3, 3),
+    ("rs", 13, 3, 9),
+    ("rs", 16, 3, 3),
+    ("rs", 16, 3, 12),
+    ("rs", 11, 4, 4),     # floored at 5: nothing to search
     ("rs", 13, 5, 5),
     ("rs", 16, 7, 7),
     ("band", 2),          # 91 columns, weight 3 in the first chunk
@@ -155,10 +170,11 @@ def profile_min_distance(repeats: int) -> dict:
 
 
 def search_code(shape: tuple):
+    """The code of a search shape, and the floor its certificate searches from."""
     from qproduct.catalog import hamming_dual
     from qproduct.code import spanned_code
     from qproduct.convolutional import band_window, conv_from_product
-    from qproduct.cyclic import rs_code
+    from qproduct.cyclic import bch_rectangle_bound, rs_code
     from qproduct.galois import GF
     from qproduct.matrix import InnerProductKind
     from qproduct.product import product
@@ -166,31 +182,47 @@ def search_code(shape: tuple):
     euclidean = InnerProductKind.EUCLIDEAN
     if shape[0] == "rs":
         _, q, mu1, mu2 = shape
-        return product(rs_code(GF(q), q - mu1).code, rs_code(GF(q), q - mu2).code).dual(euclidean)
+        code = product(rs_code(GF(q), q - mu1).code, rs_code(GF(q), q - mu2).code)
+        return code.dual(euclidean), bch_rectangle_bound(mu1, mu2)
     s = conv_from_product(hamming_dual(3, 2), hamming_dual(3, 2), 1, euclidean)
     width = shape[1] * s.frame + s.overlap
     rows = band_window(s, shape[1] + 1).take_columns(range(width)).rows
-    return spanned_code(euclidean, s.spec, rows, width).dual(euclidean)
+    return spanned_code(euclidean, s.spec, rows, width).dual(euclidean), 1
 
 
 def profile_search(shape: tuple, repeats: int) -> dict:
     """One search shape, in this interpreter."""
-    from qproduct.code import find_low_weight_word
+    from qproduct import code as code_module
 
-    code = search_code(shape)
+    code, floor = search_code(shape)
     code._syndrome_columns()
-    found = []
+    found, formed = [], []
 
-    def search() -> None:
+    def search(at: int) -> None:
         code._pairs = None  # search from the syndrome columns each time
-        found.append(find_low_weight_word(code, 4))
+        found.append(code_module.find_low_weight_word(code, 4, floor=at))
 
-    growth, first, median = first_and_repeats(search, repeats)
+    growth, first, median = first_and_repeats(lambda: search(floor), repeats)
+    _, _, full = first_and_repeats(lambda: search(1), repeats)
+    if found[0] != found[-1]:
+        raise AssertionError(f"{shape}: the floored search returned another word")
+    sums = code_module._PairSums.sums
+
+    def counted(pairs, lo: int, hi: int):
+        formed.append(hi)
+        return sums(pairs, lo, hi)
+
+    code_module._PairSums.sums = counted
+    try:
+        search(floor)
+    finally:
+        code_module._PairSums.sums = sums
     weight = None if found[0] is None else sum(1 for v in found[0] if v)
-    return {"shape": f"search {'rs q={} mu={},{}'.format(*shape[1:]) if shape[0] == 'rs' else 'band'}"
-                     f" n={code.n} -> {weight}",
+    name = "rs q={} mu={},{}".format(*shape[1:]) if shape[0] == "rs" else "band"
+    return {"shape": f"search {name} n={code.n} floor={floor} -> {weight}",
             "first_rss_kib": round(growth / 1024), "first_ms": round(first * 1e3, 2),
-            "ms": round(median * 1e3, 2), "words_per_s": ""}
+            "ms": round(median * 1e3, 2), "full_ms": round(full * 1e3, 2),
+            "pairs": f"{max(formed, default=0)}/{int(code._pair_sums().offset[-1])}"}
 
 
 def main() -> None:
@@ -211,15 +243,23 @@ def main() -> None:
             result = profile_scan(*shape, args.repeats)
         print(json.dumps(result))
         return
-    print(f"{'shape':<36} {'first_rss_kib':>13} {'first_ms':>9} {'ms':>9} {'words_per_s':>12}")
-    for shape in SCAN_SHAPES + SEARCH_SHAPES:
+    def run(shape: tuple) -> dict:
         out = subprocess.run([sys.executable, __file__, "--repeats", str(args.repeats),
                               "--shape", json.dumps(shape)],
                              check=True, capture_output=True, text=True).stdout
-        r = json.loads(out.splitlines()[-1])
+        return json.loads(out.splitlines()[-1])
+
+    print(f"{'shape':<36} {'first_rss_kib':>13} {'first_ms':>9} {'ms':>9} {'words_per_s':>12}")
+    for shape in SCAN_SHAPES:
+        r = run(shape)
         print(f"{r['shape']:<36} {r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9} "
               f"{r['words_per_s']:>12}")
-
+    print(f"\n{'shape':<44} {'first_rss_kib':>13} {'first_ms':>9} {'ms':>9} {'full_ms':>9} "
+          f"{'pairs':>14}")
+    for shape in SEARCH_SHAPES:
+        r = run(shape)
+        print(f"{r['shape']:<44} {r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9} "
+              f"{r['full_ms']:>9} {r['pairs']:>14}")
 
 if __name__ == "__main__":
     main()

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import DistanceCertificate, LinearCode, enumeration_budget, min_distance
+from .code import DistanceCertificate, LinearCode, min_distance
 from .galois import GF, FieldSpec, field_tables
 from .matrix import InnerProductKind, Matrix
 from .product import product
@@ -126,20 +126,21 @@ class RsProductReport:
         """Distance certificate for the product's Euclidean dual, reusing
         ``cert``, the dual's ``min_distance``, when known.
 
-        When the dual is too large to enumerate, the rectangle bound supplies
-        the lower bound (it can exceed the 5 that the low-weight search proves
-        on its own); a bound >= 5 leaves the weight-4 search nothing to find,
-        so it is skipped.  Otherwise the upper bound comes from a witness of
-        weight <= 4, and is None without one.
+        When the dual is too large to enumerate, the rectangle bound is the
+        floor of its low-weight search: a bound >= 5 leaves the weight-4
+        search nothing to find, and a bound of 4 rules out weight 3, so the
+        search ends at its first repeated pair sum, with the witness of the
+        full search.  The lower bound is the larger of the rectangle bound
+        and the search's own (it can exceed the 5 that the search proves on
+        its own); the upper bound is the witness's weight, or None without
+        one.
         """
         dual = self.code.dual(InnerProductKind.EUCLIDEAN)
         rect_lower = bch_rectangle_bound(self.q - self.delta1, self.q - self.delta2)
-        if cert is None and rect_lower >= 5 and dual.size() > enumeration_budget(budget):
-            return DistanceCertificate(lower=rect_lower, upper=None, lower_method="bch-rectangle")
-        cert = cert or min_distance(dual, budget=budget)
-        if cert.lower_method == "exhaustive" or rect_lower < cert.lower:
+        cert = cert or min_distance(dual, budget=budget, floor=rect_lower)
+        if cert.lower_method == "exhaustive":
             return cert
-        return DistanceCertificate(lower=rect_lower, upper=cert.upper,
+        return DistanceCertificate(lower=max(rect_lower, cert.lower), upper=cert.upper,
                                    lower_method="bch-rectangle", witness=cert.witness,
                                    claimed=cert.claimed)
 

@@ -91,10 +91,13 @@ def symplectic_qecc(code: AdditiveCode, budget: int | None = None) -> QeccParams
 
 def rs_product_report(q: int, mu1: int, mu2: int) -> RsProductReport:
     """The report of the product of two Reed-Solomon codes of dimensions
-    mu1 and mu2; mu1 < (q-1)/2 guarantees the first factor is
-    self-orthogonal, and is checked before anything is built."""
-    if not 2 * mu1 < q - 1:
-        raise ValueError(f"mu1 = {mu1} must satisfy mu1 < (q-1)/2 = {(q - 1) / 2}")
+    mu1 and mu2; 1 <= mu1 < (q-1)/2 guarantees the first factor is
+    self-orthogonal, and 1 <= mu2 <= q-2 that the second is a Reed-Solomon
+    code; both are checked before anything is built."""
+    if not 1 <= mu1 < (q - 1) / 2:
+        raise ValueError(f"mu1 = {mu1} must satisfy 1 <= mu1 < (q-1)/2 = {(q - 1) / 2}")
+    if not 1 <= mu2 <= q - 2:
+        raise ValueError(f"mu2 = {mu2} must satisfy 1 <= mu2 <= q-2 = {q - 2}")
     return rs_product_params(q, q - mu1, q - mu2)
 
 

@@ -163,6 +163,19 @@ def test_qecc_rs_product_certifies_the_dual_once(capsys):
     assert rep["dual_certificate"]["lower"] == rep["predicted"]["expected_dual_distance"] == 3
 
 
+@pytest.mark.parametrize("mu1,mu2,named", [("3", "0", "mu2 = 0"), ("3", "7", "mu2 = 7"),
+                                           ("-1", "3", "mu1 = -1"), ("0", "3", "mu1 = 0")])
+def test_qecc_rs_product_rejects_a_dimension_out_of_range(capsys, monkeypatch, mu1, mu2, named):
+    """Over GF(8), 1 <= mu1 < 3.5 and 1 <= mu2 <= 6; the error names the
+    dimension given, not a designed distance, and nothing is built."""
+    monkeypatch.setattr(cyclic_module, "rs_code", None)
+    code, payload = run_json(capsys, "qecc", "--construction", "rs-product",
+                             "--q", "8", "--mu1", mu1, "--mu2", mu2)
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].startswith(named)
+
+
 def test_product_verb_ceiling_ignores_full_space_factor(capsys):
     # cyclic(2,1) is the full space GF(2)^1: its dual is the zero code
     code, payload = run_json(capsys, "product", "--code1", "hamming(3,2)",

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import cyclic_oracle, flat_to_grid, inverse_spectrum_2d, root_of_unity, spectrum_2d
-from qproduct.code import LinearCode, distance_at_least, find_low_weight_word, min_distance
+from qproduct.code import (DistanceCertificate, LinearCode, distance_at_least, enumeration_budget,
+                           find_low_weight_word, hamming_weight, min_distance)
 from qproduct.cyclic import (bch_rectangle_bound, cyclic_from_roots, dual_support_map,
                              product_spectrum_support, rs_code, rs_product_dual_certificate,
                              rs_product_params)
@@ -328,6 +329,28 @@ def test_rs_product_dual_certificate_is_the_report_certificate():
                 delta1, delta2 = q - mu1, q - mu2
                 assert (rs_product_dual_certificate(q, delta1, delta2)
                         == rs_product_params(q, delta1, delta2).dual_certificate())
+
+
+@pytest.mark.parametrize("q,count", [(7, 10), (8, 18), (9, 21), (11, 36)])
+def test_rs_product_dual_certificate_is_the_unfloored_search(q, count):
+    """Every RS product dual with q in {7, 8, 9, 11} (85 of them) is above
+    the budget.  Its certificate, searched from the rectangle bound up, is
+    the one built from the full search: the same witness, the larger of
+    the two lower bounds, and the method ``bch-rectangle``."""
+    cases = 0
+    for mu1 in range(1, q // 2):  # mu1 < (q-1)/2
+        for mu2 in range(1, q - 1):
+            rep = rs_product_params(q, q - mu1, q - mu2)
+            cert = rep.dual_certificate()
+            dual = rep.code.dual(E)
+            assert dual.size() > enumeration_budget()
+            word = find_low_weight_word(dual, 4)
+            w = None if word is None else hamming_weight(word)
+            assert cert == DistanceCertificate(
+                lower=max(bch_rectangle_bound(mu1, mu2), w or 5), upper=w,
+                lower_method="bch-rectangle", witness=word)
+            cases += 1
+    assert cases == count
 
 
 def test_rs_product_report_keeps_its_product_out_of_the_payload():

@@ -14,7 +14,8 @@ from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
 from qproduct.product import product, product_additive
 from qproduct.quantum import (css_qecc, hermitian_qecc, rate_comparison, rs_prod_qecc,
-                              stabilizer_distance, symplectic_qecc)
+                              rs_product_report, rs_report_qecc, stabilizer_distance,
+                              symplectic_qecc)
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
@@ -144,26 +145,19 @@ def test_rs_prod_qecc_builds_the_product_once(monkeypatch):
 
 
 @pytest.mark.parametrize("q,mu,lower", [(13, 5, 6), (16, 7, 8)])
-def test_rs_prod_qecc_above_the_budget(monkeypatch, q, mu, lower):
+def test_rs_prod_qecc_above_the_budget(q, mu, lower):
     """The duals hold q^(n - mu^2) words, far above the budget, and the
     rectangle bound 1 + mu >= 5 already rules out a word of weight <= 4,
-    so the certificate is that bound, with no upper bound and no search.
-    GF(16) is an extension field."""
-    import qproduct.code as code_module
-
-    found = []
-    real = code_module.find_low_weight_word
-
-    def recorded(code, max_w=4):
-        found.append((max_w, real(code, max_w)))
-        return found[-1][1]
-
-    monkeypatch.setattr(code_module, "find_low_weight_word", recorded)
-    distance = rs_prod_qecc(q, mu, mu).distance
+    so the certificate is that bound, with no upper bound and no search:
+    the search, floored by the bound, forms no syndrome column and no
+    pair sum.  GF(16) is an extension field."""
+    rep = rs_product_report(q, mu, mu)
+    distance = rs_report_qecc(rep).distance
     assert [distance.lower, distance.upper] == [lower, None]
     assert distance.lower_method == "bch-rectangle"
     assert distance.witness is None
-    assert found == []
+    dual = rep.code.dual(E)
+    assert dual._columns is None and dual._pairs is None
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])
