@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .galois import FieldSpec, field_add, field_map, field_tables
-from .matrix import InnerProductKind, Matrix, _require_even_degree
+from .matrix import InnerProductKind, Matrix, _require_even_degree, product_kernel
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -235,6 +235,7 @@ class Code:
         self.claimed_distance = claimed_distance
         self.generator = self.symbols(basis)
         self._parity = parity
+        self._factors: tuple[Code, Code] | None = None  # (c1, c2) of a product c1 (x) c2
         self._dual_cache: dict[InnerProductKind, Code] = {}
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
         self._primal: weakref.ref | None = None  # the code this is the dual of, if built so
@@ -242,7 +243,7 @@ class Code:
         self._pairs: _PairSums | None = None
 
     @classmethod
-    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix,
+    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix | None,
                     claimed_distance: int | None = None) -> "Code":
         code = cls.__new__(cls)
         code.spec, code.n = spec, n
@@ -318,15 +319,24 @@ class Code:
         return Matrix._of(self.field, trace.reshape(len(g), self.n * self.width))
 
     def dual(self, kind: InnerProductKind | None = None) -> "Code":
-        """The dual under ``kind``: the F-kernel of ``_form(kind)``, which
-        it keeps as its parity rows.  Matrix.kernel returns rref.  The dual
-        refers back to this code weakly, so the pair forms no reference
-        cycle, and its own duals are built afresh."""
+        """The dual under ``kind``: the F-kernel of ``_form(kind)``, in
+        rref, which it keeps as its parity rows.  The dual refers back to
+        this code weakly, so the pair forms no reference cycle, and its own
+        duals are built afresh.  The form of a product c1 (x) c2 is the
+        Kronecker product of its factors' forms, under
+        ``_first_factor_kind(kind)`` and kind, as the Frobenius map is
+        multiplicative and tr(g h frob(x^t)) = g tr(h frob(x^t)) for g in
+        GF(p); so its kernel is ``product_kernel`` of the two."""
         kind = self._kind(kind)
         cached = self._dual_cache.get(kind)
         if cached is None:
             form = self._form(kind)
-            cached = self._from_basis(self.spec, self.n, form.kernel(), form)
+            if self._factors is None:
+                basis = form.kernel()
+            else:
+                c1, c2 = self._factors
+                basis = product_kernel(c1._form(_first_factor_kind(kind)), c2._form(kind))
+            cached = self._from_basis(self.spec, self.n, basis, form)
             cached._primal = weakref.ref(self)
             self._dual_cache[kind] = cached
         return cached
@@ -345,23 +355,22 @@ class Code:
         return [tuple(spec.mul(spec.p**t, v) for v in g)
                 for g in self.generator.rows for t in range(self.field.ell)]
 
-    def parity_rows(self) -> Matrix:
-        """The rref of the rows over F whose F-kernel is the code: the
-        kept form of the primal for a dual, else the kernel of the basis."""
-        if self._parity is None:
-            return self.basis.kernel()
-        return self._parity.rref()[0]
-
     def _syndrome_columns(self) -> tuple[list[tuple[int, int]], np.ndarray, list, np.ndarray]:
         """The syndrome over F of each (coordinate, symbol) pair, for every
         nonzero symbol up to F* scaling (the smallest of its class), as the
         rows of one array, with the pairs, the (key, leading entry) of each
         F*-normalized column (None for a zero column) and the normalized
         columns as an array; cached.  A linear code has one column per
-        coordinate, an additive one (q-1)/(p-1)."""
+        coordinate, an additive one (q-1)/(p-1).
+
+        The syndromes are taken against the kept parity rows as they are,
+        else the kernel of the basis.  Rows that span the same space as the
+        rref H give columns A * col, A of full column rank, which keeps
+        zero columns, parallel classes and the coefficients of every
+        vanishing combination, so every word the search returns."""
         if self._columns is None:
             spec, F, w = self.spec, self.field, self.width
-            H = self.parity_rows().array
+            H = (self.basis.kernel() if self._parity is None else self._parity).array
             if w == 1:
                 where = [(i, 1) for i in range(self.n)]
                 cols = H.T
@@ -458,6 +467,12 @@ class AdditiveCode(Code):
     def describe(self) -> dict:
         return {**super().describe(), "kind": "additive", "log_p_size": self.k_p,
                 "size": f"{self.spec.p}^{self.k_p}"}
+
+
+def _first_factor_kind(kind: InnerProductKind) -> InnerProductKind:
+    """Under the symplectic kind the prime-field first factor of a product
+    pairs by the Euclidean product over GF(p)."""
+    return InnerProductKind.EUCLIDEAN if kind is InnerProductKind.SYMPLECTIC else kind
 
 
 def spanned_code(kind: InnerProductKind, spec: FieldSpec, rows: Iterable[Sequence[int]],

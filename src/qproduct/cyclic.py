@@ -109,6 +109,39 @@ class RsProductReport:
     product_self_orthogonal: bool
     code: LinearCode = field(repr=False, compare=False)
 
+    @classmethod
+    def of(cls, c1: CyclicCode, c2: CyclicCode) -> "RsProductReport":
+        """The report of rs(q, delta1) (x) rs(q, delta2) from its two built
+        factors (``rs_code``, delta_i = |zeros_i| + 1), cross-checked
+        structurally against the product, which is built once and kept as
+        ``code``.
+
+        The dual dimension comes out of q*(d1+d2-2) - d1*d2 + 1, which
+        equals (q-1)^2 - (q-delta1)*(q-delta2) identically; both dual
+        distance candidates are reported: the stated min(q-delta1, q-delta2)
+        and the corrected 1 + min(q-delta1, q-delta2).
+        """
+        q, delta1, delta2 = c1.spec.q, len(c1.zeros) + 1, len(c2.zeros) + 1
+        prod = product(c1.code, c2.code)
+        n = (q - 1) ** 2
+        k = (q - delta1) * (q - delta2)
+        if prod.n != n or prod.k != k:
+            raise AssertionError("constructed product disagrees with predicted parameters")
+        k_dual = q * (delta1 + delta2 - 2) - delta1 * delta2 + 1
+        if k_dual != n - k:
+            raise AssertionError("dual dimension formula disagrees with n - k")
+        return cls(
+            q=q, delta1=delta1, delta2=delta2,
+            length=n, dimension=k, distance=delta1 * delta2,
+            dual_dimension=k_dual,
+            stated_dual_distance=min(q - delta1, q - delta2),
+            expected_dual_distance=1 + min(q - delta1, q - delta2),
+            factor1_self_orthogonal=c1.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
+            factor2_self_orthogonal=c2.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
+            product_self_orthogonal=prod.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
+            code=prod,
+        )
+
     def to_dict(self) -> dict:
         return {
             "q": self.q,
@@ -146,36 +179,10 @@ class RsProductReport:
 
 
 def rs_product_params(q: int, delta1: int, delta2: int) -> RsProductReport:
-    """Predicted parameters of rs(q, delta1) (x) rs(q, delta2) and of its
-    Euclidean dual, cross-checked structurally against the product, which
-    is built once and kept as the report's ``code``.
-
-    The dual dimension comes out of q*(d1+d2-2) - d1*d2 + 1, which equals
-    (q-1)^2 - (q-delta1)*(q-delta2) identically; both dual distance
-    candidates are reported: the stated min(q-delta1, q-delta2) and the
-    corrected 1 + min(q-delta1, q-delta2).
-    """
+    """``RsProductReport.of`` the Reed-Solomon factors rs(q, delta1) and
+    rs(q, delta2), built here."""
     spec = GF(q)
-    c1, c2 = rs_code(spec, delta1), rs_code(spec, delta2)
-    prod = product(c1.code, c2.code)
-    n = (q - 1) ** 2
-    k = (q - delta1) * (q - delta2)
-    if prod.n != n or prod.k != k:
-        raise AssertionError("constructed product disagrees with predicted parameters")
-    k_dual = q * (delta1 + delta2 - 2) - delta1 * delta2 + 1
-    if k_dual != n - k:
-        raise AssertionError("dual dimension formula disagrees with n - k")
-    return RsProductReport(
-        q=q, delta1=delta1, delta2=delta2,
-        length=n, dimension=k, distance=delta1 * delta2,
-        dual_dimension=k_dual,
-        stated_dual_distance=min(q - delta1, q - delta2),
-        expected_dual_distance=1 + min(q - delta1, q - delta2),
-        factor1_self_orthogonal=c1.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
-        factor2_self_orthogonal=c2.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
-        product_self_orthogonal=prod.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
-        code=prod,
-    )
+    return RsProductReport.of(rs_code(spec, delta1), rs_code(spec, delta2))
 
 
 def rs_product_dual_certificate(q: int, delta1: int, delta2: int,

@@ -7,10 +7,12 @@ A matrix is one immutable numpy array of field elements (uint8 for
 q <= 256, uint16 above), worked on whole through the field kernels of
 ``galois``.  ``rref`` clears each pivot's column in all rows at once;
 ``kernel`` is one elimination of the column-reversed matrix, whose rows
-give the null space already in rref.  Gram matrices and Kronecker
-products are log/exp table lookups.  Every basis-producing operation
-returns rref, unique per row space, so reports are byte-stable.  Entries
-are range-checked once, by the public constructor.
+give the null space already in rref, and ``product_kernel`` gives the
+kernel of a Kronecker product from eliminations of its two factors only.
+Gram matrices and Kronecker products are log/exp table lookups.  Every
+basis-producing operation returns rref, unique per row space, so reports
+are byte-stable.  Entries are range-checked once, by the public
+constructor.
 """
 from __future__ import annotations
 
@@ -55,6 +57,30 @@ def _non_pivots(n: int, pivots: np.ndarray) -> np.ndarray:
     free = np.ones(n, bool)
     free[pivots] = False
     return np.flatnonzero(free)
+
+
+def _reversed_kernel(red: "Matrix", rev: Sequence[int]) -> "Matrix":
+    """The kernel, in rref, of red with its columns reversed, red being in
+    rref with pivot columns rev.
+
+    Read back in reversed column order, row t of red has its pivot
+    P_t = n-1-rev[t] as its rightmost nonzero entry.  For each non-pivot
+    column f, the row e_f - sum_t red[t, n-1-f] e_{P_t} lies in the kernel;
+    its other entries sit at pivots P_t > f, so it leads with 1 at f, and
+    these rows, one per non-pivot column in increasing order, are the rref
+    of the kernel.
+    """
+    spec, n = red.spec, red.ncols
+    pivots = n - 1 - np.array(rev, np.intp)
+    free = _non_pivots(n, pivots)
+    out = np.zeros((len(free), n), element_dtype(spec))
+    out[np.arange(len(free)), free] = 1
+    coef = red.array[:, ::-1][:, free].T
+    if spec.p != 2:
+        log, exp = field_tables(spec)
+        coef = exp[log[coef] + (spec.q - 1) // 2]  # -coef
+    out[:, pivots] = coef
+    return Matrix._of(spec, out)
 
 
 class Matrix:
@@ -177,27 +203,10 @@ class Matrix:
         return Matrix._of(spec, a[:r]), tuple(pivots)
 
     def kernel(self) -> "Matrix":
-        """Basis of the right null space {x : self @ x^T = 0}, in rref.
-
-        One elimination: reduce the column-reversed matrix, so row t of R
-        (read back in the original column order) has its pivot P_t as its
-        rightmost nonzero entry.  For each non-pivot column f, the row
-        e_f - sum_t R[t, f] e_{P_t} lies in the kernel; its other entries sit
-        at pivots P_t > f, so it leads with 1 at f, and these rows, one per
-        non-pivot column in increasing order, are the rref of the kernel.
-        """
-        spec, n = self.spec, self.ncols
-        red, rev = Matrix._of(spec, self.array[:, ::-1]).rref()
-        pivots = n - 1 - np.array(rev, np.intp)
-        free = _non_pivots(n, pivots)
-        out = np.zeros((len(free), n), element_dtype(spec))
-        out[np.arange(len(free)), free] = 1
-        coef = red.array[:, ::-1][:, free].T
-        if spec.p != 2:
-            log, exp = field_tables(spec)
-            coef = exp[log[coef] + (spec.q - 1) // 2]  # -coef
-        out[:, pivots] = coef
-        return Matrix._of(spec, out)
+        """Basis of the right null space {x : self @ x^T = 0}, in rref: one
+        elimination, of the column-reversed matrix, read back by
+        ``_reversed_kernel``."""
+        return _reversed_kernel(*Matrix._of(self.spec, self.array[:, ::-1]).rref())
 
     def row_space_contains(self, vec: Sequence[int]) -> bool:
         """Membership in the row span, assuming self is already in rref:
@@ -231,6 +240,27 @@ class Matrix:
         if kind is InnerProductKind.SYMPLECTIC:
             return Matrix._of(spec.prime_field, field_map(spec, "trace_to_prime")[out])
         return Matrix._of(spec, out)
+
+
+def product_kernel(a: Matrix, b: Matrix) -> Matrix:
+    """The kernel of a (x) b in rref, with eliminations only the size of a
+    and of b.  Two facts give it.
+
+    1. A Kronecker product of two matrices in rref is in rref.  Row (i, j)
+       leads with 1 * 1 at column (p_i, p_j), the pivots of its factor
+       rows, and is 0 left of it; every other row is 0 there, because the
+       factors' pivot columns are unit columns; and lexicographic row order
+       gives increasing pivots.  Its rows are therefore independent.
+    2. rev(a (x) b) = rev(a) (x) rev(b), reversing the columns, and a
+       Kronecker product spans the tensor product of its factors' row
+       spaces.  So by fact 1, and as rref is unique per row space, the
+       rref of rev(a (x) b) is rref(rev a) (x) rref(rev b).
+
+    ``_reversed_kernel`` reads the kernel off that rref, as in
+    ``Matrix.kernel``.
+    """
+    (r1, p1), (r2, p2) = (Matrix._of(m.spec, m.array[:, ::-1]).rref() for m in (a, b))
+    return _reversed_kernel(r1.kronecker(r2), [i * r2.ncols + j for i in p1 for j in p2])
 
 
 def complement_basis(h: Matrix, ambient_dim: int) -> Matrix:

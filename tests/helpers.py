@@ -166,6 +166,15 @@ def random_additive_code(rng: random.Random, spec: FieldSpec, n: int, kmax: int)
     return AdditiveCode(spec, rows, n=n)
 
 
+def parity_rows(code) -> Matrix:
+    """The rref of the rows over F whose F-kernel is the code: the kept
+    parity rows (the form of the primal, for a dual), else the kernel of
+    the basis."""
+    if code._parity is None:
+        return code.basis.kernel()
+    return code._parity.rref()[0]
+
+
 def check_certificate(code, cert) -> None:
     """Re-check a distance certificate's witness against the code."""
     assert cert.lower >= 1

@@ -1,5 +1,6 @@
 """Command line behavior: report structure, determinism, exit codes, and
 the golden-diff harness."""
+import copy
 import json
 import shutil
 
@@ -12,6 +13,7 @@ import qproduct.cyclic as cyclic_module
 import qproduct.product as product_module
 import qproduct.quantum as quantum_module
 from qproduct.cli import main
+from qproduct.matrix import Matrix
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +276,25 @@ def test_reproduce_paper_detects_corruption(capsys, tmp_path, monkeypatch):
     assert any("/qecc/k" in d for d in failed["hamming-dual-chain"])
 
 
+def test_golden_diff_paths_name_each_difference():
+    """A report equal to its golden has no diff; a changed leaf, an added
+    key, a removed key and a list of another length are each named by
+    their path, as the walk over the whole tree names them."""
+    golden = json.loads((cli._golden_dir() / "rs-product-grid.json").read_text())
+    assert cli._diff_paths(golden, copy.deepcopy(golden), prefix="rs-product-grid") == []
+    changed = copy.deepcopy(golden)
+    changed["q=4"][0]["rectangle_certificate"]["upper"] = 3
+    changed["q=5"][1]["extra"] = True
+    del changed["q=7"][2]["mu"]
+    changed["q=8"].pop()
+    assert cli._diff_paths(golden, changed, prefix="rs-product-grid") == [
+        "rs-product-grid/q=4[0]/rectangle_certificate/upper: expected 2, got 3",
+        "rs-product-grid/q=5[1]/extra (unexpected)",
+        "rs-product-grid/q=7[2]/mu (missing)",
+        "rs-product-grid/q=8 (length 18 != 17)",
+    ]
+
+
 def test_write_golden_regenerates_every_golden_byte_for_byte(capsys, tmp_path, monkeypatch):
     committed = cli._golden_dir()
     golden = tmp_path / "golden"  # an empty directory, not a copy of the goldens
@@ -307,12 +328,30 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_rs_product_grid_builds_each_product_once(monkeypatch):
-    """The grid's 33 entries build two RS factors and one product each,
-    and hand them to the report and the dual certificate."""
+    """The grid's 33 entries build one product each, and hand it to the
+    report and the dual certificate; each of the 2 + 3 + 5 + 6 distinct
+    RS factors is built once per q and shared by its entries."""
     calls = _count_calls(monkeypatch, (product_module, "product"), (cyclic_module, "rs_code"))
     grid = cli.PIPELINES["rs-product-grid"](None)
     assert sum(len(entries) for entries in grid.values()) == 33
-    assert calls == {"product": 33, "rs_code": 66}
+    assert calls == {"product": 33, "rs_code": 16}
+
+
+def test_rs_product_grid_eliminates_no_more_than_a_factor(monkeypatch):
+    """Each product's basis and dual come from its factors' by the
+    Kronecker lemmas, and its dual's syndromes from its kept parity rows,
+    so no rref in the grid is wider than a factor: q - 1 columns."""
+    widths = {}
+    rref = Matrix.rref
+
+    def counted(m):
+        widths.setdefault(m.spec.q, []).append(m.ncols)
+        return rref(m)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    cli.PIPELINES["rs-product-grid"](None)
+    assert sorted(widths) == [4, 5, 7, 8]
+    assert all(max(w) == q - 1 for q, w in widths.items())
 
 
 def test_qecc_rs_product_builds_the_product_once(monkeypatch, capsys):

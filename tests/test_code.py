@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerator,
-                     check_certificate, gray_scan, gram_scalar, low_weight_oracle,
-                     random_additive_code, random_linear_code)
+                     check_certificate, gray_scan, gram_scalar, low_weight_oracle, matmul,
+                     random_additive_code, random_linear_code, random_matrix)
 from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
@@ -271,6 +271,24 @@ def test_low_weight_search_matches_oracle(chunk, code):
             least = max_w + 1 if full is None else sum(1 for v in full if v)
             for floor in range(1, least + 1):
                 assert find_low_weight_word(code, max_w, floor=floor) == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=_search_codes(), seed=st.integers(0, 1 << 16))
+def test_low_weight_search_reads_any_parity_rows_of_the_code(code, seed):
+    """Kept parity rows R * H, for a random invertible R, give the search
+    the same word as the rref H, for every max_w and floor."""
+    rng = random.Random(seed)
+    h = code.basis.kernel()
+    r = random_matrix(rng, code.field, h.nrows, h.nrows)
+    while r.rref()[0].nrows < h.nrows:
+        r = random_matrix(rng, code.field, h.nrows, h.nrows)
+    kept = type(code)._from_basis(code.spec, code.n, code.basis, matmul(r, h))
+    for max_w in (1, 2, 3, 4):
+        full = find_low_weight_word(code, max_w)
+        least = max_w + 1 if full is None else sum(1 for v in full if v)
+        for floor in range(1, least + 1):
+            assert find_low_weight_word(kept, max_w, floor=floor) == full
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 1 << 6, None])

@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (gram_oracle, gram_scalar, kernel_oracle, kronecker_oracle, matmul,
-                     orthogonal_pairwise, random_matrix, rref_oracle, to_text, transpose)
+                     orthogonal_pairwise, parity_rows, random_matrix, rref_oracle, to_text,
+                     transpose)
 from qproduct.galois import GF, FieldSpec
-from qproduct.matrix import InnerProductKind, Matrix, complement_basis, from_text
+from qproduct.matrix import (InnerProductKind, Matrix, complement_basis, from_text,
+                             product_kernel)
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
@@ -263,10 +265,10 @@ ORACLE_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 289)] + [
 
 
 @st.composite
-def _matrix_pairs(draw):
-    """Two matrices over one field with the same column count, each with
-    rows that are fresh, zero, scaled copies or sums of earlier rows."""
-    spec = draw(st.sampled_from(ORACLE_FIELDS))
+def _matrix_pairs(draw, fields=ORACLE_FIELDS):
+    """Two matrices over one of ``fields`` with the same column count, each
+    with rows that are fresh, zero, scaled copies or sums of earlier rows."""
+    spec = draw(st.sampled_from(fields))
     ncols = draw(st.integers(0, 7))
     element = st.integers(0, spec.q - 1)
 
@@ -302,6 +304,18 @@ def test_array_layer_matches_the_pure_python_oracle(pair):
             assert a.gram(b, kind) == gram_oracle(a, b, kind)
 
 
+@settings(max_examples=200, deadline=None)
+@given(pair=_matrix_pairs(fields=[GF(q) for q in (2, 3, 4, 5, 7, 8, 9, 16)]))
+@example(pair=(Matrix(GF(4), np.zeros((2, 3), int)), Matrix(GF(4), np.eye(2, dtype=int))))
+@example(pair=(Matrix(GF(5), [], ncols=3), Matrix(GF(5), [[1, 2]])))
+def test_product_kernel_is_the_kernel_of_the_kronecker_product(pair):
+    """From the two factors, with zero, dependent and full-rank rows: a
+    zero factor makes the kernel the full space, two full-rank square ones
+    leave it empty."""
+    a, b = pair
+    assert product_kernel(a, b) == a.kronecker(b).kernel()
+
+
 def _dual_cases():
     from qproduct.catalog import hamming
     from qproduct.code import AdditiveCode, LinearCode
@@ -314,11 +328,15 @@ def _dual_cases():
 
 @pytest.mark.parametrize("code, kind", _dual_cases())
 def test_dual_parity_rows_are_the_kept_form_without_a_kernel(code, kind, monkeypatch):
+    """A dual's kept parity rows span the kernel of its basis, and its
+    syndrome columns are read off them as they are: no kernel, no rref."""
     dual = code.dual(kind)
     expected = dual.basis.kernel()
     calls = []
-    kernel = Matrix.kernel
-    monkeypatch.setattr(Matrix, "kernel", lambda m: calls.append(m) or kernel(m))
-    assert dual.parity_rows() == expected
+    kernel, rref = Matrix.kernel, Matrix.rref
+    monkeypatch.setattr(Matrix, "kernel", lambda m: calls.append(("kernel", m)) or kernel(m))
+    monkeypatch.setattr(Matrix, "rref", lambda m: calls.append(("rref", m)) or rref(m))
     dual._syndrome_columns()
     assert calls == []
+    assert parity_rows(dual) == expected
+    assert all(name == "rref" for name, _ in calls)

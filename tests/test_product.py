@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_min_distance, gram_scalar, random_additive_code, random_linear_code
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
@@ -12,7 +14,7 @@ from qproduct.code import AdditiveCode, LinearCode, min_distance, spanned_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
 from qproduct.product import (dual_distance_ceiling, dual_of_product_generator, product,
-                              product_additive)
+                              product_additive, tensor_generator)
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
@@ -146,6 +148,47 @@ def test_dual_of_product_generator_symplectic():
         dual = prod.symplectic_dual()
         assert stacked.nrows == spec.ell * prod.n - prod.k_p
         assert AdditiveCode(spec, stacked.rows, n=prod.n) == dual
+
+
+@st.composite
+def _factor_pairs(draw):
+    """A kind and two factors of a product under it: Euclidean over
+    GF(2..16), Hermitian over GF(4), GF(9) and GF(16), symplectic with a
+    prime-field first factor and an additive second over GF(4) and GF(9).
+    Each factor is the zero code, a span of rows that may be zero or
+    repeated, or the full space."""
+    kind = draw(st.sampled_from([E, H, S]))
+    fields = {E: [2, 3, 4, 5, 7, 8, 9, 16], H: [4, 9, 16], S: [4, 9]}[kind]
+    spec = GF(draw(st.sampled_from(fields)))
+    scalars = spec.prime_field if kind is S else spec
+
+    def factor(field, factor_kind):
+        n = draw(st.integers(1, 5))
+        how = draw(st.sampled_from(["zero", "rows", "full"]))
+        if how == "full":  # x^t e_i for each t below the degree of GF(q) over the scalars
+            units = [field.p**t for t in range(field.ell)] if factor_kind is S else [1]
+            rows = [[u if j == i else 0 for j in range(n)] for i in range(n) for u in units]
+        else:
+            symbol = st.integers(0, field.q - 1) if how == "rows" else st.just(0)
+            row = st.lists(symbol, min_size=n, max_size=n)
+            rows = draw(st.lists(row, min_size=1, max_size=4))
+            rows += rows[:draw(st.integers(0, 1))]  # a repeated row
+        return spanned_code(factor_kind, field, rows, n)
+
+    return kind, factor(scalars, E), factor(spec, kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_factor_pairs())
+def test_product_basis_and_dual_come_from_the_factors(case):
+    """The Kronecker product of the factors' bases is the rref of the
+    tensor generators, and the dual assembled from the factors' forms is
+    the kernel of the product's own form."""
+    kind, c1, c2 = case
+    prod = product(c1, c2)
+    generic = spanned_code(kind, prod.spec, tensor_generator(c1, c2).array, prod.n)
+    assert prod.basis == generic.basis and prod.dim == c1.dim * c2.dim
+    assert prod.dual(kind).basis == prod._form(kind).kernel()
 
 
 def test_dual_of_product_full_space_factor():
