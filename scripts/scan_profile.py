@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time and first-use memory of the exhaustive scan, of a weight
 enumerator found by the MacWilliams transform, of an exhaustive distance
-certificate and of the low-weight search, per shape.
+certificate, of the low-weight search and of the matrix layer's rref,
+kernel and Gram matrix, per shape.
 
     python3 scripts/scan_profile.py [--repeats 3]
 
@@ -32,8 +33,9 @@ from no floor, where an early pair gives a weight-3 word.  The code and
 its syndrome columns are built before the clock starts.  For each shape
 this prints
 
-  first_rss_kib  peak RSS growth over the first call (kernel code pages
-                 faulted in plus the call's arrays), in KiB
+  first_rss_kib  RSS growth over the first call (kernel code pages
+                 faulted in plus the call's arrays), to its peak when the
+                 call raised the process's peak RSS, in KiB
   first_ms       wall time of the first call
   ms             median wall time of the repeated calls (a search repeats
                  from its syndrome columns, without the arrays it caches)
@@ -43,6 +45,16 @@ and for a search shape also
 
   full_ms        median wall time of the same search from no floor
   pairs          the pair sums the floored search formed, of all pairs
+
+A layer shape is ``Matrix.rref``, ``Matrix.kernel`` or the Euclidean
+``Matrix.gram`` of a matrix with itself, on one of three matrices: the
+54 x 252 GF(2) generator of tail_biting(band, 6), the band being
+hamming_dual(3,2) x hamming_dual(3,2) with t = 1, before its elimination
+(GF(2) rows packed into ints, a prime-field Gram as one int64 product);
+13 x 24 random rows over GF(4) (the extension field's log/exp tables);
+and the 6 x 10 check rows of rs(11, 7) (the int64 Gram over GF(11)).
+Each matrix is built here and handed to its shape's interpreter as rows,
+so that no elimination or Gram runs there before the first timed call.
 """
 from __future__ import annotations
 
@@ -91,6 +103,8 @@ SEARCH_SHAPES = (
     ("band", 2),          # 91 columns, weight 3 in the first chunk
 )
 
+LAYER_OPS = ("rref", "kernel", "gram")
+
 
 def rss_bytes() -> int:
     with open("/proc/self/statm") as f:
@@ -110,7 +124,10 @@ def first_and_repeats(call, repeats: int) -> tuple[int, float, float]:
 
     before, peak_before = rss_bytes(), peak_rss_bytes()
     first = timed()
-    growth = max(peak_rss_bytes(), peak_before, rss_bytes()) - before
+    # the peak counts only if the call raised it: a peak left over from the
+    # imports would otherwise read as growth
+    after, peak_after = rss_bytes(), peak_rss_bytes()
+    growth = max(after, peak_after if peak_after > peak_before else after) - before
     return growth, first, statistics.median(timed() for _ in range(repeats))
 
 
@@ -225,6 +242,42 @@ def profile_search(shape: tuple, repeats: int) -> dict:
             "pairs": f"{max(formed, default=0)}/{int(code._pair_sums().offset[-1])}"}
 
 
+def layer_matrices() -> list[tuple[int, list]]:
+    """(q, rows) of each layer matrix."""
+    from qproduct import convolutional
+    from qproduct.catalog import hamming_dual
+    from qproduct.cyclic import rs_code
+    from qproduct.galois import GF
+    from qproduct.matrix import InnerProductKind
+
+    band = convolutional.conv_from_product(hamming_dual(3, 2), hamming_dual(3, 2), 1,
+                                           InnerProductKind.EUCLIDEAN)
+    wrapped = []
+    spanned_code = convolutional.spanned_code
+    convolutional.spanned_code = lambda kind, spec, rows, n: wrapped.append(rows.tolist())
+    try:
+        convolutional.tail_biting(band, 6)  # its rows, before spanned_code reduces them
+    finally:
+        convolutional.spanned_code = spanned_code
+    rng = random.Random(13 * 24)
+    return [(2, wrapped[0]),
+            (4, [[rng.randrange(4) for _ in range(24)] for _ in range(13)]),
+            (11, rs_code(GF(11), 7).code._parity.array.tolist())]
+
+
+def profile_layer(op: str, q: int, rows: list, repeats: int) -> dict:
+    """One layer shape, in this interpreter."""
+    from qproduct.galois import GF
+    from qproduct.matrix import Matrix
+
+    m = Matrix(GF(q), rows, ncols=len(rows[0]))
+    call = {"rref": m.rref, "kernel": m.kernel, "gram": lambda: m.gram(m)}[op]
+    growth, first, median = first_and_repeats(call, repeats)
+    return {"shape": f"{op} GF({q}) {m.nrows}x{m.ncols}",
+            "first_rss_kib": round(growth / 1024), "first_ms": round(first * 1e3, 3),
+            "ms": round(median * 1e3, 3)}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -237,6 +290,8 @@ def main() -> None:
             result = profile_transform(args.repeats)
         elif shape[0] == "min_distance":
             result = profile_min_distance(args.repeats)
+        elif shape[0] in LAYER_OPS:
+            result = profile_layer(*shape, args.repeats)
         elif isinstance(shape[0], str):
             result = profile_search(tuple(shape), args.repeats)
         else:
@@ -260,6 +315,12 @@ def main() -> None:
         r = run(shape)
         print(f"{r['shape']:<44} {r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9} "
               f"{r['full_ms']:>9} {r['pairs']:>14}")
+    sys.path.insert(0, str(SRC))
+    print(f"\n{'shape':<36} {'first_rss_kib':>13} {'first_ms':>9} {'ms':>9}")
+    for q, rows in layer_matrices():
+        for op in LAYER_OPS:
+            r = run((op, q, rows))
+            print(f"{r['shape']:<36} {r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9}")
 
 if __name__ == "__main__":
     main()

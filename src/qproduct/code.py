@@ -237,6 +237,7 @@ class Code:
         self._parity = parity
         self._factors: tuple[Code, Code] | None = None  # (c1, c2) of a product c1 (x) c2
         self._dual_cache: dict[InnerProductKind, Code] = {}
+        self._orthogonal: dict[InnerProductKind, bool] = {}  # is_self_orthogonal, per kind
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
         self._primal: weakref.ref | None = None  # the code this is the dual of, if built so
         self._columns: tuple | None = None
@@ -342,7 +343,12 @@ class Code:
         return cached
 
     def is_self_orthogonal(self, kind: InnerProductKind | None = None) -> bool:
-        return self._form(self._kind(kind)).gram(self.basis).is_zero()
+        """Whether the code lies in its dual under ``kind``: one Gram
+        matrix of its form against its basis, computed once per kind."""
+        kind = self._kind(kind)
+        if kind not in self._orthogonal:
+            self._orthogonal[kind] = self._form(kind).gram(self.basis).is_zero()
+        return self._orthogonal[kind]
 
     def describe(self) -> dict:
         return {"field": self.spec.q, "length": self.n,

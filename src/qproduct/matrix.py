@@ -5,14 +5,17 @@ Hermitian, and symplectic inner products.
 
 A matrix is one immutable numpy array of field elements (uint8 for
 q <= 256, uint16 above), worked on whole through the field kernels of
-``galois``.  ``rref`` clears each pivot's column in all rows at once;
-``kernel`` is one elimination of the column-reversed matrix, whose rows
-give the null space already in rref, and ``product_kernel`` gives the
-kernel of a Kronecker product from eliminations of its two factors only.
-Gram matrices and Kronecker products are log/exp table lookups.  Every
-basis-producing operation returns rref, unique per row space, so reports
-are byte-stable.  Entries are range-checked once, by the public
-constructor.
+``galois``.  Over GF(2), ``rref`` packs each row into one Python int and
+eliminates by XOR on the rows' leading bits; over every other field it
+clears each pivot's column in all rows at once.  ``kernel`` is one
+elimination of the column-reversed matrix, whose rows give the null
+space already in rref, and ``product_kernel`` gives the kernel of a
+Kronecker product from eliminations of its two factors only.  A Gram
+matrix over a prime field is one int64 matrix product reduced mod p;
+over an extension field it, like a Kronecker product, is log/exp table
+lookups.  Every basis-producing operation returns rref, unique per row
+space, so reports are byte-stable whichever path computed it.  Entries
+are range-checked once, by the public constructor.
 """
 from __future__ import annotations
 
@@ -42,7 +45,17 @@ def _require_even_degree(spec: FieldSpec, kind: InnerProductKind) -> None:
 
 
 def _products_sum(spec: FieldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k x[i, k] * y[j, k] for every i, j, in blocks of rows of x."""
+    """sum_k x[i, k] * y[j, k] for every i, j.
+
+    Over a prime field GF(p) this is one int64 matrix product reduced mod
+    p.  It is exact: each sum has n = x.shape[1] terms below (p-1)^2, and
+    n * (p-1)^2 < 2^63 for every supported p <= 65521 (below 2^32) and
+    n < 2^31.  Over an extension field the products are log/exp lookups,
+    summed in blocks of rows of x.
+    """
+    if spec.ell == 1:
+        out = x.astype(np.int64) @ y.T.astype(np.int64) % spec.p
+        return out.astype(element_dtype(spec))
     log, exp = field_tables(spec)
     lx, ly = log[x], log[y]
     out = np.empty((len(x), len(y)), element_dtype(spec))
@@ -50,6 +63,45 @@ def _products_sum(spec: FieldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for i in range(0, len(x), step):
         out[i:i + step] = field_sum(spec, exp[lx[i:i + step, None, :] + ly[None, :, :]], axis=2)
     return out
+
+
+def _binary_rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The rref over GF(2) of a 0/1 array, zero rows dropped, and its
+    pivot columns, on rows packed into Python ints.
+
+    Row i becomes the integer whose bits, most significant first, are
+    its entries, padded with zero bits to whole bytes; column c is then
+    bit w - 1 - c, w the padded width, and a row's leading column is
+    w - bit_length.  Each row is inserted by its leading bit: XOR with
+    the kept row of the same lead until the lead is new (keep it) or the
+    row is zero (drop it).  The kept rows are in echelon form and span
+    the row space.  Back-substitution then clears every pivot bit from
+    the rows above it, rightmost pivot first.  The rref is unique per row
+    space, so rows and pivots equal those of the column-by-column
+    elimination of ``Matrix.rref``.
+    """
+    nbytes = (a.shape[1] + 7) // 8
+    packed = np.packbits(a, axis=1).tobytes()
+    by_lead: dict[int, int] = {}
+    for i in range(a.shape[0]):
+        row = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "big")
+        while row:
+            kept = by_lead.get(row.bit_length())
+            if kept is None:
+                by_lead[row.bit_length()] = row
+                break
+            row ^= kept
+    leads = sorted(by_lead)  # rightmost pivot first
+    for t, lead in enumerate(leads):
+        row = by_lead[lead]
+        for below in leads[:t]:
+            if row >> (below - 1) & 1:
+                row ^= by_lead[below]
+        by_lead[lead] = row
+    leads.reverse()
+    out = b"".join(by_lead[lead].to_bytes(nbytes, "big") for lead in leads)
+    bits = np.unpackbits(np.frombuffer(out, np.uint8).reshape(len(leads), nbytes), axis=1)
+    return bits[:, :a.shape[1]], tuple(8 * nbytes - lead for lead in leads)
 
 
 def _non_pivots(n: int, pivots: np.ndarray) -> np.ndarray:
@@ -169,9 +221,14 @@ class Matrix:
 
         Deterministic: leftmost pivots, rows scanned top-down.  Each pivot
         row is scaled to lead with 1, then subtracted from every other row
-        with a nonzero entry in its column, all rows at once.
+        with a nonzero entry in its column, all rows at once.  Over GF(2)
+        the rows are packed into ints instead (``_binary_rref``); the rref
+        being unique per row space, both give the same rows and pivots.
         """
         spec = self.spec
+        if spec.q == 2:
+            red, pivots = _binary_rref(self.array)
+            return Matrix._of(spec, red), pivots
         log, exp = field_tables(spec)
         q1 = spec.q - 1
         minus_one = q1 // 2 if spec.p != 2 else 0  # the log of -1
@@ -192,11 +249,9 @@ class Matrix:
                 a[r, col:] = exp[log[a[r, col:]] + (q1 - log[lead])]
             others = a[:, col].nonzero()[0]
             others = others[others != r]
-            if others.size:
-                prow = a[r, col:]
-                if spec.q != 2:  # -a[i, col] * prow
-                    factor = (log[a[others, col]] + minus_one) % q1
-                    prow = exp[factor[:, None] + log[prow]]
+            if others.size:  # add -a[i, col] * prow to row i
+                factor = (log[a[others, col]] + minus_one) % q1
+                prow = exp[factor[:, None] + log[a[r, col:]]]
                 a[others, col:] = field_add(spec, a[others, col:], prow)
             pivots.append(col)
             r += 1

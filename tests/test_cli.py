@@ -13,7 +13,7 @@ import qproduct.cyclic as cyclic_module
 import qproduct.product as product_module
 import qproduct.quantum as quantum_module
 from qproduct.cli import main
-from qproduct.matrix import Matrix
+from qproduct.matrix import InnerProductKind, Matrix
 
 
 def run_cli(capsys, *argv):
@@ -335,6 +335,24 @@ def test_rs_product_grid_builds_each_product_once(monkeypatch):
     grid = cli.PIPELINES["rs-product-grid"](None)
     assert sum(len(entries) for entries in grid.values()) == 33
     assert calls == {"product": 33, "rs_code": 16}
+
+
+def test_rs_product_grid_checks_each_factor_once(monkeypatch):
+    """Each of the 16 distinct RS factors is shared by several of the 33
+    entries, but its self-orthogonality, one Gram matrix, is computed
+    once: the code keeps the flag.  Each product computes its own."""
+    widths = []
+    gram = Matrix.gram
+
+    def counted(m, other, kind=InnerProductKind.EUCLIDEAN):
+        widths.append((m.spec.q, m.ncols))
+        return gram(m, other, kind)
+
+    monkeypatch.setattr(Matrix, "gram", counted)
+    cli.PIPELINES["rs-product-grid"](None)
+    assert sum(n == q - 1 for q, n in widths) == 16
+    assert sum(n == (q - 1) ** 2 for q, n in widths) == 33
+    assert len(widths) == 49
 
 
 def test_rs_product_grid_eliminates_no_more_than_a_factor(monkeypatch):

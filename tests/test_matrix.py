@@ -258,26 +258,32 @@ def test_out_of_range_entries_raise_at_every_boundary(value, tmp_path, capsys):
 
 
 # fields of the oracle test: prime, extension, one custom modulus (x^4 + x^3
-# + x^2 + x + 1, whose root is not primitive, so x + 1 generates) and
-# q = 289 > 256 (uint16)
-ORACLE_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 289)] + [
+# + x^2 + x + 1, whose root is not primitive, so x + 1 generates), q = 289
+# > 256 (uint16) and the largest supported prime, 65521, where the int64
+# Gram product is nearest its overflow bound
+ORACLE_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 289, 65521)] + [
     FieldSpec(2, 4, (1, 1, 1, 1, 1), generator=3)]
 
 
 @st.composite
-def _matrix_pairs(draw, fields=ORACLE_FIELDS):
+def _matrix_pairs(draw, fields=ORACLE_FIELDS, max_cols=7, min_rows=0, max_rows=6):
     """Two matrices over one of ``fields`` with the same column count, each
     with rows that are fresh, zero, scaled copies or sums of earlier rows."""
     spec = draw(st.sampled_from(fields))
-    ncols = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, max_cols))
     element = st.integers(0, spec.q - 1)
 
     def rows():
         out = []
-        for how in draw(st.lists(st.sampled_from(["fresh", "zero", "scaled", "sum"]),
-                                 max_size=6)):
+        for how in draw(st.lists(st.sampled_from(["fresh", "fresh", "zero", "scaled", "sum"]),
+                                 min_size=min_rows, max_size=max_rows)):
             if how == "zero" or (how != "fresh" and not out):
                 out.append([0] * ncols)
+            elif how == "fresh" and spec.q == 2:  # bytes of bits, led by a drawn run of zeros
+                bits = draw(st.binary(min_size=(ncols + 7) // 8, max_size=(ncols + 7) // 8))
+                row = np.unpackbits(np.frombuffer(bits, np.uint8))[:ncols]
+                row[:draw(st.integers(0, ncols))] = 0
+                out.append(row.tolist())
             elif how == "fresh":
                 out.append(draw(st.lists(element, min_size=ncols, max_size=ncols)))
             else:
@@ -302,6 +308,28 @@ def test_array_layer_matches_the_pure_python_oracle(pair):
     for kind in (E, H, S):
         if kind is E or a.spec.ell % 2 == 0:
             assert a.gram(b, kind) == gram_oracle(a, b, kind)
+
+
+def _binary(rows: int, ncols: int, seed: int) -> Matrix:
+    rng = random.Random(seed)
+    return Matrix(GF(2), [[rng.randrange(2) for _ in range(ncols)] for _ in range(rows)],
+                  ncols=ncols)
+
+
+@settings(max_examples=50, deadline=None)  # kernel_oracle takes ~0.3 s at 12 x 130
+@given(pair=_matrix_pairs(fields=[GF(2)], max_cols=130, min_rows=4, max_rows=12))
+@example(pair=(_binary(12, 0, 0), _binary(3, 0, 1)))
+@example(pair=(_binary(12, 8, 2), _binary(12, 8, 3)))
+@example(pair=(_binary(12, 64, 4), _binary(5, 64, 5)))
+@example(pair=(_binary(12, 65, 6), _binary(12, 65, 7)))
+@example(pair=(Matrix(GF(2), [[0] * 64 + [1], [1] + [0] * 64, [1] * 65]), _binary(0, 65, 8)))
+def test_packed_binary_rows_match_the_oracle_across_word_boundaries(pair):
+    """GF(2) rows are eliminated as packed ints: up to 130 columns, so the
+    rows cross byte and 64-bit boundaries, with pivots on either side."""
+    a, b = pair
+    assert a.rref() == rref_oracle(a)
+    assert a.kernel() == kernel_oracle(a)
+    assert a.gram(b, E) == gram_oracle(a, b, E)
 
 
 @settings(max_examples=200, deadline=None)
