@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time and first-use memory of the exhaustive scan, of a weight
 enumerator found by the MacWilliams transform, of an exhaustive distance
-certificate, of the low-weight search and of the matrix layer's rref,
-kernel and Gram matrix, per shape.
+certificate, of the low-weight search, of the Reed-Solomon product dual
+certificate and of the matrix layer's rref, kernel and Gram matrix, per
+shape.
 
     python3 scripts/scan_profile.py [--repeats 3]
 
@@ -22,16 +23,18 @@ pipeline, simplex(2,2) x the additive quaternary_hamming_dual_5: one
 counted scan of the 2^8-word product, the transform, and a walk of the
 dual that stops at its first word of the least weight; each call starts
 without cached counts (compare the full walk of the random rows of the
-same shape, ``scan q=4 n=15 rows=22``).  A search shape is a code
-above the enumeration budget, searched as its certificate searches it:
-the Euclidean dual of an RS product rs(q, q-mu1) x rs(q, q-mu2), from
-the floor of its rectangle bound 1 + min(mu1, mu2) (a floor >= 5 leaves
-nothing to search; at 4 the search stops at the first doubling prefix of
-the pairs that holds a repeated pair sum), or the 91-column dual of the
-binary hamming_dual(3,2) band, the window of its free-distance bound,
-from no floor, where an early pair gives a weight-3 word.  The code and
-its syndrome columns are built before the clock starts.  For each shape
-this prints
+same shape, ``scan q=4 n=15 rows=22``).  A search shape is the complete
+weight-4 search of a code above the enumeration budget: the Euclidean
+dual of an RS product rs(q, q-mu1) x rs(q, q-mu2), which no certificate
+searches any more but which shows what the search costs at these sizes,
+or the 91-column dual of the binary hamming_dual(3,2) band, the window
+of its free-distance bound, where an early pair gives a weight-3 word.
+The code and its syndrome columns are built before the clock starts.  A
+certificate shape is ``RsProductReport.dual_certificate`` of such a
+product above the budget: the rectangle bound and a witness from the
+rref basis of a factor's dual; the report, with its product, is built
+before the clock starts, and each call builds the two factor duals
+afresh.  For each shape this prints
 
   first_rss_kib  RSS growth over the first call (kernel code pages
                  faulted in plus the call's arrays), to its peak when the
@@ -40,11 +43,6 @@ this prints
   ms             median wall time of the repeated calls (a search repeats
                  from its syndrome columns, without the arrays it caches)
   words_per_s    words scanned per second at that median (scans only)
-
-and for a search shape also
-
-  full_ms        median wall time of the same search from no floor
-  pairs          the pair sums the floored search formed, of all pairs
 
 A layer shape is ``Matrix.rref``, ``Matrix.kernel`` or the Euclidean
 ``Matrix.gram`` of a matrix with itself, on one of three matrices: the
@@ -87,20 +85,30 @@ SCAN_SHAPES = (
     (9, 12, 8, True),     # odd characteristic, two digits per symbol
 )
 
-# ("rs", q, mu1, mu2) or ("band", window blocks)
+# ("rs", q, mu1, mu2) or ("band", window blocks); the RS dual distance is 1 + min(mu1, mu2)
 SEARCH_SHAPES = (
     ("rs", 8, 3, 3),
     ("rs", 9, 3, 5),
-    ("rs", 11, 3, 3),     # d = 4: floored at 4
+    ("rs", 11, 3, 3),
     ("rs", 11, 3, 7),
     ("rs", 13, 3, 3),
     ("rs", 13, 3, 9),
     ("rs", 16, 3, 3),
     ("rs", 16, 3, 12),
-    ("rs", 11, 4, 4),     # floored at 5: nothing to search
+    ("rs", 11, 4, 4),     # d >= 5: every pair is formed and sorted, nothing is found
     ("rs", 13, 5, 5),
     ("rs", 16, 7, 7),
     ("band", 2),          # 91 columns, weight 3 in the first chunk
+)
+
+# ("cert", q, mu1, mu2): the certificates of the qecc --construction rs-product verbs
+CERT_SHAPES = (
+    ("cert", 11, 3, 7),
+    ("cert", 11, 4, 4),
+    ("cert", 13, 3, 8),
+    ("cert", 13, 5, 5),
+    ("cert", 16, 3, 12),
+    ("cert", 16, 7, 7),
 )
 
 LAYER_OPS = ("rref", "kernel", "gram")
@@ -187,11 +195,11 @@ def profile_min_distance(repeats: int) -> dict:
 
 
 def search_code(shape: tuple):
-    """The code of a search shape, and the floor its certificate searches from."""
+    """The code of a search shape."""
     from qproduct.catalog import hamming_dual
     from qproduct.code import spanned_code
     from qproduct.convolutional import band_window, conv_from_product
-    from qproduct.cyclic import bch_rectangle_bound, rs_code
+    from qproduct.cyclic import rs_code
     from qproduct.galois import GF
     from qproduct.matrix import InnerProductKind
     from qproduct.product import product
@@ -199,47 +207,55 @@ def search_code(shape: tuple):
     euclidean = InnerProductKind.EUCLIDEAN
     if shape[0] == "rs":
         _, q, mu1, mu2 = shape
-        code = product(rs_code(GF(q), q - mu1).code, rs_code(GF(q), q - mu2).code)
-        return code.dual(euclidean), bch_rectangle_bound(mu1, mu2)
+        return product(rs_code(GF(q), q - mu1).code, rs_code(GF(q), q - mu2).code).dual(euclidean)
     s = conv_from_product(hamming_dual(3, 2), hamming_dual(3, 2), 1, euclidean)
     width = shape[1] * s.frame + s.overlap
     rows = band_window(s, shape[1] + 1).take_columns(range(width)).rows
-    return spanned_code(euclidean, s.spec, rows, width).dual(euclidean), 1
+    return spanned_code(euclidean, s.spec, rows, width).dual(euclidean)
 
 
 def profile_search(shape: tuple, repeats: int) -> dict:
     """One search shape, in this interpreter."""
     from qproduct import code as code_module
 
-    code, floor = search_code(shape)
+    code = search_code(shape)
     code._syndrome_columns()
-    found, formed = [], []
+    found = []
 
-    def search(at: int) -> None:
+    def search() -> None:
         code._pairs = None  # search from the syndrome columns each time
-        found.append(code_module.find_low_weight_word(code, 4, floor=at))
+        found.append(code_module.find_low_weight_word(code, 4))
 
-    growth, first, median = first_and_repeats(lambda: search(floor), repeats)
-    _, _, full = first_and_repeats(lambda: search(1), repeats)
-    if found[0] != found[-1]:
-        raise AssertionError(f"{shape}: the floored search returned another word")
-    sums = code_module._PairSums.sums
-
-    def counted(pairs, lo: int, hi: int):
-        formed.append(hi)
-        return sums(pairs, lo, hi)
-
-    code_module._PairSums.sums = counted
-    try:
-        search(floor)
-    finally:
-        code_module._PairSums.sums = sums
+    growth, first, median = first_and_repeats(search, repeats)
     weight = None if found[0] is None else sum(1 for v in found[0] if v)
     name = "rs q={} mu={},{}".format(*shape[1:]) if shape[0] == "rs" else "band"
-    return {"shape": f"search {name} n={code.n} floor={floor} -> {weight}",
+    return {"shape": f"search {name} n={code.n} -> {weight}",
             "first_rss_kib": round(growth / 1024), "first_ms": round(first * 1e3, 2),
-            "ms": round(median * 1e3, 2), "full_ms": round(full * 1e3, 2),
-            "pairs": f"{max(formed, default=0)}/{int(code._pair_sums().offset[-1])}"}
+            "ms": round(median * 1e3, 2)}
+
+
+def profile_certificate(shape: tuple, repeats: int) -> dict:
+    """One certificate shape, in this interpreter."""
+    from qproduct.code import enumeration_budget
+    from qproduct.cyclic import rs_product_params
+
+    _, q, mu1, mu2 = shape
+    rep = rs_product_params(q, q - mu1, q - mu2)
+    if q ** rep.dual_dimension <= enumeration_budget():
+        raise AssertionError(f"{shape}: the dual is within the budget")
+    certs = []
+
+    def certify() -> None:
+        for factor in rep.code._factors:
+            factor._dual_cache.clear()  # build the factor duals afresh each time
+        certs.append(rep.dual_certificate())
+
+    growth, first, median = first_and_repeats(certify, repeats)
+    cert = certs[0]
+    return {"shape": f"cert rs q={q} mu={mu1},{mu2} n={rep.length} -> "
+                     f"[{cert.lower}, {cert.upper}]",
+            "first_rss_kib": round(growth / 1024), "first_ms": round(first * 1e3, 3),
+            "ms": round(median * 1e3, 3)}
 
 
 def layer_matrices() -> list[tuple[int, list]]:
@@ -292,6 +308,8 @@ def main() -> None:
             result = profile_min_distance(args.repeats)
         elif shape[0] in LAYER_OPS:
             result = profile_layer(*shape, args.repeats)
+        elif shape[0] == "cert":
+            result = profile_certificate(tuple(shape), args.repeats)
         elif isinstance(shape[0], str):
             result = profile_search(tuple(shape), args.repeats)
         else:
@@ -309,12 +327,10 @@ def main() -> None:
         r = run(shape)
         print(f"{r['shape']:<36} {r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9} "
               f"{r['words_per_s']:>12}")
-    print(f"\n{'shape':<44} {'first_rss_kib':>13} {'first_ms':>9} {'ms':>9} {'full_ms':>9} "
-          f"{'pairs':>14}")
-    for shape in SEARCH_SHAPES:
+    print(f"\n{'shape':<44} {'first_rss_kib':>13} {'first_ms':>9} {'ms':>9}")
+    for shape in SEARCH_SHAPES + CERT_SHAPES:
         r = run(shape)
-        print(f"{r['shape']:<44} {r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9} "
-              f"{r['full_ms']:>9} {r['pairs']:>14}")
+        print(f"{r['shape']:<44} {r['first_rss_kib']:>13} {r['first_ms']:>9} {r['ms']:>9}")
     sys.path.insert(0, str(SRC))
     print(f"\n{'shape':<36} {'first_rss_kib':>13} {'first_ms':>9} {'ms':>9}")
     for q, rows in layer_matrices():

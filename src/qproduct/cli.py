@@ -365,8 +365,9 @@ def _pipeline_rs_product_grid(budget) -> dict:
                 entry["mu"] = [mu1, mu2]
                 entry["dimensions_match"] = (prod.k == rep.dimension
                                              and prod.n - prod.k == rep.dual_dimension)
-                dual = prod.dual(InnerProductKind.EUCLIDEAN)
-                cert = min_distance(dual, budget=budget) if q <= 5 else None
+                cert = None
+                if q <= 5:  # enumerable or searched; above, the report builds no dual
+                    cert = min_distance(prod.dual(InnerProductKind.EUCLIDEAN), budget=budget)
                 entry["rectangle_certificate"] = rep.dual_certificate(budget, cert).to_dict()
                 if q <= 5:
                     entry["certified_dual_distance"] = cert.to_dict()

@@ -10,8 +10,11 @@ fixes the distance, and its absence proves d >= 5.  The search reads the
 syndrome columns of the code: weights 1 and 2 are zero and parallel
 columns, and weights 3 and 4 meet in the middle over the normalized sums
 of column pairs, formed as numpy arrays in chunks of at most SEARCH_CHUNK
-pairs and compared as one void key per sum.  A certificate never reports
-"exact" unless lower and upper bound meet.
+pairs and compared as one void key per sum.  The search always runs to
+its end; a distance that a theorem proves, such as that of a Reed-Solomon
+product's dual (``cyclic.RsProductReport.dual_certificate``), is
+certified by the theorem and a built witness instead.  A certificate
+never reports "exact" unless lower and upper bound meet.
 
 A weight enumerator is counted by the same scan, once per code, on the
 smaller side: a dual whose primal has no more words takes the primal's
@@ -574,9 +577,8 @@ class _PairSums:
         return tuple(int(x[0]) for x in self.sums(i, i + 1)[:4])
 
 
-def find_low_weight_word(code: Code, max_w: int = 4, floor: int = 1) -> tuple[int, ...] | None:
-    """Smallest-weight nonzero codeword of weight <= max_w, or None, given
-    ``floor``, a proven lower bound on the code's minimum distance.
+def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
+    """Smallest-weight nonzero codeword of weight <= max_w, or None.
 
     Complete: if a word of weight <= max_w exists, one of minimum weight
     among weights <= max_w is returned.  A word of weight w is w syndrome
@@ -589,36 +591,18 @@ def find_low_weight_word(code: Code, max_w: int = 4, floor: int = 1) -> tuple[in
     to a column, weight 4 the first pair whose sum is parallel to that of
     an earlier pair, with the first such earlier pair.  Searches at most
     weight 4.
-
-    The floor changes how far the search goes, never its witness.  Above
-    max_w nothing is searched.  A floor >= 4 means no word of weight 3
-    exists, so the weight-3 test is skipped, and every repeated pair sum
-    is a weight-4 word on disjoint coordinates, whatever prefix of the
-    pairs it is found in.  The least pair that repeats an earlier one
-    within a prefix is then the least of all pairs once the prefix holds
-    it, so the search tests the prefix at doubling lengths (sorting at
-    most twice the pairs it forms) and stops at the first that repeats.
-    Weights 1 and 2 cost O(n) and are tested whatever the floor: a word
-    lighter than the floor, found there or returned, raises
-    AssertionError, as the floor was wrong.
     """
-    if max_w < max(floor, 1) or code.size() == 1:
+    if max_w < 1 or code.size() == 1:
         return None
     F = code.field
     mul, neg, inv = F.mul, F.neg, F.inv
     where, _, norm, _ = code._syndrome_columns()
-    coord = [i for i, _ in where]
 
     def word(*terms: tuple[int, int]) -> tuple[int, ...]:
-        """The codeword with F-coefficient lam on column c, per (c, lam).
-        Terms on fewer coordinates than the floor, as a wrong floor lets
-        the weight-4 test pair them, raise."""
+        """The codeword with F-coefficient lam on column c, per (c, lam)."""
         out = [0] * code.n
         for c, lam in terms:
-            out[coord[c]] = code.spec.mul(lam, where[c][1])
-        if hamming_weight(out) < floor:
-            raise AssertionError(f"a word of weight {hamming_weight(out)} lies below "
-                                 f"the floor {floor}")
+            out[where[c][0]] = code.spec.mul(lam, where[c][1])
         return tuple(out)
 
     for c, nc in enumerate(norm):
@@ -639,26 +623,19 @@ def find_low_weight_word(code: Code, max_w: int = 4, floor: int = 1) -> tuple[in
     # parallel to a column, or to each other, never share a coordinate:
     # the F-combination would be a nonzero word on at most 3 coordinates.
     pairs = code._pair_sums()
-    total, tested, keys, repeat = int(pairs.offset[-1]), 0, [], None
+    keys = []
     for lo, hi in pairs.chunks():
         c, d, lam, lead, key = pairs.sums(lo, hi)
-        if floor < 4:
-            hit = pairs.column_of(key)
-            found = hit >= 0
-            if found.any():
-                i = int(found.argmax())
-                c, d, lam, scale, e = int(c[i]), int(d[i]), int(lam[i]), int(lead[i]), int(hit[i])
-                # cols[c] + lam * cols[d] + mu * cols[e] = 0
-                return word((c, 1), (d, lam), (e, neg(mul(scale, inv(norm[e][1])))))
-        if max_w < 4:
-            continue
-        keys.append(key)
-        # the weight-3 test must see every pair first, unless the floor rules it out
-        if hi == total or (floor >= 4 and hi >= 2 * tested):
-            tested = hi
-            repeat = _first_repeat(np.concatenate(keys))
-            if repeat is not None:
-                break
+        hit = pairs.column_of(key)
+        found = hit >= 0
+        if found.any():
+            i = int(found.argmax())
+            c, d, lam, scale, e = int(c[i]), int(d[i]), int(lam[i]), int(lead[i]), int(hit[i])
+            # cols[c] + lam * cols[d] + mu * cols[e] = 0
+            return word((c, 1), (d, lam), (e, neg(mul(scale, inv(norm[e][1])))))
+        if max_w >= 4:
+            keys.append(key)
+    repeat = _first_repeat(np.concatenate(keys)) if keys else None
     if repeat is None:
         return None
     (pc, pd, plam, pscale), (c, d, lam, scale) = map(pairs.pair, repeat)
@@ -680,19 +657,17 @@ def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
     return int(np.argmax(keys == keys[later])), later
 
 
-def min_distance(code: Code, budget: int | None = None, floor: int = 1) -> DistanceCertificate:
+def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     """Minimum-distance certificate: exact by enumeration within budget,
-    otherwise one complete search for a word of weight <= 4.  A witness
-    of weight w proves d = w; without one, d >= 5 and no upper bound is
-    known.  Within budget the witness is the first lightest word of the
-    Gray walk.  A walk of more than one block stops at its first word of
-    weight ``least``: 1, as independent rows give no zero word after step
-    0, or, when the counts are cached or a smaller primal's transform,
-    their least nonzero weight; a walk that ends elsewhere then raises.
-    The method stays "exhaustive": a count of every word, on either side.
-    Above the budget, ``floor``, a proven lower bound on d, goes to the
-    search (``find_low_weight_word``), which skips the weights it rules
-    out and returns the same witness; within it the floor is not used."""
+    otherwise one complete search for a word of weight <= 4
+    (``find_low_weight_word``).  A witness of weight w proves d = w;
+    without one, d >= 5 and no upper bound is known.  Within budget the
+    witness is the first lightest word of the Gray walk.  A walk of more
+    than one block stops at its first word of weight ``least``: 1, as
+    independent rows give no zero word after step 0, or, when the counts
+    are cached or a smaller primal's transform, their least nonzero
+    weight; a walk that ends elsewhere then raises.  The method stays
+    "exhaustive": a count of every word, on either side."""
     budget = enumeration_budget(budget)
     n = code.n
     claimed = code.claimed_distance
@@ -707,7 +682,7 @@ def min_distance(code: Code, budget: int | None = None, floor: int = 1) -> Dista
             raise AssertionError(f"the walk ends at weight {w}, the weight counts at {least}")
         return DistanceCertificate(lower=w, upper=w, lower_method="exhaustive",
                                    witness=witness, claimed=claimed)
-    witness = find_low_weight_word(code, max_w=4, floor=floor)
+    witness = find_low_weight_word(code, max_w=4)
     if witness is None:
         return DistanceCertificate(lower=5, upper=None, lower_method="column-independence",
                                    claimed=claimed)

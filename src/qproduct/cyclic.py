@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import DistanceCertificate, LinearCode, min_distance
+from .code import (DistanceCertificate, LinearCode, enumeration_budget, hamming_weight,
+                   min_distance)
 from .galois import GF, FieldSpec, field_tables
 from .matrix import InnerProductKind, Matrix
 from .product import product
@@ -114,14 +115,24 @@ class RsProductReport:
         """The report of rs(q, delta1) (x) rs(q, delta2) from its two built
         factors (``rs_code``, delta_i = |zeros_i| + 1), cross-checked
         structurally against the product, which is built once and kept as
-        ``code``.
+        ``code``.  A factor that is not Reed-Solomon (another length or
+        field, or zeros other than 0..delta-2) raises ValueError: the
+        rectangle bound of ``dual_certificate`` holds only for these.
 
         The dual dimension comes out of q*(d1+d2-2) - d1*d2 + 1, which
         equals (q-1)^2 - (q-delta1)*(q-delta2) identically; both dual
         distance candidates are reported: the stated min(q-delta1, q-delta2)
         and the corrected 1 + min(q-delta1, q-delta2).
         """
-        q, delta1, delta2 = c1.spec.q, len(c1.zeros) + 1, len(c2.zeros) + 1
+        q = c1.spec.q
+        for i, c in enumerate((c1, c2), 1):
+            delta = len(c.zeros) + 1
+            if (c.spec != c1.spec or c.n != q - 1 or not 2 <= delta <= q - 1
+                    or c.zeros != frozenset(range(delta - 1))):
+                raise ValueError(f"factor {i}, {c!r} with zeros {sorted(c.zeros)}, is not "
+                                 f"rs({q}, delta): length {q - 1} over GF({q}) and zeros "
+                                 f"0..delta-2 for some delta in [2, {q - 1}]")
+        delta1, delta2 = len(c1.zeros) + 1, len(c2.zeros) + 1
         prod = product(c1.code, c2.code)
         n = (q - 1) ** 2
         k = (q - delta1) * (q - delta2)
@@ -159,18 +170,46 @@ class RsProductReport:
         """Distance certificate for the product's Euclidean dual, reusing
         ``cert``, the dual's ``min_distance``, when known.
 
-        When the dual is too large to enumerate, the rectangle bound is the
-        floor of its low-weight search: a bound >= 5 leaves the weight-4
-        search nothing to find, and a bound of 4 rules out weight 3, so the
-        search ends at its first repeated pair sum, with the witness of the
-        full search.  The lower bound is the larger of the rectangle bound
-        and the search's own (it can exceed the 5 that the search proves on
-        its own); the upper bound is the witness's weight, or None without
-        one.
+        Within the budget (q^(n-k) words, counted without building the
+        dual) it is the dual's ``min_distance``.  Above it nothing is built
+        at the product's size and nothing is searched: the lower bound is
+        the rectangle bound 1 + min(mu1, mu2), mu_i = q - delta_i, and the
+        upper bound a witness from one factor, a (x) e_0 or e_0 (x) b, where
+        a (b) is the first lightest row of the rref basis of the first
+        (second) factor's Euclidean dual.
+
+        Membership: <a (x) e_0, g (x) h> = <a, g> * h_0 = 0 for every
+        generator g (x) h of the product, whose coordinate (r, s) is
+        r * n2 + s (the Kronecker order of ``product``).  Exactness: the
+        dual of rs(q, delta_i) is MDS [q-1, q-1-mu_i, mu_i+1], and a row of
+        an rref basis of an [n, k] code is zero at the k-1 other pivots, so
+        it weighs at most n-k+1, here mu_i + 1, and at least d = mu_i + 1.
+        The lighter side, factor 1 on a tie, thus weighs 1 + min(mu1, mu2),
+        the rectangle bound; a lighter witness raises AssertionError.
+
+        With ``cert``, or within the budget, the method is "exhaustive"
+        when the dual was enumerated and "bch-rectangle" otherwise, with
+        the larger of the rectangle bound and the certificate's lower.
         """
-        dual = self.code.dual(InnerProductKind.EUCLIDEAN)
         rect_lower = bch_rectangle_bound(self.q - self.delta1, self.q - self.delta2)
-        cert = cert or min_distance(dual, budget=budget, floor=rect_lower)
+        if cert is None and self.q ** self.dual_dimension <= enumeration_budget(budget):
+            cert = min_distance(self.code.dual(InnerProductKind.EUCLIDEAN), budget=budget)
+        if cert is None:
+            c1, c2 = self.code._factors
+            a, b = (c.dual(InnerProductKind.EUCLIDEAN).basis.array for c in (c1, c2))
+            a, b = (m[np.count_nonzero(m, axis=1).argmin()] for m in (a, b))
+            word = np.zeros((c1.n, c2.n), a.dtype)
+            if np.count_nonzero(a) <= np.count_nonzero(b):
+                word[:, 0] = a  # a (x) e_0
+            else:
+                word[0, :] = b  # e_0 (x) b
+            witness = tuple(word.ravel().tolist())
+            w = hamming_weight(witness)
+            if w < rect_lower:
+                raise AssertionError(f"a dual word of weight {w} lies below the "
+                                     f"rectangle bound {rect_lower}")
+            return DistanceCertificate(lower=rect_lower, upper=w, lower_method="bch-rectangle",
+                                       witness=witness)
         if cert.lower_method == "exhaustive":
             return cert
         return DistanceCertificate(lower=max(rect_lower, cert.lower), upper=cert.upper,

@@ -218,6 +218,20 @@ def orthogonal_pairwise(matrix: Matrix, kind: InnerProductKind) -> bool:
     return True
 
 
+def orthogonal_to_rows(spec: FieldSpec, word, rows) -> bool:
+    """Whether ``word`` is Euclidean-orthogonal to every row, by a plain
+    loop over its support: the oracle for a dual word, independent of
+    ``Matrix.gram`` and ``Matrix.kernel``."""
+    support = [(i, v) for i, v in enumerate(word) if v]
+    for row in rows:
+        acc = 0
+        for i, v in support:
+            acc = spec.add(acc, spec.mul(v, row[i]))
+        if acc:
+            return False
+    return True
+
+
 def transpose(m: Matrix) -> Matrix:
     return Matrix(m.spec, m.array.T)
 
@@ -418,3 +432,4 @@ def poly_is_irreducible(p: int, coeffs) -> bool:
                 if tuple(prod) == f:
                     return False
     return True
+

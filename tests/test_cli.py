@@ -372,6 +372,24 @@ def test_rs_product_grid_eliminates_no_more_than_a_factor(monkeypatch):
     assert all(max(w) == q - 1 for q, w in widths.items())
 
 
+def test_rs_product_grid_builds_product_duals_only_to_enumerate(monkeypatch):
+    """Only the 5 entries with q <= 5 build their product's dual (one
+    ``product_kernel`` each) to certify it by enumeration or search; the
+    28 with q = 7, 8 are certified from their factors' duals."""
+    import qproduct.code as code_module
+
+    fields = []
+    real = code_module.product_kernel
+
+    def counted(a, b):
+        fields.append(a.spec.q)
+        return real(a, b)
+
+    monkeypatch.setattr(code_module, "product_kernel", counted)
+    cli.PIPELINES["rs-product-grid"](None)
+    assert sorted(fields) == [4, 4, 5, 5, 5]
+
+
 def test_qecc_rs_product_builds_the_product_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, (product_module, "product"), (cyclic_module, "rs_code"))
     code, payload = run_json(capsys, "qecc", "--construction", "rs-product",

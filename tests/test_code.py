@@ -261,23 +261,19 @@ def _search_codes(draw):
 @settings(max_examples=60, deadline=None)
 @given(code=_search_codes())
 def test_low_weight_search_matches_oracle(chunk, code):
-    """From every floor up to the true minimum (capped at max_w + 1), the
-    search returns the oracle's word: the floor changes how far the
-    search goes, never what it returns."""
+    """For every max_w, and whatever the chunk size, the search returns
+    the oracle's word."""
     size = {"one": 1, "small": 1 << 6, "default": code_module.SEARCH_CHUNK}[chunk]
     with mock.patch.object(code_module, "SEARCH_CHUNK", size):
         for max_w in (1, 2, 3, 4):
-            full = low_weight_oracle(code, max_w)
-            least = max_w + 1 if full is None else sum(1 for v in full if v)
-            for floor in range(1, least + 1):
-                assert find_low_weight_word(code, max_w, floor=floor) == full
+            assert find_low_weight_word(code, max_w) == low_weight_oracle(code, max_w)
 
 
 @settings(max_examples=60, deadline=None)
 @given(code=_search_codes(), seed=st.integers(0, 1 << 16))
 def test_low_weight_search_reads_any_parity_rows_of_the_code(code, seed):
     """Kept parity rows R * H, for a random invertible R, give the search
-    the same word as the rref H, for every max_w and floor."""
+    the same word as the rref H, for every max_w."""
     rng = random.Random(seed)
     h = code.basis.kernel()
     r = random_matrix(rng, code.field, h.nrows, h.nrows)
@@ -285,10 +281,7 @@ def test_low_weight_search_reads_any_parity_rows_of_the_code(code, seed):
         r = random_matrix(rng, code.field, h.nrows, h.nrows)
     kept = type(code)._from_basis(code.spec, code.n, code.basis, matmul(r, h))
     for max_w in (1, 2, 3, 4):
-        full = find_low_weight_word(code, max_w)
-        least = max_w + 1 if full is None else sum(1 for v in full if v)
-        for floor in range(1, least + 1):
-            assert find_low_weight_word(kept, max_w, floor=floor) == full
+        assert find_low_weight_word(kept, max_w) == find_low_weight_word(code, max_w)
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 1 << 6, None])
@@ -296,49 +289,13 @@ def test_low_weight_search_tie_goes_to_the_first_pair(chunk):
     """Two weight-4 words on disjoint supports.  The pair sum col1 + col2
     is the first to equal an earlier one, col0 + col3, so the word on
     coordinates 0..3 wins, though the sums of the word on 4..7 come first
-    in key order.  From floor 4 the search stops there: pair (1, 2) is
-    number 7 and pair (0, 3) number 2, in two chunks of one or four
-    pairs, in one of 64."""
+    in key order: pair (1, 2) is number 7 and pair (0, 3) number 2, in
+    different chunks of one or four pairs, in one of 64."""
     code = LinearCode.from_rows(GF(2), [[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1]])
     with mock.patch.object(code_module, "SEARCH_CHUNK", chunk or code_module.SEARCH_CHUNK):
         assert find_low_weight_word(code, 3) is None
         assert find_low_weight_word(code, 4) == (1, 1, 1, 1, 0, 0, 0, 0)
-        assert find_low_weight_word(code, 4, floor=4) == (1, 1, 1, 1, 0, 0, 0, 0)
     assert low_weight_oracle(code, 4) == (1, 1, 1, 1, 0, 0, 0, 0)
-
-
-def test_floored_search_forms_only_a_prefix_of_the_pairs(monkeypatch):
-    """On the dual of rs(8, 5) x rs(8, 5), whose rectangle bound is 4, the
-    first repeated pair sum is number 337 of 8232: the floored search
-    stops at the doubling prefix that holds it, with the full search's
-    witness."""
-    dual = product(rs_code(8, 5).code, rs_code(8, 5).code).dual(E)
-    full = find_low_weight_word(dual, 4)
-    formed = []
-    real = code_module._PairSums.sums
-
-    def counted(self, lo, hi):
-        formed.append(hi)
-        return real(self, lo, hi)
-
-    monkeypatch.setattr(code_module._PairSums, "sums", counted)
-    dual._pairs = None
-    assert find_low_weight_word(dual, 4, floor=4) == full
-    assert sum(1 for v in full if v) == 4
-    assert int(dual._pairs.offset[-1]) == 8232
-    assert max(formed) == 496  # the prefixes tested: 16, 48, 112, 240, 496
-
-
-@pytest.mark.parametrize("rows,q,light", [([[1, 1, 0, 0]], 2, 2), ([[1, 1, 1]], 3, 3)])
-def test_a_floor_above_the_minimum_raises(rows, q, light):
-    """A floor of 4 on a code with a word of weight 2, which the O(n)
-    parallel-column test finds whatever the floor, or of weight 3, which
-    the floored search skips and then returns as a repeated pair sum on
-    a shared coordinate, raises instead of returning a wrong word."""
-    code = LinearCode.from_rows(GF(q), rows)
-    assert sum(1 for v in find_low_weight_word(code, 4) if v) == light
-    with pytest.raises(AssertionError, match=f"weight {light} lies below the floor 4"):
-        find_low_weight_word(code, 4, floor=4)
 
 
 def test_weight_enumerator_simplex():

@@ -1,16 +1,18 @@
 """Cyclic and Reed-Solomon codes, spectra, dual coordinate maps, and the
 rectangle bound."""
 import random
+import re
 
 import numpy as np
 import pytest
 
-from helpers import cyclic_oracle, flat_to_grid, inverse_spectrum_2d, root_of_unity, spectrum_2d
-from qproduct.code import (DistanceCertificate, LinearCode, distance_at_least, enumeration_budget,
-                           find_low_weight_word, hamming_weight, min_distance)
-from qproduct.cyclic import (bch_rectangle_bound, cyclic_from_roots, dual_support_map,
-                             product_spectrum_support, rs_code, rs_product_dual_certificate,
-                             rs_product_params)
+from helpers import (cyclic_oracle, flat_to_grid, inverse_spectrum_2d, orthogonal_to_rows,
+                     root_of_unity, spectrum_2d)
+from qproduct.code import (LinearCode, distance_at_least, enumeration_budget, find_low_weight_word,
+                           hamming_weight, min_distance)
+from qproduct.cyclic import (RsProductReport, bch_rectangle_bound, cyclic_from_roots,
+                             dual_support_map, product_spectrum_support, rs_code,
+                             rs_product_dual_certificate, rs_product_params)
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
 
@@ -331,26 +333,53 @@ def test_rs_product_dual_certificate_is_the_report_certificate():
                         == rs_product_params(q, delta1, delta2).dual_certificate())
 
 
-@pytest.mark.parametrize("q,count", [(7, 10), (8, 18), (9, 21), (11, 36)])
+@pytest.mark.parametrize("q,count", [(7, 10), (8, 18), (9, 21), (11, 36), (13, 55), (16, 98)])
 def test_rs_product_dual_certificate_is_the_unfloored_search(q, count):
-    """Every RS product dual with q in {7, 8, 9, 11} (85 of them) is above
-    the budget.  Its certificate, searched from the rectangle bound up, is
-    the one built from the full search: the same witness, the larger of
-    the two lower bounds, and the method ``bch-rectangle``."""
+    """Every valid RS product dual with q in {7, 8, 9, 11, 13, 16} (238 of
+    them) is above the budget.  Its certificate is exact at the corrected
+    dual distance 1 + min(mu1, mu2), and its witness is orthogonal to
+    every generator row of the product (a plain loop, not ``gram``).  For
+    q <= 11 the witness weighs as much as the word of the full weight-4
+    search of the built dual, which finds none exactly when the rectangle
+    bound is >= 5."""
     cases = 0
     for mu1 in range(1, q // 2):  # mu1 < (q-1)/2
         for mu2 in range(1, q - 1):
             rep = rs_product_params(q, q - mu1, q - mu2)
+            assert q ** rep.dual_dimension > enumeration_budget()
             cert = rep.dual_certificate()
-            dual = rep.code.dual(E)
-            assert dual.size() > enumeration_budget()
-            word = find_low_weight_word(dual, 4)
-            w = None if word is None else hamming_weight(word)
-            assert cert == DistanceCertificate(
-                lower=max(bch_rectangle_bound(mu1, mu2), w or 5), upper=w,
-                lower_method="bch-rectangle", witness=word)
+            bound = bch_rectangle_bound(mu1, mu2)
+            assert cert.lower_method == "bch-rectangle"
+            assert cert.exact and cert.value == bound == rep.expected_dual_distance
+            assert hamming_weight(cert.witness) == bound
+            assert orthogonal_to_rows(GF(q), cert.witness, rep.code.generator.rows)
+            if q <= 11:
+                word = find_low_weight_word(rep.code.dual(E), 4)
+                assert (word is None) == (bound >= 5)
+                assert word is None or hamming_weight(word) == bound
             cases += 1
     assert cases == count
+
+
+def test_rs_product_report_rejects_a_factor_that_is_not_reed_solomon(monkeypatch):
+    """A factor with zeros {0, 2, 4} has |zeros| + 1 = 4, so the rectangle
+    bound of the product with rs(7, 5) would read 1 + min(3, 2) = 3, but
+    its dual holds a word of weight 2.  Such a factor is rejected by name,
+    as are one of another length, one over another field and the full
+    space, before the product is built."""
+    from qproduct.product import product
+
+    spec = GF(7)
+    odd, rs = cyclic_from_roots(spec, 6, (0, 2, 4)), rs_code(spec, 5)
+    word = find_low_weight_word(product(odd.code, rs.code).dual(E), 2)
+    assert hamming_weight(word) == 2
+    monkeypatch.setattr("qproduct.cyclic.product", None)
+    short, full = cyclic_from_roots(spec, 3, (0,)), cyclic_from_roots(spec, 6, ())
+    other = rs_code(8, 5)
+    for c1, c2, named, bad in ((odd, rs, 1, odd), (rs, short, 2, short), (rs, other, 2, other),
+                               (full, rs, 1, full)):
+        with pytest.raises(ValueError, match=re.escape(f"factor {named}, {bad!r} with zeros")):
+            RsProductReport.of(c1, c2)
 
 
 def test_rs_product_report_keeps_its_product_out_of_the_payload():

@@ -146,25 +146,23 @@ def test_rs_prod_qecc_builds_the_product_once(monkeypatch):
 
 @pytest.mark.parametrize("q,mu,lower", [(13, 5, 6), (16, 7, 8)])
 def test_rs_prod_qecc_above_the_budget(q, mu, lower):
-    """The duals hold q^(n - mu^2) words, far above the budget, and the
-    rectangle bound 1 + mu >= 5 already rules out a word of weight <= 4,
-    so the certificate is that bound, with no upper bound and no search:
-    the search, floored by the bound, forms no syndrome column and no
-    pair sum.  GF(16) is an extension field."""
+    """The duals hold q^(n - mu^2) words, far above the budget.  The
+    certificate is exact at the rectangle bound 1 + mu, with a witness
+    built from a factor's dual, and no product dual is built, so nothing
+    is searched.  GF(16) is an extension field."""
     rep = rs_product_report(q, mu, mu)
     distance = rs_report_qecc(rep).distance
-    assert [distance.lower, distance.upper] == [lower, None]
+    assert [distance.lower, distance.upper] == [lower, lower]
     assert distance.lower_method == "bch-rectangle"
-    assert distance.witness is None
-    dual = rep.code.dual(E)
-    assert dual._columns is None and dual._pairs is None
+    assert sum(1 for v in distance.witness if v) == lower
+    assert rep.code._dual_cache == {}
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])
 def test_rectangle_bound_above_five_leaves_the_search_nothing(q):
-    """The RS product certificate skips the weight-4 search when the dual
-    is above the budget and the rectangle bound is at least 5; on every
-    such product with q <= 9 the search indeed finds nothing."""
+    """A rectangle bound of at least 5 proves that an RS product dual above
+    the budget has no word of weight <= 4; on every such product with
+    q <= 9 the weight-4 search indeed finds nothing."""
     from qproduct.code import enumeration_budget, find_low_weight_word
     from qproduct.cyclic import bch_rectangle_bound, rs_code
 
