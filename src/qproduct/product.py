@@ -80,13 +80,15 @@ def dual_of_product_generator(c1: Code, c2: Code, kind: InnerProductKind) -> Mat
 def dual_distance_ceiling(c1: Code, c2: Code, kind: InnerProductKind,
                           budget: int | None = None) -> int | None:
     """Certified upper bound on the dual distance of the product: the
-    smaller of the factor dual distances.
+    least upper bound of the factor dual certificates, exact or not, since
+    d((C1 (x) C2)^perp) <= d(C_i^perp) <= upper_i.
 
     A factor whose dual is the zero code (a full space) imposes no
     constraint: with C1 = F^n1 the product's dual is F^n1 (x) C2^perp, of
-    distance d(C2^perp).  When both factor duals are zero, so is the
-    product's dual, and there is no ceiling (None).
+    distance d(C2^perp).  When no factor dual has an upper bound (both are
+    zero, or neither has a witness), there is no ceiling (None).
     """
     duals = (c1.dual(_first_factor_kind(kind)), c2.dual(kind))
     certs = [min_distance(d, budget=budget) for d in duals]
-    return min((c.value for c in certs if not c.degenerate), default=None)
+    return min((c.upper for c in certs if not c.degenerate and c.upper is not None),
+               default=None)

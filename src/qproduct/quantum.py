@@ -101,19 +101,19 @@ def rs_product_report(q: int, mu1: int, mu2: int) -> RsProductReport:
     return rs_product_params(q, q - mu1, q - mu2)
 
 
-def rs_report_qecc(rep: RsProductReport, budget: int | None = None) -> QeccParams:
+def rs_report_qecc(rep: RsProductReport) -> QeccParams:
     """CSS code of the product in ``rep``, its distance certified, not
     assumed: it is the report's dual certificate, rectangle bound included."""
     if not (rep.factor1_self_orthogonal and rep.product_self_orthogonal):
         raise AssertionError("Reed-Solomon product is unexpectedly not self-orthogonal")
     return QeccParams(n=rep.length, k=rep.length - 2 * rep.dimension, alphabet=rep.q,
-                      distance=rep.dual_certificate(budget), construction="css")
+                      distance=rep.dual_certificate(), construction="css")
 
 
-def rs_prod_qecc(q: int, mu1: int, mu2: int, budget: int | None = None) -> QeccParams:
+def rs_prod_qecc(q: int, mu1: int, mu2: int) -> QeccParams:
     """Quantum code from the product of two Reed-Solomon codes of
     dimensions mu1 and mu2 (see ``rs_product_report``)."""
-    return rs_report_qecc(rs_product_report(q, mu1, mu2), budget)
+    return rs_report_qecc(rs_product_report(q, mu1, mu2))
 
 
 def stabilizer_distance(code, construction: str, budget: int | None = None) -> int | None:

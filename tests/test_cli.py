@@ -188,6 +188,17 @@ def test_product_verb_ceiling_ignores_full_space_factor(capsys):
     assert conf["ceiling_respected"] is True
 
 
+def test_product_verb_ceiling_reads_an_inexact_factor_dual(capsys):
+    # at budget 1 the dual of rs(8,4) reads [5, null]; the ceiling is the
+    # least upper bound of the factor duals, the weight-2 word of rs(8,7)'s
+    code, payload = run_json(capsys, "product", "--code1", "rs(8,4)", "--code2", "rs(8,7)",
+                             "--budget", "1")
+    assert code == 0
+    conf = payload["report"]["conformance"]
+    assert conf["dual_distance_ceiling"] == 2
+    assert conf["ceiling_respected"] is True
+
+
 def test_conv_build_verb(capsys):
     code, payload = run_json(capsys, "conv", "build", "--code1", "hamming_dual(3,2)",
                              "--code2", "hamming_dual(3,2)", "--t", "1")

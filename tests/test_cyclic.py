@@ -303,9 +303,16 @@ def test_rs_product_params_range_check():
         rs_product_params(5, 1, 3)
 
 
-def test_rs_product_dual_certificate_small_field_is_exhaustive():
-    cert = rs_product_dual_certificate(4, 3, 3)
-    assert cert.lower_method == "exhaustive" and cert.value == 2
+@pytest.mark.parametrize("delta1,delta2", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_rs_product_dual_certificate_small_field_matches_enumeration(delta1, delta2):
+    """Over GF(4) the product duals are small enough to enumerate; the
+    construction's certificate is exact at the value of that enumeration."""
+    cert = rs_product_dual_certificate(4, delta1, delta2)
+    assert cert.lower_method == "bch-rectangle" and cert.exact
+    dual = rs_product_params(4, delta1, delta2).code.dual(E)
+    enumerated = min_distance(dual)
+    assert enumerated.lower_method == "exhaustive"
+    assert cert.value == enumerated.value
 
 
 def test_rs_product_dual_certificate_rectangle_method():
@@ -333,10 +340,11 @@ def test_rs_product_dual_certificate_is_the_report_certificate():
                         == rs_product_params(q, delta1, delta2).dual_certificate())
 
 
-@pytest.mark.parametrize("q,count", [(7, 10), (8, 18), (9, 21), (11, 36), (13, 55), (16, 98)])
+@pytest.mark.parametrize("q,count", [(5, 3), (7, 10), (8, 18), (9, 21), (11, 36), (13, 55),
+                                     (16, 98)])
 def test_rs_product_dual_certificate_is_the_unfloored_search(q, count):
-    """Every valid RS product dual with q in {7, 8, 9, 11, 13, 16} (238 of
-    them) is above the budget.  Its certificate is exact at the corrected
+    """Every valid RS product dual with q in {5, 7, 8, 9, 11, 13, 16} (241
+    of them) is above the budget.  Its certificate is exact at the corrected
     dual distance 1 + min(mu1, mu2), and its witness is orthogonal to
     every generator row of the product (a plain loop, not ``gram``).  For
     q <= 11 the witness weighs as much as the word of the full weight-4

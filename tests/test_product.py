@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import brute_min_distance, gram_scalar, random_additive_code, random_linear_code
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import AdditiveCode, LinearCode, min_distance, spanned_code
+from qproduct.cyclic import rs_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
 from qproduct.product import (dual_distance_ceiling, dual_of_product_generator, product,
@@ -214,6 +215,9 @@ def test_dual_distance_ceiling_examples():
     assert dual_distance_ceiling(ham, full, E) == 4
     assert min_distance(product(ham, full).dual(E)).value == 4
     assert dual_distance_ceiling(full, full, E) is None
+    # an inexact factor dual ([5, None] for rs(8,4) at budget 1) still
+    # lets the other factor's exact weight-2 word set the ceiling
+    assert dual_distance_ceiling(rs_code(8, 4).code, rs_code(8, 7).code, E, budget=1) == 2
 
 
 @pytest.mark.parametrize("q", [2, 4, 5])
