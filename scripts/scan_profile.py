@@ -31,10 +31,10 @@ or the 91-column dual of the binary hamming_dual(3,2) band, the window
 of its free-distance bound, where an early pair gives a weight-3 word.
 The code and its syndrome columns are built before the clock starts.  A
 certificate shape is ``RsProductReport.dual_certificate`` of such a
-product above the budget: the rectangle bound and a witness from the
-rref basis of a factor's dual; the report, with its product, is built
-before the clock starts, and each call builds the two factor duals
-afresh.  For each shape this prints
+product above the budget: ``product_dual_certificate`` over the two
+factor duals, each certified by its BCH bound with a row of its rref basis
+as witness; the report, with its product, is built before the clock
+starts, and each call builds the two factor duals afresh.  For each shape this prints
 
   first_rss_kib  RSS growth over the first call (kernel code pages
                  faulted in plus the call's arrays), to its peak when the

@@ -23,7 +23,8 @@ from .convolutional import (ConvStabilizer, band_window, band_window_factorizati
 from .cyclic import RsProductReport, dual_support_map, product_spectrum_support, rs_code
 from .galois import GF
 from .matrix import InnerProductKind, from_text
-from .product import dual_distance_ceiling, dual_of_product_generator, product, product_additive
+from .product import (dual_of_product_generator, product, product_additive,
+                      product_dual_certificate)
 from .quantum import (_KIND_BY_CONSTRUCTION, qecc, rate_comparison, rs_product_report,
                       rs_report_qecc, stabilizer_distance, symplectic_qecc)
 
@@ -108,6 +109,12 @@ def cmd_distance(args) -> dict:
     return {"code": _code_block(code, with_distance=False), "distance": cert.to_dict()}
 
 
+def _dual_distance_ceiling(c1, c2, kind, budget) -> int | None:
+    """The upper bound of ``product_dual_certificate``, None if degenerate."""
+    cert = product_dual_certificate(c1, c2, kind, budget=budget)
+    return None if cert.degenerate else cert.upper
+
+
 def _product_conformance(c1, c2, prod, kind, budget) -> dict:
     checks: dict = {}
     stacked = dual_of_product_generator(c1, c2, kind)
@@ -116,7 +123,7 @@ def _product_conformance(c1, c2, prod, kind, budget) -> dict:
     checks["dual_dimension"] = dual.dim
     dual_cert = min_distance(dual, budget=budget)
     checks["dual_distance"] = dual_cert.to_dict()
-    ceiling = dual_distance_ceiling(c1, c2, kind, budget=budget)
+    ceiling = _dual_distance_ceiling(c1, c2, kind, budget)
     checks["dual_distance_ceiling"] = ceiling
     if dual_cert.exact and ceiling is not None:
         checks["ceiling_respected"] = dual_cert.value <= ceiling
@@ -272,7 +279,7 @@ def _pipeline_binary_product_chain(budget) -> dict:
         "dual_distance_at_least_3": distance_at_least(dual, 3),
         "dual_distance_at_least_4": distance_at_least(dual, 4),
         "dual_generator_matches": spanned_code(kind, prod.spec, stacked.array, prod.n) == dual,
-        "dual_distance_ceiling": dual_distance_ceiling(code, code, kind, budget=budget),
+        "dual_distance_ceiling": _dual_distance_ceiling(code, code, kind, budget),
         "qecc": params.to_dict(),
     }
 

@@ -2,18 +2,19 @@
 Euclidean, Hermitian, and symplectic inner products, plus minimum-distance
 certification.
 
-Distances are either computed exactly by exhaustive codeword enumeration
-(a radix-p Gray walk over the span, run with numpy in blocks of at most
-SCAN_BLOCK words held as uint64 bit or digit planes) or certified by a
-complete search for codewords of weight at most 4: a lightest witness
-fixes the distance, and its absence proves d >= 5.  The search reads the
-syndrome columns of the code: weights 1 and 2 are zero and parallel
-columns, and weights 3 and 4 meet in the middle over the normalized sums
-of column pairs, formed as numpy arrays in chunks of at most SEARCH_CHUNK
-pairs and compared as one void key per sum.  The search always runs to
-its end; a distance that a theorem proves, such as that of a Reed-Solomon
-product's dual (``cyclic.RsProductReport.dual_certificate``), is
-certified by the theorem and a built witness instead.  A certificate
+A certificate names the method of its lower bound.  "exhaustive" is
+codeword enumeration: a radix-p Gray walk over the span, run with numpy in
+blocks of at most SCAN_BLOCK words held as uint64 bit or digit planes.
+"column-independence" is a complete search for codewords of weight at most
+4: a lightest witness fixes the distance, and its absence proves d >= 5.
+It reads the syndrome columns of the code: weights 1 and 2 are zero and
+parallel columns, and weights 3 and 4 meet in the middle over the
+normalized sums of column pairs, formed as numpy arrays in chunks of at
+most SEARCH_CHUNK pairs and compared as one void key per sum; it always
+runs to its end.  "bch" is the BCH bound of a cyclic code, read off the
+zeros it keeps and met by a basis row (``min_distance``), and
+"bch-rectangle" or "product-dual" that of a product's dual, from its
+factors' duals (``product.product_dual_certificate``).  A certificate
 never reports "exact" unless lower and upper bound meet.
 
 A weight enumerator is counted by the same scan, once per code, on the
@@ -239,6 +240,7 @@ class Code:
         self.generator = self.symbols(basis)
         self._parity = parity
         self._factors: tuple[Code, Code] | None = None  # (c1, c2) of a product c1 (x) c2
+        self.zeros: frozenset[int] | None = None  # a cyclic code's zeros, exponents mod n
         self._dual_cache: dict[InnerProductKind, Code] = {}
         self._orthogonal: dict[InnerProductKind, bool] = {}  # is_self_orthogonal, per kind
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
@@ -330,7 +332,8 @@ class Code:
         Kronecker product of its factors' forms, under
         ``_first_factor_kind(kind)`` and kind, as the Frobenius map is
         multiplicative and tr(g h frob(x^t)) = g tr(h frob(x^t)) for g in
-        GF(p); so its kernel is ``product_kernel`` of the two."""
+        GF(p); so its kernel is ``product_kernel`` of the two.  A cyclic
+        code's Euclidean dual has zeros {-i mod n : i not in Z}."""
         kind = self._kind(kind)
         cached = self._dual_cache.get(kind)
         if cached is None:
@@ -342,6 +345,8 @@ class Code:
                 basis = product_kernel(c1._form(_first_factor_kind(kind)), c2._form(kind))
             cached = self._from_basis(self.spec, self.n, basis, form)
             cached._primal = weakref.ref(self)
+            if self.zeros is not None and kind is InnerProductKind.EUCLIDEAN:
+                cached.zeros = frozenset(-i % self.n for i in range(self.n) if i not in self.zeros)
             self._dual_cache[kind] = cached
         return cached
 
@@ -667,13 +672,37 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     independent rows give no zero word after step 0, or, when the counts
     are cached or a smaller primal's transform, their least nonzero
     weight; a walk that ends elsewhere then raises.  The method stays
-    "exhaustive": a count of every word, on either side."""
+    "exhaustive": a count of every word, on either side.
+
+    A code that keeps its zeros Z (a cyclic code or its Euclidean dual)
+    first gets the BCH bound d >= r + 1 at any budget, r the longest run
+    b, ..., b+r-1 mod n in Z.  Proof: a word c on coordinates j_1..j_w,
+    w <= r, has sum_k c_(j_k) alpha^((b+i) j_k) = 0 for i < w, a system
+    whose matrix is the Vandermonde matrix of the distinct alpha^(j_k)
+    (alpha of order n) times the invertible diagonal of the alpha^(b j_k),
+    so c = 0.  The first lightest row of the rref basis is then the "bch"
+    witness if it weighs r + 1; a lighter one raises AssertionError, and a
+    heavier one leaves the code to enumeration or search."""
     budget = enumeration_budget(budget)
     n = code.n
     claimed = code.claimed_distance
     if code.dim == 0:
         return DistanceCertificate(lower=n + 1, upper=n + 1, lower_method="exhaustive",
                                    witness=None, degenerate=True, claimed=claimed)
+    if code.zeros is not None:  # bound = 1 + the longest run; twice round, so a run may wrap
+        run = bound = 1
+        for i in range(2 * n):
+            run = run + 1 if i % n in code.zeros else 1
+            bound = max(bound, run)
+        weights = np.count_nonzero(code.basis.array, axis=1)
+        row = int(weights.argmin())
+        if weights[row] < bound:
+            raise AssertionError(f"a basis row of weight {weights[row]} lies below "
+                                 f"the BCH bound {bound}")
+        if weights[row] == bound:
+            return DistanceCertificate(lower=bound, upper=bound, lower_method="bch",
+                                       witness=tuple(code.basis.array[row].tolist()),
+                                       claimed=claimed)
     if code.size() <= budget:
         known = _weight_counts(code, budget, scan=False) if code.size() > SCAN_BLOCK else None
         least = min(w for w in known if w) if known else 1

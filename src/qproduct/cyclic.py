@@ -1,6 +1,7 @@
 """Cyclic and Reed-Solomon codes in the spectral regime n | q-1, the
 spectral support of their bicyclic products, dual coordinate maps, and
-the rectangle lower bound used to certify dual distances of products.
+the report of a Reed-Solomon product, whose dual is certified by
+``product.product_dual_certificate``.
 
 A cyclic code is given by its zeros Z, exponents mod n: the words c with
 c(alpha^z) = 0 for z in Z, the code of prod_{z in Z} (X - alpha^z).  That
@@ -13,17 +14,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import DistanceCertificate, LinearCode, hamming_weight
+from .code import DistanceCertificate, LinearCode
 from .galois import GF, FieldSpec, field_tables
 from .matrix import InnerProductKind, Matrix
-from .product import product
+from .product import product, product_dual_certificate
 
 
 class CyclicCode:
     """Cyclic code of length n | q-1 given by its zero set: the exponents
     z mod n with c(alpha^z) = 0 for every codeword c, alpha the field's
     primitive n-th root of unity.  ``code`` is the kernel of the check
-    rows (alpha^(z*j))_j, one per zero, so k = n - |zeros|."""
+    rows (alpha^(z*j))_j, one per zero, so k = n - |zeros|; it keeps the
+    zeros, which give its BCH bound (``code.min_distance``)."""
 
     def __init__(self, spec: FieldSpec, n: int, zeros: Sequence[int],
                  claimed_distance: int | None = None):
@@ -38,6 +40,7 @@ class CyclicCode:
         z = np.array(sorted(self.zeros), np.int64)[:, None] * ((spec.q - 1) // n)
         checks = Matrix._of(spec, exp[z * np.arange(n) % (spec.q - 1)])
         self.code = LinearCode._from_basis(spec, n, checks.kernel(), checks, claimed_distance)
+        self.code.zeros = self.zeros
 
     @property
     def k(self) -> int:
@@ -80,14 +83,6 @@ def product_spectrum_support(c1: CyclicCode, c2: CyclicCode) -> tuple[tuple[bool
                  for i in range(c1.n))
 
 
-def bch_rectangle_bound(a: int, b: int) -> int:
-    """Lower bound min(a, b) + 1 on the minimum distance of a bicyclic
-    code whose spectra share an all-zero a x b cyclic rectangle."""
-    if a < 0 or b < 0:
-        raise ValueError("stripe widths must be >= 0")
-    return min(a, b) + 1
-
-
 @dataclass(frozen=True)
 class RsProductReport:
     """Parameters predicted for the product of two Reed-Solomon codes and
@@ -116,7 +111,7 @@ class RsProductReport:
         structurally against the product, which is built once and kept as
         ``code``.  A factor that is not Reed-Solomon (another length or
         field, or zeros other than 0..delta-2) raises ValueError: the
-        rectangle bound of ``dual_certificate`` holds only for these.
+        report's formulas hold only for these.
 
         The dual dimension comes out of q*(d1+d2-2) - d1*d2 + 1, which
         equals (q-1)^2 - (q-delta1)*(q-delta2) identically; both dual
@@ -165,39 +160,15 @@ class RsProductReport:
         }
 
     def dual_certificate(self) -> DistanceCertificate:
-        """Distance certificate for the product's Euclidean dual, by
-        construction and at every q: nothing is built at the product's size
-        and nothing is searched.  The lower bound is the rectangle bound
-        1 + min(mu1, mu2), mu_i = q - delta_i, and the upper bound a witness
-        from one factor, a (x) e_0 or e_0 (x) b, where a (b) is the first
-        lightest row of the rref basis of the first (second) factor's
-        Euclidean dual.
-
-        Membership: <a (x) e_0, g (x) h> = <a, g> * h_0 = 0 for every
-        generator g (x) h of the product, whose coordinate (r, s) is
-        r * n2 + s (the Kronecker order of ``product``).  Exactness: the
-        dual of rs(q, delta_i) is MDS [q-1, q-1-mu_i, mu_i+1], and a row of
-        an rref basis of an [n, k] code is zero at the k-1 other pivots, so
-        it weighs at most n-k+1, here mu_i + 1, and at least d = mu_i + 1.
-        The lighter side, factor 1 on a tie, thus weighs 1 + min(mu1, mu2),
-        the rectangle bound; a lighter witness raises AssertionError.
-        """
-        rect_lower = bch_rectangle_bound(self.q - self.delta1, self.q - self.delta2)
-        c1, c2 = self.code._factors
-        a, b = (c.dual(InnerProductKind.EUCLIDEAN).basis.array for c in (c1, c2))
-        a, b = (m[np.count_nonzero(m, axis=1).argmin()] for m in (a, b))
-        word = np.zeros((c1.n, c2.n), a.dtype)
-        if np.count_nonzero(a) <= np.count_nonzero(b):
-            word[:, 0] = a  # a (x) e_0
-        else:
-            word[0, :] = b  # e_0 (x) b
-        witness = tuple(word.ravel().tolist())
-        w = hamming_weight(witness)
-        if w < rect_lower:
-            raise AssertionError(f"a dual word of weight {w} lies below the "
-                                 f"rectangle bound {rect_lower}")
-        return DistanceCertificate(lower=rect_lower, upper=w, lower_method="bch-rectangle",
-                                   witness=witness)
+        """``product_dual_certificate`` of the product's Euclidean dual:
+        the factor duals are MDS, certified by their BCH bounds, so it is
+        exact at 1 + min(mu1, mu2), mu_i = q - delta_i, the rectangle bound;
+        any other value raises AssertionError."""
+        cert = product_dual_certificate(*self.code._factors, InnerProductKind.EUCLIDEAN)
+        if not (cert.exact and cert.lower == self.expected_dual_distance):
+            raise AssertionError(f"the product dual certificate [{cert.lower}, {cert.upper}] "
+                                 f"is not the rectangle bound {self.expected_dual_distance}")
+        return cert
 
 
 def rs_product_params(q: int, delta1: int, delta2: int) -> RsProductReport:

@@ -189,8 +189,9 @@ def test_product_verb_ceiling_ignores_full_space_factor(capsys):
 
 
 def test_product_verb_ceiling_reads_an_inexact_factor_dual(capsys):
-    # at budget 1 the dual of rs(8,4) reads [5, null]; the ceiling is the
-    # least upper bound of the factor duals, the weight-2 word of rs(8,7)'s
+    # the duals of rs(8,4) and rs(8,7) read [5, 5] and [2, 2] by their BCH
+    # bounds at any budget; the ceiling is the lighter, rs(8,7)'s weight-2
+    # word (the test_product examples check an inexact factor dual)
     code, payload = run_json(capsys, "product", "--code1", "rs(8,4)", "--code2", "rs(8,7)",
                              "--budget", "1")
     assert code == 0

@@ -1,16 +1,18 @@
-"""Cyclic and Reed-Solomon codes, spectra, dual coordinate maps, and the
-rectangle bound."""
+"""Cyclic and Reed-Solomon codes, spectra, dual coordinate maps, the BCH
+certificate and the rectangle bound."""
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (cyclic_oracle, flat_to_grid, inverse_spectrum_2d, orthogonal_to_rows,
                      root_of_unity, spectrum_2d)
 from qproduct.code import (LinearCode, distance_at_least, enumeration_budget, find_low_weight_word,
                            hamming_weight, min_distance)
-from qproduct.cyclic import (RsProductReport, bch_rectangle_bound, cyclic_from_roots,
+from qproduct.cyclic import (RsProductReport, cyclic_from_roots,
                              dual_support_map, product_spectrum_support, rs_code,
                              rs_product_dual_certificate, rs_product_params)
 from qproduct.galois import GF
@@ -226,12 +228,53 @@ def test_dual_spectrum_is_mapped_complement(delta):
     assert cyclic_from_roots(spec, n, mapped_complement(code.zeros, n)).code == dual
 
 
-def test_bch_rectangle_bound_values():
-    assert bch_rectangle_bound(0, 0) == 1
-    assert bch_rectangle_bound(2, 2) == 3
-    assert bch_rectangle_bound(1, 5) == 2
-    with pytest.raises(ValueError):
-        bch_rectangle_bound(-1, 0)
+def test_bch_certificate_of_every_rs_code_and_dual():
+    """All 114 RS codes and RS duals with 4 <= q <= 16 are certified by
+    their BCH bound, exact, with the witness in the code; each equals the
+    exhaustive distance of the same rows with no zeros kept, wherever
+    those fit 2^20 words."""
+    budget, cases, enumerated = 1 << 20, 0, 0
+    for q in (4, 5, 7, 8, 9, 11, 13, 16):
+        for delta in range(2, q):
+            rs = rs_code(q, delta).code
+            for code in (rs, rs.dual(E)):
+                cert = min_distance(code)
+                assert cert.lower_method == "bch" and cert.exact
+                assert code.contains(cert.witness) and hamming_weight(cert.witness) == cert.value
+                plain = LinearCode(code.basis)
+                if plain.size() <= budget:
+                    exhaustive = min_distance(plain, budget=budget)
+                    assert exhaustive.lower_method == "exhaustive"
+                    assert exhaustive.value == cert.value
+                    enumerated += 1
+                cases += 1
+    assert (cases, enumerated) == (114, 74)
+
+
+@st.composite
+def _cyclic_cases(draw):
+    q = draw(st.sampled_from([4, 5, 7, 8, 9]))
+    n = draw(st.sampled_from([n for n in range(2, q) if (q - 1) % n == 0]))
+    zeros = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return GF(q), n, sorted(zeros)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_cyclic_cases())
+def test_bch_certificate_matches_enumeration_of_the_oracle(case):
+    """A cyclic code and its Euclidean dual, with random zeros: each equals
+    the oracle's code of its generator polynomial, and every "bch"
+    certificate is the exhaustive distance of that oracle code, which
+    keeps no zeros."""
+    spec, n, zeros = case
+    code = cyclic_from_roots(spec, n, zeros).code
+    for c in (code, code.dual(E)):
+        oracle = cyclic_oracle(spec, n, c.zeros)
+        assert oracle == c
+        cert = min_distance(c)
+        if cert.lower_method == "bch":
+            assert cert.exact and c.contains(cert.witness)
+            assert cert.value == min_distance(oracle).value
 
 
 def test_rectangle_bound_16_12_dual():
@@ -243,7 +286,7 @@ def test_rectangle_bound_16_12_dual():
     dual = product(c.code, c.code).dual(E)
     assert (dual.n, dual.k) == (16, 12)
     mu = 5 - 3
-    assert bch_rectangle_bound(mu, mu) == 3
+    assert 1 + min(mu, mu) == 3
     assert distance_at_least(dual, 3)
     witness = find_low_weight_word(dual, max_w=3)
     assert witness is not None and sum(1 for v in witness if v) == 3
@@ -257,7 +300,7 @@ def test_rectangle_bound_9_8_dual_exhaustive():
     c = rs_code(4, 3)
     dual = product(c.code, c.code).dual(E)
     assert (dual.n, dual.k) == (9, 8)
-    assert bch_rectangle_bound(1, 1) == 2
+    assert 1 + min(1, 1) == 2
     cert = min_distance(dual)
     assert cert.lower_method == "exhaustive" and cert.value == 2
 
@@ -272,7 +315,7 @@ def test_rectangle_bound_never_exceeds_enumerated_distance():
                 dual = product(rs_code(spec, d1).code, rs_code(spec, d2).code).dual(E)
                 if dual.k == 0 or dual.size() > 1 << 20:
                     continue
-                bound = bch_rectangle_bound(q - d1, q - d2)
+                bound = 1 + min(q - d1, q - d2)
                 assert bound <= min_distance(dual).value
 
 
@@ -356,7 +399,7 @@ def test_rs_product_dual_certificate_is_the_unfloored_search(q, count):
             rep = rs_product_params(q, q - mu1, q - mu2)
             assert q ** rep.dual_dimension > enumeration_budget()
             cert = rep.dual_certificate()
-            bound = bch_rectangle_bound(mu1, mu2)
+            bound = 1 + min(mu1, mu2)
             assert cert.lower_method == "bch-rectangle"
             assert cert.exact and cert.value == bound == rep.expected_dual_distance
             assert hamming_weight(cert.witness) == bound

@@ -1,5 +1,5 @@
 """Product codes: tensor inner-product identities, the stacked dual
-generator against kernel-computed duals, the dual-distance ceiling, and
+generator against kernel-computed duals, the product-dual certificate, and
 self-orthogonality transfer."""
 import random
 
@@ -14,8 +14,8 @@ from qproduct.code import AdditiveCode, LinearCode, min_distance, spanned_code
 from qproduct.cyclic import rs_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
-from qproduct.product import (dual_distance_ceiling, dual_of_product_generator, product,
-                              product_additive, tensor_generator)
+from qproduct.product import (dual_of_product_generator, product, product_additive,
+                              product_dual_certificate, tensor_generator)
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
@@ -201,23 +201,37 @@ def test_dual_of_product_full_space_factor():
     assert stacked.rref()[0] == expected.rref()[0]
 
 
+def _bounds(cert):
+    return [cert.lower, cert.upper, cert.lower_method]
+
+
 def test_dual_distance_ceiling_examples():
     c = hamming_dual(3, 2)
-    assert dual_distance_ceiling(c, c, E) == 3
-    d = min_distance(product(c, c).dual(E)).value
-    assert d == 3
-    # a factor whose dual has a weight-1 word forces ceiling 1
+    cert = product_dual_certificate(c, c, E)
+    assert _bounds(cert) == [3, 3, "product-dual"]
+    dual = product(c, c).dual(E)
+    assert dual.contains(cert.witness) and min_distance(dual).value == 3
+    # a factor whose dual has a weight-1 word forces distance 1
     weak = LinearCode(Matrix(GF(2), [[1, 0]]))
-    assert dual_distance_ceiling(weak, c, E) == 1
+    assert _bounds(product_dual_certificate(weak, c, E)) == [1, 1, "product-dual"]
     # a full-space factor has a zero dual and imposes no constraint
     full = LinearCode(Matrix(GF(2), np.eye(1, dtype=int)))
     ham = hamming(3, 2)
-    assert dual_distance_ceiling(ham, full, E) == 4
+    assert _bounds(product_dual_certificate(ham, full, E)) == [4, 4, "product-dual"]
     assert min_distance(product(ham, full).dual(E)).value == 4
-    assert dual_distance_ceiling(full, full, E) is None
-    # an inexact factor dual ([5, None] for rs(8,4) at budget 1) still
-    # lets the other factor's exact weight-2 word set the ceiling
-    assert dual_distance_ceiling(rs_code(8, 4).code, rs_code(8, 7).code, E, budget=1) == 2
+    both = product_dual_certificate(full, full, E)
+    assert both.degenerate and both.witness is None
+    # an inexact factor dual ([5, None] for the rows of rs(8,4), with no
+    # zeros kept, at budget 1) still lets the other factor's exact weight-2
+    # word set the upper bound, and the least lower bound is then 2
+    rs4, rs7 = (LinearCode(rs_code(8, delta).code.basis) for delta in (4, 7))
+    assert _bounds(min_distance(rs4.dual(E), budget=1)) == [5, None, "column-independence"]
+    assert _bounds(product_dual_certificate(rs4, rs7, E, budget=1)) == [2, 2, "product-dual"]
+    # with no factor witness there is a lower bound and no upper one
+    assert _bounds(product_dual_certificate(rs4, rs4, E, budget=1)) == [5, None, "product-dual"]
+    # the Reed-Solomon factors themselves keep their zeros: both duals by BCH
+    cert = product_dual_certificate(rs_code(8, 4).code, rs_code(8, 7).code, E, budget=1)
+    assert _bounds(cert) == [2, 2, "bch-rectangle"]
 
 
 @pytest.mark.parametrize("q", [2, 4, 5])
@@ -236,8 +250,9 @@ def test_dual_distance_respects_ceiling(q):
         prod_dual = product(c1, c2).dual(E)
         if prod_dual.k == 0 or prod_dual.size() > 1 << 18:
             continue
-        ceiling = dual_distance_ceiling(c1, c2, E)
-        assert brute_min_distance(prod_dual) <= ceiling
+        cert = product_dual_certificate(c1, c2, E)
+        assert cert.exact and brute_min_distance(prod_dual) == cert.value
+        assert prod_dual.contains(cert.witness)
         checked += 1
 
 
