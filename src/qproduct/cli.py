@@ -142,8 +142,8 @@ def cmd_product(args) -> dict:
         "claimed_distance": prod.claimed_distance,
         "conformance": _product_conformance(c1, c2, prod, kind, args.budget),
     }
-    if c2.is_self_orthogonal(kind):
-        report["self_orthogonality_transfer"] = prod.is_self_orthogonal(kind)
+    if c2.is_self_orthogonal(kind):  # checked on the product's own Gram matrix, not its factors
+        report["self_orthogonality_transfer"] = prod._form(kind).gram(prod.basis).is_zero()
     return report
 
 
@@ -428,9 +428,7 @@ def _diff_paths(expected, actual, prefix="") -> list[str]:
         for i, (e, a) in enumerate(zip(expected, actual)):
             out.extend(_diff_paths(e, a, f"{prefix}[{i}]"))
         return out
-    if expected != actual:
-        return [f"{prefix}: expected {expected!r}, got {actual!r}"]
-    return []
+    return [f"{prefix}: expected {expected!r}, got {actual!r}"]
 
 
 def _golden_dir() -> Path:
@@ -439,12 +437,10 @@ def _golden_dir() -> Path:
 
 def cmd_reproduce(args) -> dict:
     budget = args.budget
-    results = {}
     failures = {}
     golden_dir = _golden_dir()
     for name, builder in PIPELINES.items():
         report = builder(budget)
-        results[name] = report
         if args.write_golden:
             golden_dir.mkdir(parents=True, exist_ok=True)
             path = golden_dir / f"{name}.json"

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .galois import FieldSpec, field_add, field_map, field_tables
+from .galois import FieldSpec, element_dtype, field_add, field_map, field_tables
 from .matrix import InnerProductKind, Matrix, _require_even_degree, product_kernel
 
 DEFAULT_BUDGET = 1 << 24
@@ -332,30 +332,67 @@ class Code:
         Kronecker product of its factors' forms, under
         ``_first_factor_kind(kind)`` and kind, as the Frobenius map is
         multiplicative and tr(g h frob(x^t)) = g tr(h frob(x^t)) for g in
-        GF(p); so its kernel is ``product_kernel`` of the two.  A cyclic
-        code's Euclidean dual has zeros {-i mod n : i not in Z}."""
+        GF(p); so its kernel is ``product_kernel`` of the two.  The
+        Euclidean dual of a code that keeps its zeros Z is the cyclic code
+        D with zeros {-i mod n : i not in Z}, so its basis is
+        ``cyclic_basis`` of those: for a in the code and c in D,
+        a . c = (1/n) sum_i a(alpha^i) c(alpha^-i) = 0, each term having a
+        zero factor, and the dimensions n - |Z| and |Z| add to n."""
         kind = self._kind(kind)
         cached = self._dual_cache.get(kind)
         if cached is None:
             form = self._form(kind)
-            if self._factors is None:
+            zeros = None
+            if self.zeros is not None and kind is InnerProductKind.EUCLIDEAN:
+                zeros = frozenset(-i % self.n for i in range(self.n) if i not in self.zeros)
+                basis = cyclic_basis(self.spec, self.n, zeros)
+            elif self._factors is None:
                 basis = form.kernel()
             else:
                 c1, c2 = self._factors
                 basis = product_kernel(c1._form(_first_factor_kind(kind)), c2._form(kind))
             cached = self._from_basis(self.spec, self.n, basis, form)
             cached._primal = weakref.ref(self)
-            if self.zeros is not None and kind is InnerProductKind.EUCLIDEAN:
-                cached.zeros = frozenset(-i % self.n for i in range(self.n) if i not in self.zeros)
+            cached.zeros = zeros
             self._dual_cache[kind] = cached
         return cached
 
     def is_self_orthogonal(self, kind: InnerProductKind | None = None) -> bool:
-        """Whether the code lies in its dual under ``kind``: one Gram
-        matrix of its form against its basis, computed once per kind."""
+        """Whether the code lies in its dual under ``kind``, found once per
+        kind by the first rule that applies.
+
+        A product c1 (x) c2 is iff c1 is under ``_first_factor_kind(kind)``
+        or c2 is under kind.  Its Gram matrix on the rows g (x) h is
+        Gram1 (x) Gram2: Euclidean, sum_(a,b) g_a g'_a h_b h'_b = (g . g')
+        (h . h'); Hermitian, the same with g' and h' conjugated, as the
+        Frobenius map is multiplicative; symplectic, g and g' lie in GF(p),
+        so frob(g'_a h'_b) = g'_a frob(h'_b) and the trace, GF(p)-linear,
+        gives (g . g') <h, h'>.  A Kronecker product is zero iff one of
+        its factors is, the field having no zero divisors.
+
+        A code that keeps its zeros Z is iff Z | (-s Z) = Z_n, s = 1
+        (Euclidean) or s = sqrt(q) (Hermitian).  As n | q-1, X^n - 1 has n
+        distinct roots alpha^i, so a cyclic code is fixed by its zero set,
+        and C lies in D iff the zeros of D are zeros of C.  The Hermitian
+        dual of C is the Euclidean dual of its conjugate {c^s}, whose zeros
+        are s Z as c^s(alpha^(s z)) = c(alpha^z)^s, and the Euclidean dual
+        of a code with zeros Y has zeros {-i : i not in Y} (``dual``).  So
+        C lies in its dual iff every i not in s Z has -i in Z, that is iff
+        every j not in Z lies in -s Z.
+
+        Any other code: one Gram matrix of its form against its basis."""
         kind = self._kind(kind)
         if kind not in self._orthogonal:
-            self._orthogonal[kind] = self._form(kind).gram(self.basis).is_zero()
+            if self._factors is not None:
+                c1, c2 = self._factors
+                flag = (c1.is_self_orthogonal(_first_factor_kind(kind))
+                        or c2.is_self_orthogonal(kind))
+            elif self.zeros is not None:
+                s = 1 if kind is InnerProductKind.EUCLIDEAN else self.spec.frobenius_power
+                flag = len(self.zeros | {-s * z % self.n for z in self.zeros}) == self.n
+            else:
+                flag = self._form(kind).gram(self.basis).is_zero()
+            self._orthogonal[kind] = flag
         return self._orthogonal[kind]
 
     def describe(self) -> dict:
@@ -378,13 +415,17 @@ class Code:
         coordinate, an additive one (q-1)/(p-1).
 
         The syndromes are taken against the kept parity rows as they are,
-        else the kernel of the basis.  Rows that span the same space as the
+        a cyclic code's check rows, or else the kernel of the basis.  Rows that span the same space as the
         rref H give columns A * col, A of full column rank, which keeps
         zero columns, parallel classes and the coefficients of every
         vanishing combination, so every word the search returns."""
         if self._columns is None:
             spec, F, w = self.spec, self.field, self.width
-            H = (self.basis.kernel() if self._parity is None else self._parity).array
+            H = self._parity
+            if H is None:  # a cyclic code's check rows, or else the kernel of the basis
+                H = self.basis.kernel() if self.zeros is None else _check_rows(
+                    self.spec, self.n, self.zeros)
+            H = H.array
             if w == 1:
                 where = [(i, 1) for i in range(self.n)]
                 cols = H.T
@@ -495,6 +536,61 @@ def spanned_code(kind: InnerProductKind, spec: FieldSpec, rows: Iterable[Sequenc
     additive for the symplectic kind, linear otherwise."""
     cls = AdditiveCode if kind is InnerProductKind.SYMPLECTIC else LinearCode
     return cls.from_rows(spec, rows, n=n)
+
+
+def _check_rows(spec: FieldSpec, n: int, zeros: Iterable[int]) -> Matrix:
+    """The check rows (alpha^(z*j))_j of the cyclic code of length n | q-1
+    with the given zeros, one per zero in increasing order; alpha =
+    g^((q-1)/n), g the field generator, is a primitive n-th root of unity."""
+    _, exp = field_tables(spec)
+    z = np.array(sorted(zeros), np.int64)[:, None] * ((spec.q - 1) // n)
+    return Matrix._of(spec, exp[z * np.arange(n) % (spec.q - 1)])
+
+
+def cyclic_basis(spec: FieldSpec, n: int, zeros: frozenset[int]) -> Matrix:
+    """The rref basis of the cyclic code of length n | q-1 with the given
+    zeros (exponents mod n): the words c with c(alpha^z) = 0 for z in zeros.
+
+    The zero code (every exponent a zero) and the full space (none) are
+    I_k, k = 0 or n.  A cyclic interval Z = {b, ..., b+r-1} mod n needs no
+    elimination.  With x_j = alpha^j and k = n - r, the check rows
+    alpha^((b+t) j) = alpha^(b j) x_j^t, t < r, span GRS_r(x, v) with
+    v_j = alpha^(b j), so the code is GRS_k(x, u) with u_j v_j =
+    1 / prod_(l != j) (x_j - x_l) = x_j / n, as that product is the
+    derivative of X^n - 1 at x_j, n x_j^(n-1) (MacWilliams & Sloane,
+    ch. 10-11; Roth & Seroussi, IEEE TIT 31, 1985).  Scaling u by 1/n,
+    u_j = alpha^((1-b) j).  A GRS code is MDS, so x_0..x_(k-1) are an
+    information set, and row i of the rref is the word u_j f(x_j) with
+    f = L_i / u_i, L_i the Lagrange basis polynomial on x_0..x_(k-1): it
+    reads 1 at i, 0 at the other columns below k, and
+    alpha^((1-b)(j-i)) L_i(x_j) at j >= k.  In logs to the base g, the
+    field generator, alpha = g^e with e = (q-1)/n, and x_a - x_l =
+    alpha^l (alpha^(a-l) - 1) has the log e l + lam[a-l mod n], lam[d] the
+    log of alpha^d - 1.  With lam[0] read as 0 and w_a the sum of
+    lam[a-l mod n] over l < k, the numerator prod_(l < k, l != i)
+    (x_j - x_l) of L_i(x_j) has the log e K + w_j - e i - lam[j-i] and its
+    denominator prod_(l < k, l != i) (x_i - x_l) the log e K - e i + w_i,
+    K = k(k-1)/2, so L_i(x_j) = g^(w_j - w_i - lam[j-i]): O(n k) table
+    lookups.  Any other zero set eliminates its check rows
+    (``Matrix.kernel``)."""
+    k = n - len(zeros)
+    out = np.eye(k, n, dtype=element_dtype(spec))
+    if k in (0, n):  # the zero code, or the full space
+        return Matrix._of(spec, out)
+    starts = [z for z in zeros if (z - 1) % n not in zeros]
+    if len(starts) != 1:  # not one cyclic interval
+        return _check_rows(spec, n, zeros).kernel()
+    log, exp = field_tables(spec)
+    q1 = spec.q - 1
+    e = q1 // n
+    m = np.arange(n)
+    lam = log[field_add(spec, exp[e * m], exp[q1 // 2 if spec.p != 2 else 0])]  # alpha^m - 1
+    lam[0] = 0
+    csum = lam[np.arange(-k, n) % n].cumsum()
+    w = csum[k:] - csum[:n]  # w[a] = sum_(l < k) lam[(a - l) mod n]
+    t = (1 - starts[0]) * e * m - lam
+    out[:, k:] = exp[(t[m[k:] - m[:k, None]] + w[k:] - w[:k, None]) % q1]
+    return Matrix._of(spec, out)
 
 
 # ---------------------------------------------------------------------------

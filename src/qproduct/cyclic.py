@@ -5,27 +5,31 @@ the report of a Reed-Solomon product, whose dual is certified by
 
 A cyclic code is given by its zeros Z, exponents mod n: the words c with
 c(alpha^z) = 0 for z in Z, the code of prod_{z in Z} (X - alpha^z).  That
-polynomial is never formed; the check rows (alpha^(z*j))_j define the code.
+polynomial is never formed.  When Z is a cyclic interval, as for every
+Reed-Solomon code and its Euclidean dual, the basis is a closed form
+(``code.cyclic_basis``); any other zero set eliminates its check rows
+(alpha^(z*j))_j.  Self-orthogonality is read off Z
+(``Code.is_self_orthogonal``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from .code import DistanceCertificate, LinearCode
-from .galois import GF, FieldSpec, field_tables
-from .matrix import InnerProductKind, Matrix
+from .code import DistanceCertificate, LinearCode, cyclic_basis
+from .galois import GF, FieldSpec
+from .matrix import InnerProductKind
 from .product import product, product_dual_certificate
 
 
 class CyclicCode:
     """Cyclic code of length n | q-1 given by its zero set: the exponents
     z mod n with c(alpha^z) = 0 for every codeword c, alpha the field's
-    primitive n-th root of unity.  ``code`` is the kernel of the check
-    rows (alpha^(z*j))_j, one per zero, so k = n - |zeros|; it keeps the
-    zeros, which give its BCH bound (``code.min_distance``)."""
+    primitive n-th root of unity.  ``code`` has the basis
+    ``code.cyclic_basis`` of the zeros, so k = n - |zeros|.  It keeps the
+    zeros, which give its BCH bound (``code.min_distance``), its Euclidean
+    dual, its self-orthogonality and, for a search, its check rows
+    (alpha^(z*j))_j, one per zero."""
 
     def __init__(self, spec: FieldSpec, n: int, zeros: Sequence[int],
                  claimed_distance: int | None = None):
@@ -35,11 +39,8 @@ class CyclicCode:
         if len(set(exps)) != len(exps):
             raise ValueError(f"duplicate root exponents in {list(zeros)}")
         self.spec, self.n, self.zeros = spec, n, frozenset(exps)
-        # exp is to the base g, the field generator, and alpha = g^((q-1)/n)
-        _, exp = field_tables(spec)
-        z = np.array(sorted(self.zeros), np.int64)[:, None] * ((spec.q - 1) // n)
-        checks = Matrix._of(spec, exp[z * np.arange(n) % (spec.q - 1)])
-        self.code = LinearCode._from_basis(spec, n, checks.kernel(), checks, claimed_distance)
+        self.code = LinearCode._from_basis(spec, n, cyclic_basis(spec, n, self.zeros), None,
+                                           claimed_distance)
         self.code.zeros = self.zeros
 
     @property

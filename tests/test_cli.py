@@ -351,37 +351,50 @@ def test_rs_product_grid_builds_each_product_once(monkeypatch):
 
 def test_rs_product_grid_checks_each_factor_once(monkeypatch):
     """Each of the 16 distinct RS factors is shared by several of the 33
-    entries, but its self-orthogonality, one Gram matrix, is computed
-    once: the code keeps the flag.  Each product computes its own."""
-    widths = []
+    entries; its self-orthogonality is read once off its zeros and kept,
+    and each product's comes from its factors' flags, so the grid computes
+    no Gram matrix."""
+    grams = []
     gram = Matrix.gram
 
     def counted(m, other, kind=InnerProductKind.EUCLIDEAN):
-        widths.append((m.spec.q, m.ncols))
+        grams.append((m.spec.q, m.ncols))
         return gram(m, other, kind)
 
     monkeypatch.setattr(Matrix, "gram", counted)
-    cli.PIPELINES["rs-product-grid"](None)
-    assert sum(n == q - 1 for q, n in widths) == 16
-    assert sum(n == (q - 1) ** 2 for q, n in widths) == 33
-    assert len(widths) == 49
+    grid = cli.PIPELINES["rs-product-grid"](None)
+    assert sum(len(entries) for entries in grid.values()) == 33
+    assert grams == []
 
 
 def test_rs_product_grid_eliminates_no_more_than_a_factor(monkeypatch):
-    """Each product's basis and dual come from its factors' by the
-    Kronecker lemmas, and its dual's syndromes from its kept parity rows,
-    so no rref in the grid is wider than a factor: q - 1 columns."""
-    widths = {}
-    rref = Matrix.rref
+    """RS factors and their duals have closed-form bases, and each
+    product's basis and dual come from its factors' by the Kronecker
+    lemmas, so the only eliminations in the grid are the two factor-sized
+    ones inside each of the five ``product_kernel`` calls (q <= 5), which
+    build the product duals that are enumerated; q = 7, 8 eliminate
+    nothing."""
+    import qproduct.code as code_module
+
+    calls, inside = [], []
+    rref, real_kernel = Matrix.rref, code_module.product_kernel
 
     def counted(m):
-        widths.setdefault(m.spec.q, []).append(m.ncols)
+        calls.append((m.spec.q, m.ncols, bool(inside)))
         return rref(m)
 
+    def kernel(a, b):
+        inside.append(True)
+        try:
+            return real_kernel(a, b)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(Matrix, "rref", counted)
+    monkeypatch.setattr(code_module, "product_kernel", kernel)
     cli.PIPELINES["rs-product-grid"](None)
-    assert sorted(widths) == [4, 5, 7, 8]
-    assert all(max(w) == q - 1 for q, w in widths.items())
+    assert sorted(q for q, _, _ in calls) == [4] * 4 + [5] * 6
+    assert all(within and n == q - 1 for q, n, within in calls)
 
 
 def test_rs_product_grid_builds_product_duals_only_to_enumerate(monkeypatch):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import (cyclic_oracle, flat_to_grid, inverse_spectrum_2d, orthogonal_to_rows,
                      root_of_unity, spectrum_2d)
-from qproduct.code import (LinearCode, distance_at_least, enumeration_budget, find_low_weight_word,
-                           hamming_weight, min_distance)
+from qproduct.code import (LinearCode, _check_rows, cyclic_basis, distance_at_least,
+                           enumeration_budget, find_low_weight_word, hamming_weight, min_distance)
 from qproduct.cyclic import (RsProductReport, cyclic_from_roots,
                              dual_support_map, product_spectrum_support, rs_code,
                              rs_product_dual_certificate, rs_product_params)
@@ -51,7 +51,7 @@ def test_cyclic_from_roots_rejects_duplicates():
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16])
 def test_cyclic_code_matches_the_generator_polynomial_oracle(q):
-    """The kernel of the check rows is the code of prod (X - alpha^z):
+    """A cyclic code's basis is that of the code of prod (X - alpha^z):
     random zero sets at every length n | q-1, and every RS code."""
     spec = GF(q)
     rng = random.Random(q)
@@ -119,6 +119,74 @@ def test_dual_generator_poly_extremes():
     assert mapped_complement(full.zeros, 7) == zero.zeros
     assert mapped_complement(zero.zeros, 7) == full.zeros
     assert full.code.dual(E) == zero.code and zero.code.dual(E) == full.code
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_cyclic_basis_of_every_interval_is_the_kernel_of_its_check_rows(q):
+    """The closed-form basis of every cyclic interval {b, ..., b+r-1} mod
+    n, for every b, every 0 <= r <= n and every n | q-1, and that of its
+    Euclidean dual's zeros, each equal the rref kernel of the check rows."""
+    spec = GF(q)
+    for n in (n for n in range(1, q) if (q - 1) % n == 0):
+        for r in range(n + 1):
+            for b in range(n):
+                zeros = frozenset((b + t) % n for t in range(r))
+                for z in (zeros, mapped_complement(zeros, n)):
+                    basis = cyclic_basis(spec, n, z)
+                    assert basis == _check_rows(spec, n, z).kernel()
+                    assert basis.nrows == n - len(z)
+
+
+def test_rs_codes_and_duals_need_no_elimination_or_gram(monkeypatch):
+    """Building rs(q, delta) and its Euclidean dual, and reading their
+    self-orthogonality flags, calls no ``Matrix.rref``, ``Matrix.kernel``
+    or ``Matrix.gram``; the flags are those of the Gram test."""
+    calls, flags = [], []
+    for name in ("rref", "kernel", "gram"):
+        real = getattr(Matrix, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(Matrix, name, counted)
+    for q in (4, 5, 7, 8, 9, 11, 13, 16):
+        for delta in range(2, q):
+            rs = rs_code(q, delta).code
+            for code in (rs, rs.dual(E)):
+                for kind in (E, H) if GF(q).ell % 2 == 0 else (E,):
+                    flags.append((code, kind, code.is_self_orthogonal(kind)))
+    assert calls == []
+    monkeypatch.undo()
+    assert all(flag == _gram_orthogonal(code, kind) for code, kind, flag in flags)
+    # rs(q, delta) with 2 (delta - 1) > q - 1, and no RS dual
+    assert sum(flag for _, kind, flag in flags if kind is E) == 26
+
+
+def _gram_orthogonal(code, kind):
+    return code._form(kind).gram(code.basis).is_zero()
+
+
+@st.composite
+def _zero_sets(draw):
+    kind = draw(st.sampled_from([E, H]))
+    q = draw(st.sampled_from([3, 4, 5, 7, 8, 9, 11, 13, 16] if kind is E else [4, 9, 16]))
+    n = draw(st.sampled_from([n for n in range(1, q) if (q - 1) % n == 0]))
+    zeros = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return kind, GF(q), n, sorted(zeros)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_zero_sets())
+def test_self_orthogonality_from_zeros_matches_the_gram_test(case):
+    """Z | -Z = Z_n (Euclidean) and Z | -sqrt(q) Z = Z_n (Hermitian) decide
+    self-orthogonality as the Gram matrix does, for a cyclic code with
+    random zeros and for its Euclidean dual."""
+    kind, spec, n, zeros = case
+    code = cyclic_from_roots(spec, n, zeros).code
+    for c in (code, code.dual(E)):
+        assert c.zeros is not None
+        assert c.is_self_orthogonal(kind) == _gram_orthogonal(c, kind)
 
 
 def test_spectrum_zero_and_impulse():

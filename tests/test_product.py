@@ -192,6 +192,21 @@ def test_product_basis_and_dual_come_from_the_factors(case):
     assert prod.dual(kind).basis == prod._form(kind).kernel()
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=_factor_pairs())
+def test_product_self_orthogonality_from_the_factors_matches_its_gram(case):
+    """A product is self-orthogonal iff a factor is, under the kind that
+    factor pairs by: the product rule of ``is_self_orthogonal`` equals the
+    test on the product's own Gram matrix, zero and full-space factors
+    included."""
+    kind, c1, c2 = case
+    prod = product(c1, c2)
+    gram = prod._form(kind).gram(prod.basis).is_zero()
+    assert prod.is_self_orthogonal(kind) == gram
+    first = c1.is_self_orthogonal(E if kind is S else kind)
+    assert gram == (first or c2.is_self_orthogonal(kind))
+
+
 def test_dual_of_product_full_space_factor():
     full = LinearCode(Matrix(GF(2), np.eye(3, dtype=int)))
     c2 = hamming_dual(3, 2)
