@@ -207,7 +207,7 @@ def search_code(shape: tuple):
     euclidean = InnerProductKind.EUCLIDEAN
     if shape[0] == "rs":
         _, q, mu1, mu2 = shape
-        return product(rs_code(GF(q), q - mu1).code, rs_code(GF(q), q - mu2).code).dual(euclidean)
+        return product(rs_code(GF(q), q - mu1), rs_code(GF(q), q - mu2)).dual(euclidean)
     s = conv_from_product(hamming_dual(3, 2), hamming_dual(3, 2), 1, euclidean)
     width = shape[1] * s.frame + s.overlap
     rows = band_window(s, shape[1] + 1).take_columns(range(width)).rows
@@ -262,7 +262,7 @@ def layer_matrices() -> list[tuple[int, list]]:
     """(q, rows) of each layer matrix."""
     from qproduct import convolutional
     from qproduct.catalog import hamming_dual
-    from qproduct.cyclic import rs_code
+    from qproduct.code import _check_rows
     from qproduct.galois import GF
     from qproduct.matrix import InnerProductKind
 
@@ -278,7 +278,7 @@ def layer_matrices() -> list[tuple[int, list]]:
     rng = random.Random(13 * 24)
     return [(2, wrapped[0]),
             (4, [[rng.randrange(4) for _ in range(24)] for _ in range(13)]),
-            (11, rs_code(GF(11), 7).code._parity.array.tolist())]
+            (11, _check_rows(GF(11), 10, range(6)).array.tolist())]
 
 
 def profile_layer(op: str, q: int, rows: list, repeats: int) -> dict:

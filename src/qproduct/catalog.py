@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 from .code import AdditiveCode, Code, LinearCode
-from .cyclic import CyclicCode, cyclic_from_roots, rs_code
+from .cyclic import cyclic_from_roots, rs_code
 from .galois import GF, FieldSpec
 from .matrix import InnerProductKind, Matrix, from_text
 from .product import product, product_additive
@@ -68,7 +68,8 @@ def quaternary_hamming_dual_5() -> LinearCode:
 _CATALOG_HELP = (
     "simplex(r, q), hamming(r, q), hamming_dual(r, q), quaternary_hamming_dual_5, "
     "rs(q, delta), cyclic(q, n, root_exponents...), and the combinators "
-    "product(a, b), product_additive(a, b), additive(a), dual(a, kind)"
+    "product(a, b), product_additive(a, b), additive(a), dual(a, kind); the euclidean "
+    "dual(a) of an rs or cyclic code is cyclic too"
 )
 
 
@@ -132,7 +133,7 @@ def _resolve(node):
             return InnerProductKind(name)
         except ValueError:
             raise DescriptorError(f"unknown name {name!r}; catalog: {_CATALOG_HELP}") from None
-    vals = [_code_of(_resolve(a)) for a in args]
+    vals = [_resolve(a) for a in args]
     try:
         if name == "simplex":
             return simplex(*vals)
@@ -162,11 +163,6 @@ def _resolve(node):
     raise DescriptorError(f"unknown constructor {name!r}; catalog: {_CATALOG_HELP}")
 
 
-def _code_of(value):
-    """The code of an rs(...) or cyclic(...) descriptor; anything else as is."""
-    return value.code if isinstance(value, CyclicCode) else value
-
-
 def _parse_text(text: str):
     tokens = _tokenize(text)
     if not tokens:
@@ -189,18 +185,18 @@ def _resolve_text(text: str):
 
 def parse_descriptor(text: str):
     """Resolve a descriptor expression to a code object."""
-    result = _code_of(_resolve_text(text))
+    result = _resolve_text(text)
     if not isinstance(result, Code):
         raise DescriptorError(f"descriptor {text!r} does not resolve to a code")
     return result
 
 
-def parse_cyclic(text: str) -> CyclicCode:
-    """Resolve an rs(q, delta) or cyclic(q, n, roots...) descriptor to its
-    cyclic code, zeros included."""
-    result = _resolve_text(text)
-    if not isinstance(result, CyclicCode):
-        raise DescriptorError("spectrum needs rs(q, delta) or cyclic(q, n, roots...) factors")
+def parse_cyclic(text: str) -> LinearCode:
+    """Resolve a descriptor to a code that keeps its zeros: rs(q, delta),
+    cyclic(q, n, roots...) or the Euclidean dual(...) of either."""
+    result = parse_descriptor(text)
+    if result.zeros is None:
+        raise DescriptorError("spectrum needs rs, cyclic or the euclidean dual of one as factors")
     return result
 
 

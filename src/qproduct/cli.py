@@ -182,7 +182,14 @@ def cmd_spectrum(args) -> dict:
 
 
 def cmd_qecc(args) -> dict:
-    if args.construction == "rs-product":
+    rs = args.construction == "rs-product"
+    for name in (("code", "code_json", "matrix_file", "additive", "refine_distance") if rs
+                 else ("q", "mu1", "mu2")):  # the options only the other route reads
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise DescriptorError(f"--{name.replace('_', '-')} does not apply to "
+                                  f"--construction {args.construction}")
+    if rs:
         if args.q is None or args.mu1 is None or args.mu2 is None:
             raise DescriptorError("rs-product needs --q, --mu1, --mu2")
         predicted = rs_product_report(args.q, args.mu1, args.mu2)
@@ -578,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product, kind="symplectic")
 
     p = sub.add_parser("spectrum", help="support grid of a bicyclic product spectrum")
-    p.add_argument("--code1", required=True, help="rs(q, delta) or cyclic(q, n, roots...)")
+    p.add_argument("--code1", required=True,
+                   help="rs(q, delta), cyclic(q, n, roots...) or the euclidean dual(...) of one")
     p.add_argument("--code2", required=True)
     p.add_argument("--dual", action="store_true", help="also print the dual support")
     p.add_argument("--kind", choices=["euclidean", "hermitian"], default="euclidean")

@@ -232,7 +232,7 @@ class Code:
     kinds: tuple[InnerProductKind, ...]  # the inner products it takes duals under, default first
 
     def _setup(self, basis: Matrix, claimed_distance: int | None,
-               parity: Matrix | None = None) -> None:
+               parity: Matrix | None = None, zeros: frozenset[int] | None = None) -> None:
         """Finish construction from a reduced basis; spec and n are set.
         ``parity``, when known, are rows over F whose F-kernel is the code."""
         self.basis = basis
@@ -240,7 +240,7 @@ class Code:
         self.generator = self.symbols(basis)
         self._parity = parity
         self._factors: tuple[Code, Code] | None = None  # (c1, c2) of a product c1 (x) c2
-        self.zeros: frozenset[int] | None = None  # a cyclic code's zeros, exponents mod n
+        self.zeros = zeros  # a cyclic code's zeros, exponents mod n
         self._dual_cache: dict[InnerProductKind, Code] = {}
         self._orthogonal: dict[InnerProductKind, bool] = {}  # is_self_orthogonal, per kind
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
@@ -250,10 +250,11 @@ class Code:
 
     @classmethod
     def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix | None,
-                    claimed_distance: int | None = None) -> "Code":
+                    claimed_distance: int | None = None,
+                    zeros: frozenset[int] | None = None) -> "Code":
         code = cls.__new__(cls)
         code.spec, code.n = spec, n
-        code._setup(basis, claimed_distance, parity)
+        code._setup(basis, claimed_distance, parity, zeros)
         return code
 
     @property
@@ -351,9 +352,8 @@ class Code:
             else:
                 c1, c2 = self._factors
                 basis = product_kernel(c1._form(_first_factor_kind(kind)), c2._form(kind))
-            cached = self._from_basis(self.spec, self.n, basis, form)
+            cached = self._from_basis(self.spec, self.n, basis, form, zeros=zeros)
             cached._primal = weakref.ref(self)
-            cached.zeros = zeros
             self._dual_cache[kind] = cached
         return cached
 
@@ -471,6 +471,11 @@ class LinearCode(Code):
     @property
     def k(self) -> int:
         return self.dim
+
+    @property
+    def code(self) -> "LinearCode":
+        """This code, kept only for the benchmark's call ``rs_code(q, delta).code``."""
+        return self
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.n},{self.k}]_GF({self.spec.q})"

@@ -3,13 +3,16 @@ spectral support of their bicyclic products, dual coordinate maps, and
 the report of a Reed-Solomon product, whose dual is certified by
 ``product.product_dual_certificate``.
 
-A cyclic code is given by its zeros Z, exponents mod n: the words c with
-c(alpha^z) = 0 for z in Z, the code of prod_{z in Z} (X - alpha^z).  That
-polynomial is never formed.  When Z is a cyclic interval, as for every
-Reed-Solomon code and its Euclidean dual, the basis is a closed form
-(``code.cyclic_basis``); any other zero set eliminates its check rows
-(alpha^(z*j))_j.  Self-orthogonality is read off Z
-(``Code.is_self_orthogonal``).
+A cyclic code is a plain ``LinearCode`` that keeps its zeros Z
+(``zeros``), exponents mod n: the words c with c(alpha^z) = 0 for z in Z,
+the code of prod_{z in Z} (X - alpha^z).  That polynomial is never
+formed.  When Z is a cyclic interval, as for every Reed-Solomon code and
+its Euclidean dual, the basis is a closed form (``code.cyclic_basis``);
+any other zero set eliminates its check rows (alpha^(z*j))_j.  The zeros
+give the code's BCH bound (``code.min_distance``), its Euclidean dual,
+which keeps its own zeros, and its self-orthogonality
+(``Code.is_self_orthogonal``); any code that keeps zeros, such a dual
+included, is accepted wherever a cyclic code is.
 """
 from __future__ import annotations
 
@@ -22,43 +25,24 @@ from .matrix import InnerProductKind
 from .product import product, product_dual_certificate
 
 
-class CyclicCode:
-    """Cyclic code of length n | q-1 given by its zero set: the exponents
-    z mod n with c(alpha^z) = 0 for every codeword c, alpha the field's
-    primitive n-th root of unity.  ``code`` has the basis
-    ``code.cyclic_basis`` of the zeros, so k = n - |zeros|.  It keeps the
-    zeros, which give its BCH bound (``code.min_distance``), its Euclidean
-    dual, its self-orthogonality and, for a search, its check rows
-    (alpha^(z*j))_j, one per zero."""
-
-    def __init__(self, spec: FieldSpec, n: int, zeros: Sequence[int],
-                 claimed_distance: int | None = None):
-        if n < 1 or (spec.q - 1) % n != 0:
-            raise ValueError(f"length {n} does not divide q-1 = {spec.q - 1}")
-        exps = [z % n for z in zeros]
-        if len(set(exps)) != len(exps):
-            raise ValueError(f"duplicate root exponents in {list(zeros)}")
-        self.spec, self.n, self.zeros = spec, n, frozenset(exps)
-        self.code = LinearCode._from_basis(spec, n, cyclic_basis(spec, n, self.zeros), None,
-                                           claimed_distance)
-        self.code.zeros = self.zeros
-
-    @property
-    def k(self) -> int:
-        return self.code.k
-
-    def __repr__(self) -> str:
-        return f"CyclicCode[{self.n},{self.k}]_GF({self.spec.q})"
-
-
 def cyclic_from_roots(q: int | FieldSpec, n: int, exponents: Sequence[int],
-                      claimed_distance: int | None = None) -> CyclicCode:
-    """Cyclic code of length n | q-1 with zeros alpha^s over the exponent set."""
+                      claimed_distance: int | None = None) -> LinearCode:
+    """Cyclic code of length n | q-1 with zeros alpha^s over the exponent
+    set, alpha the field's primitive n-th root of unity: a ``LinearCode``
+    with basis ``code.cyclic_basis`` of the zeros, so k = n - |zeros|, that
+    keeps them as ``zeros``."""
     spec = q if isinstance(q, FieldSpec) else GF(q)
-    return CyclicCode(spec, n, exponents, claimed_distance=claimed_distance)
+    if n < 1 or (spec.q - 1) % n != 0:
+        raise ValueError(f"length {n} does not divide q-1 = {spec.q - 1}")
+    exps = [z % n for z in exponents]
+    zeros = frozenset(exps)
+    if len(zeros) != len(exps):
+        raise ValueError(f"duplicate root exponents in {list(exponents)}")
+    return LinearCode._from_basis(spec, n, cyclic_basis(spec, n, zeros), None,
+                                  claimed_distance, zeros)
 
 
-def rs_code(q: int | FieldSpec, delta: int) -> CyclicCode:
+def rs_code(q: int | FieldSpec, delta: int) -> LinearCode:
     """Reed-Solomon code [q-1, q-delta, delta] with zeros alpha^0..alpha^(delta-2)."""
     spec = q if isinstance(q, FieldSpec) else GF(q)
     if not 2 <= delta <= spec.q - 1:
@@ -77,9 +61,10 @@ def dual_support_map(i: int, n: int, kind: InnerProductKind, frob_power: int | N
     raise ValueError(f"no spectral coordinate map for {kind}")
 
 
-def product_spectrum_support(c1: CyclicCode, c2: CyclicCode) -> tuple[tuple[bool, ...], ...]:
-    """Forced-zero mask of the product's spectrum: grid[i][j] is True when
-    every codeword's spectrum vanishes at (i, j)."""
+def product_spectrum_support(c1: LinearCode, c2: LinearCode) -> tuple[tuple[bool, ...], ...]:
+    """Forced-zero mask of the spectrum of the product of two codes that
+    keep their zeros: grid[i][j] is True when every codeword's spectrum
+    vanishes at (i, j)."""
     return tuple(tuple(i in c1.zeros or j in c2.zeros for j in range(c2.n))
                  for i in range(c1.n))
 
@@ -106,13 +91,13 @@ class RsProductReport:
     code: LinearCode = field(repr=False, compare=False)
 
     @classmethod
-    def of(cls, c1: CyclicCode, c2: CyclicCode) -> "RsProductReport":
+    def of(cls, c1: LinearCode, c2: LinearCode) -> "RsProductReport":
         """The report of rs(q, delta1) (x) rs(q, delta2) from its two built
         factors (``rs_code``, delta_i = |zeros_i| + 1), cross-checked
         structurally against the product, which is built once and kept as
-        ``code``.  A factor that is not Reed-Solomon (another length or
-        field, or zeros other than 0..delta-2) raises ValueError: the
-        report's formulas hold only for these.
+        ``code``.  A factor that is not Reed-Solomon (no zeros kept, another
+        length or field, or zeros other than 0..delta-2) raises ValueError:
+        the report's formulas hold only for these.
 
         The dual dimension comes out of q*(d1+d2-2) - d1*d2 + 1, which
         equals (q-1)^2 - (q-delta1)*(q-delta2) identically; both dual
@@ -121,14 +106,14 @@ class RsProductReport:
         """
         q = c1.spec.q
         for i, c in enumerate((c1, c2), 1):
-            delta = len(c.zeros) + 1
-            if (c.spec != c1.spec or c.n != q - 1 or not 2 <= delta <= q - 1
-                    or c.zeros != frozenset(range(delta - 1))):
-                raise ValueError(f"factor {i}, {c!r} with zeros {sorted(c.zeros)}, is not "
+            zeros = None if c.zeros is None else sorted(c.zeros)
+            if (zeros is None or c.spec != c1.spec or c.n != q - 1
+                    or not 1 <= len(zeros) <= q - 2 or zeros != list(range(len(zeros)))):
+                raise ValueError(f"factor {i}, {c!r} with zeros {zeros}, is not "
                                  f"rs({q}, delta): length {q - 1} over GF({q}) and zeros "
                                  f"0..delta-2 for some delta in [2, {q - 1}]")
         delta1, delta2 = len(c1.zeros) + 1, len(c2.zeros) + 1
-        prod = product(c1.code, c2.code)
+        prod = product(c1, c2)
         n = (q - 1) ** 2
         k = (q - delta1) * (q - delta2)
         if prod.n != n or prod.k != k:
@@ -142,8 +127,8 @@ class RsProductReport:
             dual_dimension=k_dual,
             stated_dual_distance=min(q - delta1, q - delta2),
             expected_dual_distance=1 + min(q - delta1, q - delta2),
-            factor1_self_orthogonal=c1.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
-            factor2_self_orthogonal=c2.code.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
+            factor1_self_orthogonal=c1.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
+            factor2_self_orthogonal=c2.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
             product_self_orthogonal=prod.is_self_orthogonal(InnerProductKind.EUCLIDEAN),
             code=prod,
         )

@@ -243,7 +243,7 @@ def test_criterion_09_rs_product_theorems():
             for mu2 in range(1, q - 1):
                 delta1, delta2 = q - mu1, q - mu2
                 rep = rs_product_params(q, delta1, delta2)
-                prod = product(rs_code(q, delta1).code, rs_code(q, delta2).code)
+                prod = product(rs_code(q, delta1), rs_code(q, delta2))
                 assert prod.k == (q - delta1) * (q - delta2)
                 assert rep.dual_dimension == (q - 1) ** 2 - mu1 * mu2
                 assert prod.n - prod.k == rep.dual_dimension

@@ -137,6 +137,18 @@ def test_spectrum_verb(capsys):
     assert len(rep["dual_support"]) == 7
 
 
+def test_spectrum_takes_the_euclidean_dual_of_a_cyclic_code(capsys):
+    """dual(rs(7,3)) keeps the zeros {-i mod 6 : i not in {0, 1}}, so its
+    spectrum is that of cyclic(7, 6, 1, 2, 3, 4)."""
+    reports = []
+    for code1 in ("dual(rs(7,3))", "cyclic(7, 6, 1, 2, 3, 4)"):
+        code, payload = run_json(capsys, "spectrum", "--code1", code1, "--code2", "rs(7,4)",
+                                 "--dual")
+        assert code == 0
+        reports.append(payload["report"])
+    assert reports[0] == reports[1] and reports[0]["factors"] == [[6, 2], [6, 3]]
+
+
 def test_qecc_css_verb(capsys):
     code, payload = run_json(capsys, "qecc", "--construction", "css", "--code",
                              "product(hamming_dual(3,2), hamming_dual(3,2))")
@@ -176,6 +188,24 @@ def test_qecc_rs_product_rejects_a_dimension_out_of_range(capsys, monkeypatch, m
     assert code == 1
     assert payload["error"]["type"] == "ValueError"
     assert payload["error"]["message"].startswith(named)
+
+
+@pytest.mark.parametrize("construction,stray", [
+    ("rs-product", ["--code", "hamming(3,2)"]), ("rs-product", ["--code-json", "code.json"]),
+    ("rs-product", ["--matrix-file", "code.txt"]), ("rs-product", ["--additive"]),
+    ("rs-product", ["--refine-distance"]), ("css", ["--q", "7"]), ("css", ["--mu1", "1"]),
+    ("css", ["--mu2", "0"])])
+def test_qecc_rejects_the_other_constructions_options(capsys, construction, stray):
+    """rs-product reads only --q, --mu1 and --mu2, and every other
+    construction only the code source and --refine-distance; an option of
+    the other kind is named, not ignored."""
+    own = (["--q", "7", "--mu1", "1", "--mu2", "2"] if construction == "rs-product"
+           else ["--code", "hamming_dual(3,2)"])
+    code, payload = run_json(capsys, "qecc", "--construction", construction, *own, *stray)
+    assert code == 1
+    assert payload["error"]["type"] == "DescriptorError"
+    assert payload["error"]["message"] == (f"{stray[0]} does not apply to "
+                                           f"--construction {construction}")
 
 
 def test_product_verb_ceiling_ignores_full_space_factor(capsys):
@@ -432,7 +462,8 @@ def test_tail_biting_reports_build_each_code_once(monkeypatch, capsys):
     assert sorted(report) == ["N=2", "N=3"] and calls == {"tail_biting": 3}
 
 
-@pytest.mark.parametrize("factor", ["cyclic(5)", "cyclic()", "rs(5,3,1)"])
+@pytest.mark.parametrize("factor", ["cyclic(5)", "cyclic()", "rs(5,3,1)",
+                                    "product(rs(5,3),rs(5,3))"])
 def test_spectrum_bad_factor_is_a_descriptor_error(capsys, factor):
     code, payload = run_json(capsys, "spectrum", "--code1", factor, "--code2", "rs(5,3)")
     assert code == 1

@@ -160,7 +160,7 @@ def test_min_distance_budget_certificate_path():
 def test_min_distance_without_low_weight_word_proves_five():
     # rs(8, 6) is a [7, 2, 6] code: the search finds no word of weight <= 4.
     # Its rows as a plain LinearCode keep no zeros, so no BCH bound applies
-    code = LinearCode(rs_code(8, 6).code.basis)
+    code = LinearCode(rs_code(8, 6).basis)
     cert = min_distance(code, budget=1)
     assert [cert.lower, cert.upper] == [5, None]
     assert cert.witness is None and not cert.exact
@@ -169,7 +169,7 @@ def test_min_distance_without_low_weight_word_proves_five():
 
 def test_min_distance_of_a_cyclic_code_is_its_bch_bound_at_any_budget():
     # rs(8, 6) keeps its zeros 0..4: the BCH bound 6 meets a basis row
-    code = rs_code(8, 6).code
+    code = rs_code(8, 6)
     cert = min_distance(code, budget=1)
     assert [cert.lower, cert.upper, cert.lower_method] == [6, 6, "bch"]
     assert code.contains(cert.witness) and sum(1 for v in cert.witness if v) == 6

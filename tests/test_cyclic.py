@@ -59,20 +59,20 @@ def test_cyclic_code_matches_the_generator_polynomial_oracle(q):
         for size in range(n + 1):
             zeros = rng.sample(range(n), size)
             code = cyclic_from_roots(spec, n, zeros)
-            assert code.code == cyclic_oracle(spec, n, zeros) and code.k == n - size
+            assert code == cyclic_oracle(spec, n, zeros) and code.k == n - size
     for delta in range(2, q):
         rs = rs_code(spec, delta)
-        assert rs.code == cyclic_oracle(spec, q - 1, range(delta - 1))
-        assert rs.code.claimed_distance == delta
+        assert rs == cyclic_oracle(spec, q - 1, range(delta - 1))
+        assert rs.claimed_distance == delta
 
 
 def test_rs_parameters():
     c = rs_code(5, 3)
     assert (c.n, c.k) == (4, 2)
-    assert min_distance(c.code).value == 3
+    assert min_distance(c).value == 3
     c2 = rs_code(4, 2)
     assert (c2.n, c2.k) == (3, 2)
-    assert min_distance(c2.code).value == 2
+    assert min_distance(c2).value == 2
 
 
 def test_rs_rejects_bad_delta():
@@ -85,7 +85,7 @@ def test_rs_rejects_bad_delta():
 @pytest.mark.parametrize("q", [4, 5, 7, 8])
 def test_rs_is_mds(q):
     for delta in range(2, q):
-        code = rs_code(q, delta).code
+        code = rs_code(q, delta)
         assert code.k == q - delta
         assert min_distance(code).value == delta
 
@@ -102,8 +102,8 @@ def test_dual_generator_poly_matches_kernel(q, n):
         exps = sorted(rng.sample(range(n), rng.randint(0, n - 1)))
         code = cyclic_from_roots(spec, n, exps)
         dual_zeros = mapped_complement(code.zeros, n)
-        assert cyclic_oracle(spec, n, dual_zeros) == code.code.dual(E)
-        assert cyclic_from_roots(spec, n, dual_zeros).code == code.code.dual(E)
+        assert cyclic_oracle(spec, n, dual_zeros) == code.dual(E)
+        assert cyclic_from_roots(spec, n, dual_zeros) == code.dual(E)
         # involution
         assert mapped_complement(dual_zeros, n) == code.zeros
 
@@ -114,11 +114,11 @@ def test_dual_generator_poly_extremes():
     spec = GF(8)
     full = cyclic_from_roots(spec, 7, [])
     zero = cyclic_from_roots(spec, 7, range(7))
-    assert full.code == LinearCode(Matrix(spec, np.eye(7, dtype=int))) == cyclic_oracle(spec, 7, [])
-    assert zero.k == 0 and zero.code == cyclic_oracle(spec, 7, range(7))
+    assert full == LinearCode(Matrix(spec, np.eye(7, dtype=int))) == cyclic_oracle(spec, 7, [])
+    assert zero.k == 0 and zero == cyclic_oracle(spec, 7, range(7))
     assert mapped_complement(full.zeros, 7) == zero.zeros
     assert mapped_complement(zero.zeros, 7) == full.zeros
-    assert full.code.dual(E) == zero.code and zero.code.dual(E) == full.code
+    assert full.dual(E) == zero and zero.dual(E) == full
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -152,7 +152,7 @@ def test_rs_codes_and_duals_need_no_elimination_or_gram(monkeypatch):
         monkeypatch.setattr(Matrix, name, counted)
     for q in (4, 5, 7, 8, 9, 11, 13, 16):
         for delta in range(2, q):
-            rs = rs_code(q, delta).code
+            rs = rs_code(q, delta)
             for code in (rs, rs.dual(E)):
                 for kind in (E, H) if GF(q).ell % 2 == 0 else (E,):
                     flags.append((code, kind, code.is_self_orthogonal(kind)))
@@ -183,7 +183,7 @@ def test_self_orthogonality_from_zeros_matches_the_gram_test(case):
     self-orthogonality as the Gram matrix does, for a cyclic code with
     random zeros and for its Euclidean dual."""
     kind, spec, n, zeros = case
-    code = cyclic_from_roots(spec, n, zeros).code
+    code = cyclic_from_roots(spec, n, zeros)
     for c in (code, code.dual(E)):
         assert c.zeros is not None
         assert c.is_self_orthogonal(kind) == _gram_orthogonal(c, kind)
@@ -228,7 +228,7 @@ def test_spectral_membership_characterization(q, d1, d2):
     n1 = n2 = q - 1
     from qproduct.product import product
 
-    prod = product(c1.code, c2.code)
+    prod = product(c1, c2)
     a = root_of_unity(spec, n1)
     b = root_of_unity(spec, n2)
     mask = product_spectrum_support(c1, c2)
@@ -282,7 +282,7 @@ def test_dual_spectrum_is_mapped_complement(delta):
     n = 7
     alpha = root_of_unity(spec, n)
     code = rs_code(spec, delta)
-    dual = code.code.dual(E)
+    dual = code.dual(E)
 
     def evaluate(word, x):
         acc = 0
@@ -293,7 +293,7 @@ def test_dual_spectrum_is_mapped_complement(delta):
     dual_zero = {i for i in range(n)
                  if all(evaluate(row, spec.power(alpha, i)) == 0 for row in dual.generator.rows)}
     assert dual_zero == mapped_complement(code.zeros, n)
-    assert cyclic_from_roots(spec, n, mapped_complement(code.zeros, n)).code == dual
+    assert cyclic_from_roots(spec, n, mapped_complement(code.zeros, n)) == dual
 
 
 def test_bch_certificate_of_every_rs_code_and_dual():
@@ -304,7 +304,7 @@ def test_bch_certificate_of_every_rs_code_and_dual():
     budget, cases, enumerated = 1 << 20, 0, 0
     for q in (4, 5, 7, 8, 9, 11, 13, 16):
         for delta in range(2, q):
-            rs = rs_code(q, delta).code
+            rs = rs_code(q, delta)
             for code in (rs, rs.dual(E)):
                 cert = min_distance(code)
                 assert cert.lower_method == "bch" and cert.exact
@@ -335,7 +335,7 @@ def test_bch_certificate_matches_enumeration_of_the_oracle(case):
     certificate is the exhaustive distance of that oracle code, which
     keeps no zeros."""
     spec, n, zeros = case
-    code = cyclic_from_roots(spec, n, zeros).code
+    code = cyclic_from_roots(spec, n, zeros)
     for c in (code, code.dual(E)):
         oracle = cyclic_oracle(spec, n, c.zeros)
         assert oracle == c
@@ -351,7 +351,7 @@ def test_rectangle_bound_16_12_dual():
     from qproduct.product import product
 
     c = rs_code(5, 3)
-    dual = product(c.code, c.code).dual(E)
+    dual = product(c, c).dual(E)
     assert (dual.n, dual.k) == (16, 12)
     mu = 5 - 3
     assert 1 + min(mu, mu) == 3
@@ -366,7 +366,7 @@ def test_rectangle_bound_9_8_dual_exhaustive():
     from qproduct.product import product
 
     c = rs_code(4, 3)
-    dual = product(c.code, c.code).dual(E)
+    dual = product(c, c).dual(E)
     assert (dual.n, dual.k) == (9, 8)
     assert 1 + min(1, 1) == 2
     cert = min_distance(dual)
@@ -380,7 +380,7 @@ def test_rectangle_bound_never_exceeds_enumerated_distance():
         spec = GF(q)
         for d1 in range(2, q):
             for d2 in range(2, q):
-                dual = product(rs_code(spec, d1).code, rs_code(spec, d2).code).dual(E)
+                dual = product(rs_code(spec, d1), rs_code(spec, d2)).dual(E)
                 if dual.k == 0 or dual.size() > 1 << 20:
                     continue
                 bound = 1 + min(q - d1, q - d2)
@@ -484,19 +484,20 @@ def test_rs_product_report_rejects_a_factor_that_is_not_reed_solomon(monkeypatch
     """A factor with zeros {0, 2, 4} has |zeros| + 1 = 4, so the rectangle
     bound of the product with rs(7, 5) would read 1 + min(3, 2) = 3, but
     its dual holds a word of weight 2.  Such a factor is rejected by name,
-    as are one of another length, one over another field and the full
-    space, before the product is built."""
+    as are one of another length, one over another field, the full space
+    and the rows of rs(7, 3) with no zeros kept, before the product is
+    built."""
     from qproduct.product import product
 
     spec = GF(7)
     odd, rs = cyclic_from_roots(spec, 6, (0, 2, 4)), rs_code(spec, 5)
-    word = find_low_weight_word(product(odd.code, rs.code).dual(E), 2)
+    word = find_low_weight_word(product(odd, rs).dual(E), 2)
     assert hamming_weight(word) == 2
     monkeypatch.setattr("qproduct.cyclic.product", None)
     short, full = cyclic_from_roots(spec, 3, (0,)), cyclic_from_roots(spec, 6, ())
-    other = rs_code(8, 5)
+    other, plain = rs_code(8, 5), LinearCode(rs_code(7, 3).basis)
     for c1, c2, named, bad in ((odd, rs, 1, odd), (rs, short, 2, short), (rs, other, 2, other),
-                               (full, rs, 1, full)):
+                               (full, rs, 1, full), (rs, plain, 2, plain)):
         with pytest.raises(ValueError, match=re.escape(f"factor {named}, {bad!r} with zeros")):
             RsProductReport.of(c1, c2)
 
@@ -521,6 +522,6 @@ def test_product_spectrum_support_frees_one_position_per_dimension(q):
         for d2 in range(2, q):
             c1, c2 = rs_code(spec, d1), rs_code(spec, d2)
             mask = product_spectrum_support(c1, c2)
-            assert sum(not m for row in mask for m in row) == product(c1.code, c2.code).k
+            assert sum(not m for row in mask for m in row) == product(c1, c2).k
             assert all(mask[i][j] for i in range(d1 - 1) for j in range(q - 1))
             assert all(mask[i][j] for i in range(q - 1) for j in range(d2 - 1))

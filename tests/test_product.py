@@ -239,13 +239,13 @@ def test_dual_distance_ceiling_examples():
     # an inexact factor dual ([5, None] for the rows of rs(8,4), with no
     # zeros kept, at budget 1) still lets the other factor's exact weight-2
     # word set the upper bound, and the least lower bound is then 2
-    rs4, rs7 = (LinearCode(rs_code(8, delta).code.basis) for delta in (4, 7))
+    rs4, rs7 = (LinearCode(rs_code(8, delta).basis) for delta in (4, 7))
     assert _bounds(min_distance(rs4.dual(E), budget=1)) == [5, None, "column-independence"]
     assert _bounds(product_dual_certificate(rs4, rs7, E, budget=1)) == [2, 2, "product-dual"]
     # with no factor witness there is a lower bound and no upper one
     assert _bounds(product_dual_certificate(rs4, rs4, E, budget=1)) == [5, None, "product-dual"]
     # the Reed-Solomon factors themselves keep their zeros: both duals by BCH
-    cert = product_dual_certificate(rs_code(8, 4).code, rs_code(8, 7).code, E, budget=1)
+    cert = product_dual_certificate(rs_code(8, 4), rs_code(8, 7), E, budget=1)
     assert _bounds(cert) == [2, 2, "bch-rectangle"]
 
 

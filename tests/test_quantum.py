@@ -171,7 +171,7 @@ def test_rectangle_bound_above_five_leaves_the_search_nothing(q):
         for delta2 in range(2, q):
             if 1 + min(q - delta1, q - delta2) < 5:
                 continue
-            dual = product(rs_code(q, delta1).code, rs_code(q, delta2).code).dual(E)
+            dual = product(rs_code(q, delta1), rs_code(q, delta2)).dual(E)
             assert dual.size() > enumeration_budget()
             assert find_low_weight_word(dual) is None
             cases += 1
