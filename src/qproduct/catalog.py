@@ -4,6 +4,7 @@ product_additive(...), additive(...), and dual(..., kind).
 """
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -77,115 +78,68 @@ class DescriptorError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9-]*|\d+|[(),])")
+# name -> (constructor, how many leading arguments must be codes)
+_CONSTRUCTORS = {
+    "simplex": (simplex, 0),
+    "hamming": (hamming, 0),
+    "hamming_dual": (hamming_dual, 0),
+    "rs": (rs_code, 0),
+    "cyclic": (lambda q, n, *roots: cyclic_from_roots(q, n, roots), 0),
+    "product": (product, 2),
+    "product_additive": (product_additive, 2),
+    "additive": (AdditiveCode.from_linear, 1),
+    "dual": (Code.dual, 1),
+}
+_NAMES = {"quaternary_hamming_dual_5": quaternary_hamming_dual_5,
+          **{str(kind): (lambda kind=kind: kind) for kind in InnerProductKind}}
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise DescriptorError(f"bad descriptor near {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-def _parse(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise DescriptorError("unexpected end of descriptor")
-    tok = tokens[pos]
-    if tok.isdigit():
-        return int(tok), pos + 1
-    if not re.match(r"[A-Za-z_]", tok):
-        raise DescriptorError(f"unexpected token {tok!r}")
-    name = tok
-    pos += 1
-    if pos < len(tokens) and tokens[pos] == "(":
-        args = []
-        pos += 1
-        if tokens[pos] != ")":
-            while True:
-                arg, pos = _parse(tokens, pos)
-                args.append(arg)
-                if tokens[pos] == ",":
-                    pos += 1
-                    continue
-                break
-        if tokens[pos] != ")":
-            raise DescriptorError(f"expected ')' at {tokens[pos]!r}")
-        return (name, args), pos + 1
-    return (name, None), pos
-
-
-def _resolve(node):
-    if isinstance(node, int):
-        return node
-    name, args = node
-    name = name.replace("-", "_").lower()
-    if args is None:
-        if name == "quaternary_hamming_dual_5":
-            return quaternary_hamming_dual_5()
-        try:
-            return InnerProductKind(name)
-        except ValueError:
-            raise DescriptorError(f"unknown name {name!r}; catalog: {_CATALOG_HELP}") from None
-    vals = [_resolve(a) for a in args]
+def _resolve(node: ast.expr, source: str):
+    """The value of one node of a parsed descriptor: a decimal integer, a
+    catalog name, or a catalog constructor called with positional
+    arguments, each resolved in turn."""
+    if isinstance(node, ast.Constant) and type(node.value) is int \
+            and ast.get_source_segment(source, node).isdigit():
+        return node.value
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]()
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _CONSTRUCTORS and not node.keywords):
+        raise DescriptorError(f"{ast.get_source_segment(source, node)!r} is not a catalog name, "
+                              f"call or decimal integer; catalog: {_CATALOG_HELP}")
+    name = node.func.id
+    build, ncodes = _CONSTRUCTORS[name]
+    args = [_resolve(arg, source) for arg in node.args]
+    for arg in args[:ncodes]:
+        if not isinstance(arg, Code):
+            raise DescriptorError(f"bad arguments for {name}: {arg} is not a code")
     try:
-        if name == "simplex":
-            return simplex(*vals)
-        if name == "hamming":
-            return hamming(*vals)
-        if name == "hamming_dual":
-            return hamming_dual(*vals)
-        if name == "rs":
-            return rs_code(*vals)
-        if name == "cyclic":
-            q, n, *roots = vals
-            return cyclic_from_roots(q, n, roots)
-        if name == "product":
-            return product(*vals)
-        if name == "product_additive":
-            return product_additive(*vals)
-        if name == "additive":
-            (code,) = vals
-            return AdditiveCode.from_linear(code)
-        if name == "dual":
-            code, *kind = vals
-            return code.dual(*kind)
-    except DescriptorError:
-        raise
+        return build(*args)
     except (TypeError, ValueError) as exc:
         raise DescriptorError(f"bad arguments for {name}: {exc}") from exc
-    raise DescriptorError(f"unknown constructor {name!r}; catalog: {_CATALOG_HELP}")
-
-
-def _parse_text(text: str):
-    tokens = _tokenize(text)
-    if not tokens:
-        raise DescriptorError("empty descriptor")
-    try:
-        node, pos = _parse(tokens, 0)
-    except IndexError:
-        raise DescriptorError(f"unbalanced parentheses in {text!r}") from None
-    if pos != len(tokens):
-        raise DescriptorError(f"trailing input after descriptor: {tokens[pos:]}")
-    return node
-
-
-def _resolve_text(text: str):
-    try:
-        return _resolve(_parse_text(text))
-    except RecursionError:  # _parse and _resolve recurse once per level
-        raise DescriptorError("descriptor nested too deeply") from None
 
 
 def parse_descriptor(text: str):
-    """Resolve a descriptor expression to a code object."""
-    result = _resolve_text(text)
+    """Resolve a descriptor, one Python call expression over the catalog
+    names, to a code object.  Names are case-insensitive and a ``-`` inside
+    a name reads as ``_``; integers are decimal.  The text is parsed by
+    ``ast`` and walked, never evaluated."""
+    # the language's alphabet: comments, strings, other operators and
+    # non-ASCII names never reach the parser
+    bad = re.search(r"[^A-Za-z0-9_,()\s-]", text)
+    if bad:
+        raise DescriptorError(f"bad descriptor near {text[bad.start():]!r}")
+    source = re.sub(r"[A-Za-z_][A-Za-z0-9_-]*", lambda m: m[0].replace("-", "_"),
+                    " ".join(text.split())).lower()
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        if exc.msg == "too many nested parentheses":
+            raise DescriptorError("descriptor nested too deeply") from None
+        raise DescriptorError(f"bad descriptor {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # the parser's own stack on long chains
+        raise DescriptorError("descriptor nested too deeply") from None
+    result = _resolve(tree.body, source)
     if not isinstance(result, Code):
         raise DescriptorError(f"descriptor {text!r} does not resolve to a code")
     return result
@@ -203,12 +157,12 @@ def parse_cyclic(text: str) -> LinearCode:
 def code_from_json(payload: dict, base_dir: Path | None = None):
     """Code descriptor JSON: field, kind (linear | additive), and a
     generator given inline or as a matrix-file reference."""
-    try:
-        q = int(payload["field"])
-        kind = payload.get("kind", "linear")
-        gen = payload["generator"]
-    except KeyError as exc:
-        raise DescriptorError(f"descriptor JSON missing key: {exc}") from exc
+    if not isinstance(payload, dict) or not {"field", "generator"} <= payload.keys():
+        raise DescriptorError("descriptor JSON must be an object with field and generator keys")
+    q, gen, n, kind = (payload["field"], payload["generator"], payload.get("length"),
+                       payload.get("kind", "linear"))
+    if type(q) is not int or type(n) not in (int, type(None)):
+        raise DescriptorError(f"descriptor JSON field and length must be integers: {q!r}, {n!r}")
     spec = GF(q)
     if isinstance(gen, str):
         path = Path(gen)
@@ -217,9 +171,10 @@ def code_from_json(payload: dict, base_dir: Path | None = None):
         matrix = from_text(path.read_text())
         if matrix.spec != spec:
             raise DescriptorError(f"matrix file field GF({matrix.spec.q}) != descriptor field GF({q})")
-    else:
-        n = payload.get("length")
+    elif isinstance(gen, list) and all(isinstance(row, list) for row in gen):
         matrix = Matrix(spec, gen, ncols=n)
+    else:
+        raise DescriptorError("descriptor JSON generator must be a matrix file path or a list of rows")
     if kind == "linear":
         return LinearCode(matrix)
     if kind == "additive":

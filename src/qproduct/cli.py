@@ -55,6 +55,9 @@ def _resolve_code(args):
     sources = [s for s in (args.code, args.code_json, args.matrix_file) if s]
     if len(sources) != 1:
         raise DescriptorError("exactly one of --code, --code-json, or --matrix-file must be given")
+    if args.additive and not args.matrix_file:
+        raise DescriptorError("--additive applies only to --matrix-file; use the additive(...) "
+                              "descriptor or \"kind\": \"additive\" in --code-json")
     if args.code:
         return parse_descriptor(args.code)
     if args.code_json:

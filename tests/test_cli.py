@@ -477,6 +477,29 @@ def test_empty_length_descriptor_is_a_descriptor_error(capsys, descriptor):
     assert payload["error"]["type"] == "DescriptorError"
 
 
+@pytest.mark.parametrize("descriptor", ["dual(3)", "additive(3)", "product(3, 4)",
+                                        "product(rs(5,3), 4)", "dual(hermitian)"])
+def test_non_code_argument_is_a_descriptor_error(capsys, descriptor):
+    code, payload = run_json(capsys, "build", "--code", descriptor)
+    assert code == 1
+    assert payload["error"]["type"] == "DescriptorError"
+    assert payload["error"]["message"].startswith("bad arguments for ")
+
+
+@pytest.mark.parametrize("verb", ["build", "distance"])
+@pytest.mark.parametrize("source", ["--code", "--code-json"])
+def test_additive_applies_only_to_a_matrix_file(capsys, tmp_path, verb, source):
+    """--additive reads a matrix file as additive generators; a descriptor
+    or code JSON says its own kind, so the flag is rejected, not ignored."""
+    desc = tmp_path / "code.json"
+    desc.write_text(json.dumps({"field": 2, "generator": [[1, 0, 1], [0, 1, 1]]}))
+    value = "hamming(3,2)" if source == "--code" else str(desc)
+    code, payload = run_json(capsys, verb, source, value, "--additive")
+    assert code == 1
+    assert payload["error"]["type"] == "DescriptorError"
+    assert payload["error"]["message"].startswith("--additive applies only to --matrix-file")
+
+
 ADDITIVE_BAND = ("--code1", "simplex(2,2)", "--code2", "additive(quaternary_hamming_dual_5)")
 
 
