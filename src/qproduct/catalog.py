@@ -172,6 +172,11 @@ def code_from_json(payload: dict, base_dir: Path | None = None):
         if matrix.spec != spec:
             raise DescriptorError(f"matrix file field GF({matrix.spec.q}) != descriptor field GF({q})")
     elif isinstance(gen, list) and all(isinstance(row, list) for row in gen):
+        width = len(gen[0]) if n is None and gen else n
+        for i, row in enumerate(gen):
+            if len(row) != width:
+                raise DescriptorError(f"descriptor JSON generator row {i} has {len(row)} "
+                                      f"entries, expected {width}")
         matrix = Matrix(spec, gen, ncols=n)
     else:
         raise DescriptorError("descriptor JSON generator must be a matrix file path or a list of rows")

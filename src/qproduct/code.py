@@ -10,9 +10,12 @@ blocks of at most SCAN_BLOCK words held as uint64 bit or digit planes.
 It reads the syndrome columns of the code: weights 1 and 2 are zero and
 parallel columns, and weights 3 and 4 meet in the middle over the
 normalized sums of column pairs, formed as numpy arrays in chunks of at
-most SEARCH_CHUNK pairs and compared as one void key per sum; it always
-runs to its end.  "bch" is the BCH bound of a cyclic code, read off the
-zeros it keeps and met by a basis row (``min_distance``), and
+most SEARCH_CHUNK pairs and compared as packed keys: a sum's symbols fill
+uint64 words, one plain integer when they fit in one word, else one void
+key of all its words; it always runs to its end.  Its columns come from
+parity rows that need no elimination, and a dual's basis is eliminated
+on first read only.  "bch" is the BCH bound of a cyclic code, read off
+the zeros it keeps and met by a basis row (``min_distance``), and
 "bch-rectangle" or "product-dual" that of a product's dual, from its
 factors' duals (``product.product_dual_certificate``).  A certificate
 never reports "exact" unless lower and upper bound meet.
@@ -27,13 +30,15 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .galois import FieldSpec, element_dtype, field_add, field_map, field_tables
-from .matrix import InnerProductKind, Matrix, _require_even_degree, product_kernel
+from .matrix import (InnerProductKind, Matrix, _require_even_degree, _standard_kernel,
+                     product_kernel)
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -225,19 +230,21 @@ class Code:
     digits per symbol over GF(p).  ``generator`` holds the same rows as
     GF(q) symbols.  A dual is the F-kernel of the rows after one map per
     inner product: the identity (Euclidean), the Frobenius map (Hermitian)
-    or, per symbol v, the trace form (tr(v * frob(x^t)))_t (symplectic).
+    or, per symbol v, the trace form (tr(v * frob(x^t)))_t (symplectic);
+    its basis is eliminated on first read.
     """
 
     linear: bool
     kinds: tuple[InnerProductKind, ...]  # the inner products it takes duals under, default first
 
-    def _setup(self, basis: Matrix, claimed_distance: int | None,
+    def _setup(self, basis: Matrix | Callable[[], Matrix], claimed_distance: int | None,
                parity: Matrix | None = None, zeros: frozenset[int] | None = None) -> None:
         """Finish construction from a reduced basis; spec and n are set.
-        ``parity``, when known, are rows over F whose F-kernel is the code."""
-        self.basis = basis
+        ``parity``, when known, are rows over F whose F-kernel is the code;
+        if independent, ``basis`` may be a function run on its first read."""
+        self._basis = basis
+        self.dim = basis.nrows if isinstance(basis, Matrix) else self.n * self.width - parity.nrows
         self.claimed_distance = claimed_distance
-        self.generator = self.symbols(basis)
         self._parity = parity
         self._factors: tuple[Code, Code] | None = None  # (c1, c2) of a product c1 (x) c2
         self.zeros = zeros  # a cyclic code's zeros, exponents mod n
@@ -267,8 +274,16 @@ class Code:
         return self.spec.ell // self.field.ell
 
     @property
-    def dim(self) -> int:
-        return self.basis.nrows
+    def basis(self) -> Matrix:
+        if not isinstance(self._basis, Matrix):  # eliminate it, once
+            self._basis = self._basis()
+            if self._basis.nrows != self.dim:
+                raise AssertionError(f"{self._basis.nrows} basis rows, expected {self.dim}")
+        return self._basis
+
+    @cached_property
+    def generator(self) -> Matrix:
+        return self.symbols(self.basis)
 
     def size(self) -> int:
         return self.field.q**self.dim
@@ -329,14 +344,23 @@ class Code:
         """The dual under ``kind``: the F-kernel of ``_form(kind)``, in
         rref, which it keeps as its parity rows.  The dual refers back to
         this code weakly, so the pair forms no reference cycle, and its own
-        duals are built afresh.  The form of a product c1 (x) c2 is the
-        Kronecker product of its factors' forms, under
-        ``_first_factor_kind(kind)`` and kind, as the Frobenius map is
-        multiplicative and tr(g h frob(x^t)) = g tr(h frob(x^t)) for g in
-        GF(p); so its kernel is ``product_kernel`` of the two.  The
-        Euclidean dual of a code that keeps its zeros Z is the cyclic code
-        D with zeros {-i mod n : i not in Z}, so its basis is
-        ``cyclic_basis`` of those: for a in the code and c in D,
+        duals are built afresh.  The form has full row rank, so the dual
+        has dimension n * width - dim and its basis is eliminated on first
+        read.  It is the rref basis (Euclidean), or its Frobenius image,
+        which fixes 0 and 1 and so the rref shape (Hermitian), or the image
+        of the independent digit rows under g -> (tr(g_i frob(x^t)))_(i,t)
+        (symplectic), a GF(p)-linear map that is injective: the frob(x^t),
+        t < ell, are a GF(p)-basis of GF(q) and the trace form tr(a b) is
+        nondegenerate, so tr(g_i frob(x^t)) = 0 for every t forces g_i = 0.
+
+        The form of a product c1 (x) c2 is the Kronecker product of its
+        factors' forms, under ``_first_factor_kind(kind)`` and kind, as the
+        Frobenius map is multiplicative and tr(g h frob(x^t)) =
+        g tr(h frob(x^t)) for g in GF(p); so its kernel is
+        ``product_kernel`` of the two.  The Euclidean dual of a code that
+        keeps its zeros Z is the cyclic code D with zeros
+        {-i mod n : i not in Z}, so its basis is ``cyclic_basis`` of those,
+        built at once: for a in the code and c in D,
         a . c = (1/n) sum_i a(alpha^i) c(alpha^-i) = 0, each term having a
         zero factor, and the dimensions n - |Z| and |Z| add to n."""
         kind = self._kind(kind)
@@ -348,10 +372,10 @@ class Code:
                 zeros = frozenset(-i % self.n for i in range(self.n) if i not in self.zeros)
                 basis = cyclic_basis(self.spec, self.n, zeros)
             elif self._factors is None:
-                basis = form.kernel()
+                basis = form.kernel
             else:
                 c1, c2 = self._factors
-                basis = product_kernel(c1._form(_first_factor_kind(kind)), c2._form(kind))
+                basis = lambda: product_kernel(c1._form(_first_factor_kind(kind)), c2._form(kind))
             cached = self._from_basis(self.spec, self.n, basis, form, zeros=zeros)
             cached._primal = weakref.ref(self)
             self._dual_cache[kind] = cached
@@ -411,20 +435,21 @@ class Code:
         nonzero symbol up to F* scaling (the smallest of its class), as the
         rows of one array, with the pairs, the (key, leading entry) of each
         F*-normalized column (None for a zero column) and the normalized
-        columns as an array; cached.  A linear code has one column per
-        coordinate, an additive one (q-1)/(p-1).
+        columns as uint64 words (``_words``); cached.  A linear code has
+        one column per coordinate, an additive one (q-1)/(p-1).
 
         The syndromes are taken against the kept parity rows as they are,
-        a cyclic code's check rows, or else the kernel of the basis.  Rows that span the same space as the
-        rref H give columns A * col, A of full column rank, which keeps
+        a cyclic code's check rows, or else the standard parity rows of the
+        rref basis, with no elimination.  Rows that span the same space as
+        the rref H give columns A * col, A of full column rank, which keeps
         zero columns, parallel classes and the coefficients of every
         vanishing combination, so every word the search returns."""
         if self._columns is None:
             spec, F, w = self.spec, self.field, self.width
             H = self._parity
-            if H is None:  # a cyclic code's check rows, or else the kernel of the basis
-                H = self.basis.kernel() if self.zeros is None else _check_rows(
-                    self.spec, self.n, self.zeros)
+            if H is None:  # a cyclic code's check rows, or else the standard parity rows
+                H = (_check_rows(self.spec, self.n, self.zeros) if self.zeros is not None
+                     else _standard_kernel(self.basis, np.argmax(self.basis.array != 0, axis=1)))
             H = H.array
             if w == 1:
                 where = [(i, 1) for i in range(self.n)]
@@ -438,11 +463,11 @@ class Code:
                 Ht = H.reshape(len(H), self.n, w).transpose(1, 2, 0).astype(np.int32)
                 cols = sum(digits[None, :, t, None] * Ht[:, None, t, :] for t in range(w)) % F.p
             cols = cols.reshape(len(where), len(H))
-            norm, keys = [None] * len(where), cols  # without parity rows every column is zero
-            if len(H):
-                lead, keys = _normalized(F, cols)
-                norm = [(tuple(k), c) if c else None for k, c in zip(keys.tolist(), lead.tolist())]
-            self._columns = (where, cols, norm, keys)
+            # without parity rows every column is zero
+            lead, normed = _normalized(F, cols) if len(H) else (np.zeros(len(cols), int), cols)
+            words = _words(F, normed)
+            norm = [(k, c) if c else None for k, c in zip(_keys(words).tolist(), lead.tolist())]
+            self._columns = (where, cols, norm, words)
         return self._columns
 
     def _pair_sums(self) -> "_PairSums":
@@ -617,6 +642,24 @@ def _normalized(F: FieldSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lead, np.take(exp, np.take(log, s) + (F.q - 1 - log[lead])[:, None])
 
 
+def _words(F: FieldSpec, s: np.ndarray) -> np.ndarray:
+    """Each row of s, b = bit_length(q-1) bits a symbol, as uint64 words
+    of up to 64 // b symbols each, symbol t at bit b * t of its word.  A
+    word is a sum, not an or-reduce, whose first use faults in code pages."""
+    b = (F.q - 1).bit_length()
+    per = min(64 // b, max(1, s.shape[1]))
+    pad = np.zeros((len(s), max(1, -(-s.shape[1] // per)) * per), np.uint64)
+    pad[:, :s.shape[1]] = s
+    shifts = np.array([1 << b * t for t in range(per)], np.uint64)
+    return (pad.reshape(len(s), -1, per) * shifts).sum(axis=2, dtype=np.uint64)
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """One key per row: its one word, or its words as one void scalar."""
+    w = words.shape[1]
+    return words[:, 0] if w == 1 else words.view(np.dtype((np.void, 8 * w))).ravel()
+
+
 # most column pairs per chunk of the weight-3/4 search; larger chunks are no
 # faster, and their temporaries raise the peak RSS of a long-running process
 SEARCH_CHUNK = 1 << 10
@@ -630,28 +673,17 @@ class _PairSums:
     without zero or parallel columns, where each column has its own key."""
 
     def __init__(self, code: Code) -> None:
-        where, self.cols, _, keys = code._syndrome_columns()
+        where, self.cols, _, self.words = code._syndrome_columns()
         self.F, self.q1 = code.field, code.field.q - 1
         self.log, self.exp = field_tables(self.F)
         m = len(self.cols)
         self.logs = self.log[self.cols]
-        keys = self._void(keys)
-        self.col_of = np.argsort(keys)  # the column of each sorted key
+        keys = _keys(self.words)
+        self.col_of = np.argsort(keys, kind="stable")  # the column of each sorted key
         self.col_keys = keys[self.col_of]
         coord = np.fromiter((i for i, _ in where), np.intp, m)
         self.start = np.searchsorted(coord, coord, side="right")
         self.offset = np.concatenate(([0], np.cumsum((m - self.start) * self.q1)))
-
-    def normalized(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The leading entry of each nonzero row of s, and the row divided
-        by it as one void key (equal rows, equal keys)."""
-        lead, key = _normalized(self.F, s)
-        return lead, self._void(key)
-
-    @staticmethod
-    def _void(key: np.ndarray) -> np.ndarray:
-        """Each row of key as one void scalar, compared byte for byte."""
-        return key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
 
     def chunks(self):
         """[lo, hi) ranges over all pairs, a few pairs at first, then
@@ -664,14 +696,17 @@ class _PairSums:
 
     def sums(self, lo: int, hi: int):
         """c, d, lam, the leading entry of the sum and the key of the
-        normalized sum, for the pairs numbered lo..hi-1."""
+        normalized sum of pairs lo..hi-1; over GF(2) 1, 1 and an XOR."""
         idx = np.arange(lo, hi)
         c = np.searchsorted(self.offset, idx, side="right") - 1
         rem = idx - self.offset[c]
         d = self.start[c] + rem // self.q1
         lam = rem % self.q1 + 1
+        if self.q1 == 1:
+            return c, d, lam, lam, _keys(self.words[c] ^ self.words[d])
         s = field_add(self.F, self.cols[c], np.take(self.exp, self.logs[d] + self.log[lam][:, None]))
-        return (c, d, lam, *self.normalized(s))
+        lead, key = _normalized(self.F, s)
+        return c, d, lam, lead, _keys(_words(self.F, key))
 
     def column_of(self, key: np.ndarray) -> np.ndarray:
         """The column whose key equals each key, or -1."""
@@ -717,7 +752,7 @@ def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
     if max_w < 2:
         return None
     # without zero columns, parallel columns lie at distinct coordinates
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[int | bytes, int] = {}
     for c, (key, scale) in enumerate(norm):
         hit = seen.setdefault(key, c)
         if hit != c:

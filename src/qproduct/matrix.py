@@ -111,28 +111,29 @@ def _non_pivots(n: int, pivots: np.ndarray) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def _reversed_kernel(red: "Matrix", rev: Sequence[int]) -> "Matrix":
-    """The kernel, in rref, of red with its columns reversed, red being in
-    rref with pivot columns rev.
-
-    Read back in reversed column order, row t of red has its pivot
-    P_t = n-1-rev[t] as its rightmost nonzero entry.  For each non-pivot
-    column f, the row e_f - sum_t red[t, n-1-f] e_{P_t} lies in the kernel;
-    its other entries sit at pivots P_t > f, so it leads with 1 at f, and
-    these rows, one per non-pivot column in increasing order, are the rref
-    of the kernel.
-    """
-    spec, n = red.spec, red.ncols
-    pivots = n - 1 - np.array(rev, np.intp)
+def _standard_kernel(m: "Matrix", pivots: np.ndarray) -> "Matrix":
+    """A basis of the kernel of m, whose column P_t = pivots[t] is e_t,
+    with no elimination: for each non-pivot column f in increasing order,
+    e_f - sum_t m[t, f] e_{P_t}, as m times it is m[:, f] - m[:, f] = 0;
+    each has 1 at its own f and 0 at the other non-pivot columns."""
+    spec, n = m.spec, m.ncols
     free = _non_pivots(n, pivots)
     out = np.zeros((len(free), n), element_dtype(spec))
     out[np.arange(len(free)), free] = 1
-    coef = red.array[:, ::-1][:, free].T
+    coef = m.array[:, free].T
     if spec.p != 2:
         log, exp = field_tables(spec)
         coef = exp[log[coef] + (spec.q - 1) // 2]  # -coef
     out[:, pivots] = coef
     return Matrix._of(spec, out)
+
+
+def _reversed_kernel(red: "Matrix", rev: Sequence[int]) -> "Matrix":
+    """The kernel, in rref, of red, in rref with pivots rev, with its
+    columns reversed: read in that order, row t of red ends at its pivot
+    P_t = n-1-rev[t], so ``_standard_kernel`` row f leads with its 1 at f."""
+    return _standard_kernel(Matrix._of(red.spec, red.array[:, ::-1]),
+                            red.ncols - 1 - np.array(rev, np.intp))
 
 
 class Matrix:

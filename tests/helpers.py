@@ -175,6 +175,19 @@ def parity_rows(code) -> Matrix:
     return code._parity.rref()[0]
 
 
+def count_kernels(monkeypatch) -> list[str]:
+    """The names of the ``Matrix.kernel`` and ``code.product_kernel`` calls
+    made from now on, the two ways a code's basis is eliminated."""
+    import qproduct.code as code_module
+
+    calls: list[str] = []
+    kernel, product_kernel = Matrix.kernel, code_module.product_kernel
+    monkeypatch.setattr(Matrix, "kernel", lambda m: calls.append("kernel") or kernel(m))
+    monkeypatch.setattr(code_module, "product_kernel",
+                        lambda a, b: calls.append("product_kernel") or product_kernel(a, b))
+    return calls
+
+
 def check_certificate(code, cert) -> None:
     """Re-check a distance certificate's witness against the code."""
     assert cert.lower >= 1

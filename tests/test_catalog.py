@@ -160,7 +160,8 @@ def test_code_from_json_additive():
                                      {"field": 2, "generator": [1, 0, 1]},
                                      {"field": None, "generator": [[1]]},
                                      {"field": "2", "generator": [[1]]},
-                                     {"field": 2, "generator": [[1]], "length": "1"}])
+                                     {"field": 2, "generator": [[1]], "length": "1"},
+                                     {"field": 2, "generator": [[1, 0], [1]]}])
 def test_code_from_json_rejects_a_malformed_payload(payload):
     with pytest.raises(DescriptorError, match="descriptor JSON"):
         code_from_json(payload)

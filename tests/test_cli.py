@@ -2,7 +2,11 @@
 the golden-diff harness."""
 import copy
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -401,9 +405,9 @@ def test_rs_product_grid_eliminates_no_more_than_a_factor(monkeypatch):
     """RS factors and their duals have closed-form bases, and each
     product's basis and dual come from its factors' by the Kronecker
     lemmas, so the only eliminations in the grid are the two factor-sized
-    ones inside each of the five ``product_kernel`` calls (q <= 5), which
-    build the product duals that are enumerated; q = 7, 8 eliminate
-    nothing."""
+    ones inside each of the two ``product_kernel`` calls (q = 4), which
+    build the product duals that are enumerated; q = 5 searches its duals
+    from their kept parity rows, and q = 5, 7, 8 eliminate nothing."""
     import qproduct.code as code_module
 
     calls, inside = [], []
@@ -423,14 +427,15 @@ def test_rs_product_grid_eliminates_no_more_than_a_factor(monkeypatch):
     monkeypatch.setattr(Matrix, "rref", counted)
     monkeypatch.setattr(code_module, "product_kernel", kernel)
     cli.PIPELINES["rs-product-grid"](None)
-    assert sorted(q for q, _, _ in calls) == [4] * 4 + [5] * 6
+    assert sorted(q for q, _, _ in calls) == [4] * 4
     assert all(within and n == q - 1 for q, n, within in calls)
 
 
 def test_rs_product_grid_builds_product_duals_only_to_enumerate(monkeypatch):
-    """Only the 5 entries with q <= 5 build their product's dual (one
-    ``product_kernel`` each) to certify it by enumeration or search; the
-    28 with q = 7, 8 are certified from their factors' duals."""
+    """Only the 2 entries with q = 4 eliminate their product's dual (one
+    ``product_kernel`` each) to enumerate it; the 3 with q = 5 search it
+    above the budget from its kept parity rows, which needs no basis, and
+    the 28 with q = 7, 8 are certified from their factors' duals."""
     import qproduct.code as code_module
 
     fields = []
@@ -442,7 +447,7 @@ def test_rs_product_grid_builds_product_duals_only_to_enumerate(monkeypatch):
 
     monkeypatch.setattr(code_module, "product_kernel", counted)
     cli.PIPELINES["rs-product-grid"](None)
-    assert sorted(fields) == [4, 4, 5, 5, 5]
+    assert sorted(fields) == [4, 4]
 
 
 def test_qecc_rs_product_builds_the_product_once(monkeypatch, capsys):
@@ -525,3 +530,13 @@ def test_conv_linear_kind_rejects_an_additive_code2(capsys, kind):
     assert code == 1
     assert payload["error"]["type"] == "ValueError"
     assert f"not {kind}" in payload["error"]["message"]
+
+
+def test_python_m_qproduct_reproduces_the_paper():
+    """The package runs as ``python -m qproduct`` from its source tree, not
+    only as the installed console script."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-m", "qproduct", "reproduce-paper"], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert json.loads(result.stdout)["report"]["ok"] is True

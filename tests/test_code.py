@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerator,
-                     check_certificate, gray_scan, gram_scalar, low_weight_oracle, matmul,
-                     random_additive_code, random_linear_code, random_matrix)
+                     check_certificate, count_kernels, gray_scan, gram_scalar, low_weight_oracle,
+                     matmul, random_additive_code, random_linear_code, random_matrix)
 from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
@@ -305,6 +305,82 @@ def test_low_weight_search_tie_goes_to_the_first_pair(chunk):
         assert find_low_weight_word(code, 3) is None
         assert find_low_weight_word(code, 4) == (1, 1, 1, 1, 0, 0, 0, 0)
     assert low_weight_oracle(code, 4) == (1, 1, 1, 1, 0, 0, 0, 0)
+
+
+# (q, additive, symbols per key word): r = fit parity rows fill one uint64
+# word (64 bits, 63 over GF(8)), r = fit + 1 needs a second, one void key
+_KEY_WIDTHS = [(2, False, 64), (3, False, 32), (4, False, 32), (8, False, 21), (9, False, 16),
+               (4, True, 64)]
+
+
+@pytest.mark.parametrize("q, additive, fit", _KEY_WIDTHS)
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("planted", [3, 4])
+def test_low_weight_search_on_one_and_two_word_keys(q, additive, fit, extra, planted):
+    """Codes with r = fit + extra parity rows and a planted word of weight
+    3 or 4: the columns take 1 + extra key words, and the search returns
+    the oracle's word for every max_w."""
+    rng = random.Random(1000 * q + 10 * extra + planted)
+    spec, r = GF(q), fit + extra
+    width = spec.ell if additive else 1
+    n = -(-(r + 4) // width)  # at least 4 rows over F
+    cls = AdditiveCode if additive else LinearCode
+    code = None
+    while code is None or code.n * width - code.dim != r:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n * width - r - 1)]
+        low = [0] * n
+        for i in rng.sample(range(n), planted):
+            low[i] = rng.randrange(1, q)
+        code = cls.from_rows(spec, rows + [low], n=n)
+    assert code._syndrome_columns()[3].shape[1] == 1 + extra
+    for max_w in (1, 2, 3, 4):
+        assert find_low_weight_word(code, max_w) == low_weight_oracle(code, max_w)
+
+
+def test_min_distance_above_the_budget_eliminates_nothing(monkeypatch):
+    """A code above the budget is searched from the standard parity rows
+    of its rref basis, with no kernel."""
+    code = LinearCode(random_matrix(random.Random(5), GF(4), 13, 20))
+    calls = count_kernels(monkeypatch)
+    cert = min_distance(code)
+    assert code.size() > code_module.DEFAULT_BUDGET and cert.lower_method == "column-independence"
+    assert calls == []
+
+
+def _lazy_duals():
+    g4 = GF(4)
+    add = lambda: AdditiveCode.from_linear(quaternary_hamming_dual_5())  # noqa: E731
+    cases = [
+        ("hamming_dual", lambda: hamming_dual(3, 2), E),
+        ("gf3", lambda: LinearCode(random_matrix(random.Random(3), GF(3), 4, 9)), E),
+        ("product", lambda: product(hamming_dual(3, 2), hamming(3, 2)), E),
+        ("zero", lambda: LinearCode(Matrix(GF(2), [], ncols=5)), E),
+        ("full", lambda: LinearCode(Matrix(GF(3), np.eye(4, dtype=int))), E),
+        ("qhd5", quaternary_hamming_dual_5, H),
+        ("product", lambda: product(quaternary_hamming_dual_5(), quaternary_hamming_dual_5()), H),
+        ("zero", lambda: LinearCode(Matrix(g4, [], ncols=3)), H),
+        ("full", lambda: LinearCode(Matrix(g4, np.eye(3, dtype=int))), H),
+        ("additive", add, S),
+        ("product", lambda: product(simplex(2, 2), add()), S),
+        ("zero", lambda: AdditiveCode(g4, [], n=3), S),
+        ("full", lambda: AdditiveCode(g4, [[a if i == j else 0 for i in range(3)]
+                                           for j in range(3) for a in (1, 2)]), S),
+    ]
+    return [pytest.param(build, kind, id=f"{name}-{kind}") for name, build, kind in cases]
+
+
+@pytest.mark.parametrize("build, kind", _lazy_duals())
+def test_a_dual_eliminates_its_basis_on_first_read(build, kind, monkeypatch):
+    """A dual's dimension, n * width less the primal's, is known without
+    its basis, which one elimination gives on first read: as many rows,
+    the rref of the kernel of the form."""
+    code = build()
+    calls = count_kernels(monkeypatch)
+    dual = code.dual(kind)
+    assert dual.dim == code.n * code.width - code.dim and calls == []
+    assert dual.basis.nrows == dual.dim and len(calls) == 1
+    assert dual.generator == dual.symbols(dual.basis) and len(calls) == 1
+    assert dual.basis == code._form(kind).kernel()
 
 
 def test_weight_enumerator_simplex():

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_matrix
+from helpers import count_kernels, random_matrix
 from qproduct.catalog import hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import AdditiveCode, LinearCode, min_distance
 from qproduct.convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
@@ -200,3 +200,17 @@ def test_window_words_extend_to_band_dual_words():
             if a and b:
                 acc = spec.add(acc, spec.mul(a, b))
         assert acc == 0
+
+
+def test_tail_biting_and_free_distance_search_without_a_kernel(monkeypatch):
+    """Above the budget the tail-biting duals and the free-distance windows
+    are searched from their kept parity rows: their bases, a kernel each,
+    are never eliminated."""
+    bands = (_binary_band(), _additive_band())
+    calls = count_kernels(monkeypatch)
+    for blocks in range(2, 7):
+        params = tail_biting_qecc(bands[0], blocks)
+        assert (params.n, params.k, params.distance.value) == (42 * blocks, 24 * blocks, 3)
+    for s in bands:
+        assert all(free_distance_upper_bound(s, w) is not None for w in (2, 3, 4))
+    assert calls == []
