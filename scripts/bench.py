@@ -5,8 +5,10 @@ BENCH_<PR>.json.
     python3 scripts/bench.py --pr N --base REV
 
 The base is extracted with ``git archive`` into a temporary directory; the
-change is the checkout this script lives in (its working tree, committed
-or not).  Each side runs its own ``perfbench/run.py --trace 0`` against
+change is the working tree of the checkout this script lives in (committed
+or not, the files git tracks or would track), copied into another
+temporary directory whose path has the same length, since the
+``work_rss_mb`` a run reads moves with the length of its checkout's path.  Each side runs its own ``perfbench/run.py --trace 0`` against
 its own ``src/``.  For every workload the script runs ``PAIRS`` pairs of
 ``SECONDS``-second runs, pair i on seed i + 1, plus one pair on the
 held-out seed 1009, with the side that runs first alternating from pair to
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,6 +48,16 @@ REPRODUCE_RUNS = 5
 
 def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
+
+
+def copy_working_tree(dest: Path) -> None:
+    """The working tree's files that git tracks or would track, copied to dest."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, capture_output=True, check=True).stdout.decode().split("\0")
+    for name in names:
+        if name and (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -138,11 +151,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rev = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, capture_output=True,
                          text=True, check=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+    with (tempfile.TemporaryDirectory(prefix="bench-base-") as base,
+          tempfile.TemporaryDirectory(prefix="bench-chng-") as change):
         archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
                                  check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = {"base": Path(tmp), "change": ROOT}
+        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        copy_working_tree(Path(change))
+        sides = {"base": Path(base), "change": Path(change)}
         report = measure(sides)
     out = {
         "pr": args.pr,

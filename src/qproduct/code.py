@@ -10,11 +10,10 @@ blocks of at most SCAN_BLOCK words held as uint64 bit or digit planes.
 It reads the syndrome columns of the code: weights 1 and 2 are zero and
 parallel columns, and weights 3 and 4 meet in the middle over the
 normalized sums of column pairs, formed as numpy arrays in chunks of at
-most SEARCH_CHUNK pairs and compared as packed keys: a sum's symbols fill
-uint64 words, one plain integer when they fit in one word, else one void
-key of all its words; it always runs to its end.  Its columns come from
-parity rows that need no elimination, and a dual's basis is eliminated
-on first read only.  "bch" is the BCH bound of a cyclic code, read off
+most SEARCH_CHUNK pairs (over GF(2), XORs) and compared as one void key
+per sum; it always runs to its end.  Its columns come from parity rows
+that need no elimination, and a dual's basis is eliminated on first
+read only.  "bch" is the BCH bound of a cyclic code, read off
 the zeros it keeps and met by a basis row (``min_distance``), and
 "bch-rectangle" or "product-dual" that of a product's dual, from its
 factors' duals (``product.product_dual_certificate``).  A certificate
@@ -435,8 +434,8 @@ class Code:
         nonzero symbol up to F* scaling (the smallest of its class), as the
         rows of one array, with the pairs, the (key, leading entry) of each
         F*-normalized column (None for a zero column) and the normalized
-        columns as uint64 words (``_words``); cached.  A linear code has
-        one column per coordinate, an additive one (q-1)/(p-1).
+        columns as an array; cached.  A linear code has one column per
+        coordinate, an additive one (q-1)/(p-1).
 
         The syndromes are taken against the kept parity rows as they are,
         a cyclic code's check rows, or else the standard parity rows of the
@@ -463,11 +462,11 @@ class Code:
                 Ht = H.reshape(len(H), self.n, w).transpose(1, 2, 0).astype(np.int32)
                 cols = sum(digits[None, :, t, None] * Ht[:, None, t, :] for t in range(w)) % F.p
             cols = cols.reshape(len(where), len(H))
-            # without parity rows every column is zero
-            lead, normed = _normalized(F, cols) if len(H) else (np.zeros(len(cols), int), cols)
-            words = _words(F, normed)
-            norm = [(k, c) if c else None for k, c in zip(_keys(words).tolist(), lead.tolist())]
-            self._columns = (where, cols, norm, words)
+            norm, keys = [None] * len(where), cols  # without parity rows every column is zero
+            if len(H):
+                lead, keys = _normalized(F, cols)
+                norm = [(tuple(k), c) if c else None for k, c in zip(keys.tolist(), lead.tolist())]
+            self._columns = (where, cols, norm, keys)
         return self._columns
 
     def _pair_sums(self) -> "_PairSums":
@@ -642,24 +641,6 @@ def _normalized(F: FieldSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lead, np.take(exp, np.take(log, s) + (F.q - 1 - log[lead])[:, None])
 
 
-def _words(F: FieldSpec, s: np.ndarray) -> np.ndarray:
-    """Each row of s, b = bit_length(q-1) bits a symbol, as uint64 words
-    of up to 64 // b symbols each, symbol t at bit b * t of its word.  A
-    word is a sum, not an or-reduce, whose first use faults in code pages."""
-    b = (F.q - 1).bit_length()
-    per = min(64 // b, max(1, s.shape[1]))
-    pad = np.zeros((len(s), max(1, -(-s.shape[1] // per)) * per), np.uint64)
-    pad[:, :s.shape[1]] = s
-    shifts = np.array([1 << b * t for t in range(per)], np.uint64)
-    return (pad.reshape(len(s), -1, per) * shifts).sum(axis=2, dtype=np.uint64)
-
-
-def _keys(words: np.ndarray) -> np.ndarray:
-    """One key per row: its one word, or its words as one void scalar."""
-    w = words.shape[1]
-    return words[:, 0] if w == 1 else words.view(np.dtype((np.void, 8 * w))).ravel()
-
-
 # most column pairs per chunk of the weight-3/4 search; larger chunks are no
 # faster, and their temporaries raise the peak RSS of a long-running process
 SEARCH_CHUNK = 1 << 10
@@ -673,17 +654,22 @@ class _PairSums:
     without zero or parallel columns, where each column has its own key."""
 
     def __init__(self, code: Code) -> None:
-        where, self.cols, _, self.words = code._syndrome_columns()
+        where, self.cols, _, self.keys = code._syndrome_columns()
         self.F, self.q1 = code.field, code.field.q - 1
         self.log, self.exp = field_tables(self.F)
         m = len(self.cols)
         self.logs = self.log[self.cols]
-        keys = _keys(self.words)
-        self.col_of = np.argsort(keys, kind="stable")  # the column of each sorted key
+        keys = self._void(self.keys)
+        self.col_of = np.argsort(keys)  # the column of each sorted key
         self.col_keys = keys[self.col_of]
         coord = np.fromiter((i for i, _ in where), np.intp, m)
         self.start = np.searchsorted(coord, coord, side="right")
         self.offset = np.concatenate(([0], np.cumsum((m - self.start) * self.q1)))
+
+    @staticmethod
+    def _void(key: np.ndarray) -> np.ndarray:
+        """Each row of key as one void scalar, compared byte for byte."""
+        return key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
 
     def chunks(self):
         """[lo, hi) ranges over all pairs, a few pairs at first, then
@@ -702,11 +688,11 @@ class _PairSums:
         rem = idx - self.offset[c]
         d = self.start[c] + rem // self.q1
         lam = rem % self.q1 + 1
-        if self.q1 == 1:
-            return c, d, lam, lam, _keys(self.words[c] ^ self.words[d])
+        if self.q1 == 1:  # the normalized columns are the columns, and their sum an XOR
+            return c, d, lam, lam, self._void(self.keys[c] ^ self.keys[d])
         s = field_add(self.F, self.cols[c], np.take(self.exp, self.logs[d] + self.log[lam][:, None]))
         lead, key = _normalized(self.F, s)
-        return c, d, lam, lead, _keys(_words(self.F, key))
+        return c, d, lam, lead, self._void(key)
 
     def column_of(self, key: np.ndarray) -> np.ndarray:
         """The column whose key equals each key, or -1."""
@@ -752,7 +738,7 @@ def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
     if max_w < 2:
         return None
     # without zero columns, parallel columns lie at distinct coordinates
-    seen: dict[int | bytes, int] = {}
+    seen: dict[tuple[int, ...], int] = {}
     for c, (key, scale) in enumerate(norm):
         hit = seen.setdefault(key, c)
         if hit != c:

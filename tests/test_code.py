@@ -307,8 +307,8 @@ def test_low_weight_search_tie_goes_to_the_first_pair(chunk):
     assert low_weight_oracle(code, 4) == (1, 1, 1, 1, 0, 0, 0, 0)
 
 
-# (q, additive, symbols per key word): r = fit parity rows fill one uint64
-# word (64 bits, 63 over GF(8)), r = fit + 1 needs a second, one void key
+# (q, additive, fit): r = fit parity rows give syndromes of bit_length(q-1)
+# bits a symbol that fill 64 bits (63 over GF(8)); r = fit + 1 pass them
 _KEY_WIDTHS = [(2, False, 64), (3, False, 32), (4, False, 32), (8, False, 21), (9, False, 16),
                (4, True, 64)]
 
@@ -316,10 +316,9 @@ _KEY_WIDTHS = [(2, False, 64), (3, False, 32), (4, False, 32), (8, False, 21), (
 @pytest.mark.parametrize("q, additive, fit", _KEY_WIDTHS)
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize("planted", [3, 4])
-def test_low_weight_search_on_one_and_two_word_keys(q, additive, fit, extra, planted):
+def test_low_weight_search_at_64_bit_syndromes(q, additive, fit, extra, planted):
     """Codes with r = fit + extra parity rows and a planted word of weight
-    3 or 4: the columns take 1 + extra key words, and the search returns
-    the oracle's word for every max_w."""
+    3 or 4: the search returns the oracle's word for every max_w."""
     rng = random.Random(1000 * q + 10 * extra + planted)
     spec, r = GF(q), fit + extra
     width = spec.ell if additive else 1
@@ -332,7 +331,7 @@ def test_low_weight_search_on_one_and_two_word_keys(q, additive, fit, extra, pla
         for i in rng.sample(range(n), planted):
             low[i] = rng.randrange(1, q)
         code = cls.from_rows(spec, rows + [low], n=n)
-    assert code._syndrome_columns()[3].shape[1] == 1 + extra
+    assert code._syndrome_columns()[1].shape[1] == r
     for max_w in (1, 2, 3, 4):
         assert find_low_weight_word(code, max_w) == low_weight_oracle(code, max_w)
 
