@@ -29,7 +29,8 @@ dual of an RS product rs(q, q-mu1) x rs(q, q-mu2), which no certificate
 searches any more but which shows what the search costs at these sizes,
 or the 91-column dual of the binary hamming_dual(3,2) band, the window
 of its free-distance bound, where an early pair gives a weight-3 word.
-The code and its syndrome columns are built before the clock starts.  A
+The code is built before the clock starts; each call builds its table of
+syndrome columns from the code's parity rows, with no elimination.  A
 certificate shape is ``RsProductReport.dual_certificate`` of such a
 product above the budget: ``product_dual_certificate`` over the two
 factor duals, each certified by its BCH bound with a row of its rref basis
@@ -41,7 +42,7 @@ starts, and each call builds the two factor duals afresh.  For each shape this p
                  call raised the process's peak RSS, in KiB
   first_ms       wall time of the first call
   ms             median wall time of the repeated calls (a search repeats
-                 from its syndrome columns, without the arrays it caches)
+                 from the parity rows, building its syndrome table afresh)
   words_per_s    words scanned per second at that median (scans only)
 
 A layer shape is ``Matrix.rref``, ``Matrix.kernel`` or the Euclidean
@@ -219,11 +220,10 @@ def profile_search(shape: tuple, repeats: int) -> dict:
     from qproduct import code as code_module
 
     code = search_code(shape)
-    code._syndrome_columns()
     found = []
 
     def search() -> None:
-        code._pairs = None  # search from the syndrome columns each time
+        code.__dict__.pop("_syndromes", None)  # search from the parity rows each time
         found.append(code_module.find_low_weight_word(code, 4))
 
     growth, first, median = first_and_repeats(search, repeats)

@@ -7,13 +7,14 @@ codeword enumeration: a radix-p Gray walk over the span, run with numpy in
 blocks of at most SCAN_BLOCK words held as uint64 bit or digit planes.
 "column-independence" is a complete search for codewords of weight at most
 4: a lightest witness fixes the distance, and its absence proves d >= 5.
-It reads the syndrome columns of the code: weights 1 and 2 are zero and
-parallel columns, and weights 3 and 4 meet in the middle over the
-normalized sums of column pairs, formed as numpy arrays in chunks of at
-most SEARCH_CHUNK pairs (over GF(2), XORs) and compared as one void key
-per sum; it always runs to its end.  Its columns come from parity rows
-that need no elimination, and a dual's basis is eliminated on first
-read only.  "bch" is the BCH bound of a cyclic code, read off
+It reads one table of syndrome columns per code, and every weight
+compares the same void keys of F*-normalized columns: weight 1 is a
+column with leading entry 0, weight 2 the first repeated column key, and
+weights 3 and 4 meet in the middle over the normalized sums of column
+pairs, formed as numpy arrays in chunks of at most SEARCH_CHUNK pairs
+(over GF(2), XORs); it always runs to its end.  Its columns come from
+parity rows that need no elimination, and a dual's basis is eliminated on
+first read only.  "bch" is the BCH bound of a cyclic code, read off
 the zeros it keeps and met by a basis row (``min_distance``), and
 "bch-rectangle" or "product-dual" that of a product's dual, from its
 factors' duals (``product.product_dual_certificate``).  A certificate
@@ -251,8 +252,6 @@ class Code:
         self._orthogonal: dict[InnerProductKind, bool] = {}  # is_self_orthogonal, per kind
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
         self._primal: weakref.ref | None = None  # the code this is the dual of, if built so
-        self._columns: tuple | None = None
-        self._pairs: _PairSums | None = None
 
     @classmethod
     def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix | None,
@@ -429,51 +428,10 @@ class Code:
         return [tuple(spec.mul(spec.p**t, v) for v in g)
                 for g in self.generator.rows for t in range(self.field.ell)]
 
-    def _syndrome_columns(self) -> tuple[list[tuple[int, int]], np.ndarray, list, np.ndarray]:
-        """The syndrome over F of each (coordinate, symbol) pair, for every
-        nonzero symbol up to F* scaling (the smallest of its class), as the
-        rows of one array, with the pairs, the (key, leading entry) of each
-        F*-normalized column (None for a zero column) and the normalized
-        columns as an array; cached.  A linear code has one column per
-        coordinate, an additive one (q-1)/(p-1).
-
-        The syndromes are taken against the kept parity rows as they are,
-        a cyclic code's check rows, or else the standard parity rows of the
-        rref basis, with no elimination.  Rows that span the same space as
-        the rref H give columns A * col, A of full column rank, which keeps
-        zero columns, parallel classes and the coefficients of every
-        vanishing combination, so every word the search returns."""
-        if self._columns is None:
-            spec, F, w = self.spec, self.field, self.width
-            H = self._parity
-            if H is None:  # a cyclic code's check rows, or else the standard parity rows
-                H = (_check_rows(self.spec, self.n, self.zeros) if self.zeros is not None
-                     else _standard_kernel(self.basis, np.argmax(self.basis.array != 0, axis=1)))
-            H = H.array
-            if w == 1:
-                where = [(i, 1) for i in range(self.n)]
-                cols = H.T
-            else:
-                reps = [a for a in range(1, spec.q)
-                        if a == min(spec.mul(lam, a) for lam in range(1, F.q))]
-                where = [(i, a) for i in range(self.n) for a in reps]
-                # sum_t digit_t(a) * H[:, i*w + t] mod p, at [i, a]
-                digits = np.array([spec.to_digits(a) for a in reps], np.int32).reshape(-1, w)
-                Ht = H.reshape(len(H), self.n, w).transpose(1, 2, 0).astype(np.int32)
-                cols = sum(digits[None, :, t, None] * Ht[:, None, t, :] for t in range(w)) % F.p
-            cols = cols.reshape(len(where), len(H))
-            norm, keys = [None] * len(where), cols  # without parity rows every column is zero
-            if len(H):
-                lead, keys = _normalized(F, cols)
-                norm = [(tuple(k), c) if c else None for k, c in zip(keys.tolist(), lead.tolist())]
-            self._columns = (where, cols, norm, keys)
-        return self._columns
-
-    def _pair_sums(self) -> "_PairSums":
-        """The weight-3/4 search state over the syndrome columns; cached."""
-        if self._pairs is None:
-            self._pairs = _PairSums(self)
-        return self._pairs
+    @cached_property
+    def _syndromes(self) -> "_Syndromes":
+        """The table of syndrome columns that ``find_low_weight_word`` reads."""
+        return _Syndromes(self)
 
 
 class LinearCode(Code):
@@ -646,23 +604,56 @@ def _normalized(F: FieldSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 SEARCH_CHUNK = 1 << 10
 
 
-class _PairSums:
-    """The pair sums cols[c] + lam * cols[d] of a code's syndrome columns,
-    for c < d at distinct coordinates and lam in F*, numbered in pair
-    order: c, then d, then lam.  The columns are sorted by coordinate, so
-    the d of a c are the columns from ``start[c]`` on.  Built for codes
-    without zero or parallel columns, where each column has its own key."""
+class _Syndromes:
+    """A code's syndrome columns and their keys (``Code._syndromes``).
+
+    ``cols`` holds the syndrome over F of each (coordinate, symbol) pair in
+    ``where``, for every nonzero symbol up to F* scaling (the smallest of
+    its class): one column per coordinate for a linear code, (q-1)/(p-1)
+    for an additive one.  ``lead`` is each column's leading entry, 0 for a
+    zero column, and ``keys`` one void key per F*-normalized column, the
+    key format of every pair sum.  The syndromes are taken against the
+    kept parity rows as they are, a cyclic code's check rows, or else the
+    standard parity rows of the rref basis, with no elimination.  Rows
+    that span the same space as the rref H give columns A * col, A of full
+    column rank, which keeps zero columns, parallel classes and the
+    coefficients of every vanishing combination, so every word the search
+    returns.
+
+    The pair sums cols[c] + lam * cols[d], c < d at distinct coordinates
+    and lam in F*, are numbered c, then d, then lam: the columns are
+    sorted by coordinate, so the d of a c are those from ``start[c]`` on,
+    and its sums start at ``offset[c]``."""
 
     def __init__(self, code: Code) -> None:
-        where, self.cols, _, self.keys = code._syndrome_columns()
-        self.F, self.q1 = code.field, code.field.q - 1
-        self.log, self.exp = field_tables(self.F)
-        m = len(self.cols)
-        self.logs = self.log[self.cols]
-        keys = self._void(self.keys)
-        self.col_of = np.argsort(keys)  # the column of each sorted key
-        self.col_keys = keys[self.col_of]
-        coord = np.fromiter((i for i, _ in where), np.intp, m)
+        spec, F, w = code.spec, code.field, code.width
+        H = code._parity
+        if H is None:  # a cyclic code's check rows, or else the standard parity rows
+            H = (_check_rows(spec, code.n, code.zeros) if code.zeros is not None
+                 else _standard_kernel(code.basis, np.argmax(code.basis.array != 0, axis=1)))
+        H = H.array
+        if w == 1:
+            self.where = [(i, 1) for i in range(code.n)]
+            cols = H.T
+        else:
+            reps = [a for a in range(1, spec.q)
+                    if a == min(spec.mul(lam, a) for lam in range(1, F.q))]
+            self.where = [(i, a) for i in range(code.n) for a in reps]
+            # sum_t digit_t(a) * H[:, i*w + t] mod p, at [i, a]
+            digits = np.array([spec.to_digits(a) for a in reps], np.int32).reshape(-1, w)
+            Ht = H.reshape(len(H), code.n, w).transpose(1, 2, 0).astype(np.int32)
+            cols = sum(digits[None, :, t, None] * Ht[:, None, t, :] for t in range(w)) % F.p
+        m = len(self.where)
+        self.cols = cols.reshape(m, len(H)).astype(H.dtype, copy=False)  # over GF(2), a key's bytes
+        self.F, self.q1 = F, F.q - 1
+        self.log, self.exp = field_tables(F)
+        # without parity rows every column is zero, and no key is read
+        self.lead, norm = (_normalized(F, self.cols) if len(H)
+                           else (np.zeros(m, H.dtype), self.cols))
+        self.keys = self._void(norm)
+        self.col_of = np.argsort(self.keys, kind="stable")  # equal keys stay in column order
+        self.col_keys = self.keys[self.col_of]
+        coord = np.fromiter((i for i, _ in self.where), np.intp, m)
         self.start = np.searchsorted(coord, coord, side="right")
         self.offset = np.concatenate(([0], np.cumsum((m - self.start) * self.q1)))
 
@@ -688,9 +679,10 @@ class _PairSums:
         rem = idx - self.offset[c]
         d = self.start[c] + rem // self.q1
         lam = rem % self.q1 + 1
-        if self.q1 == 1:  # the normalized columns are the columns, and their sum an XOR
-            return c, d, lam, lam, self._void(self.keys[c] ^ self.keys[d])
-        s = field_add(self.F, self.cols[c], np.take(self.exp, self.logs[d] + self.log[lam][:, None]))
+        if self.q1 == 1:  # a nonzero column is its own normalization, byte for byte
+            return c, d, lam, lam, self._void(self.cols[c] ^ self.cols[d])
+        s = field_add(self.F, self.cols[c],
+                      np.take(self.exp, self.log[self.cols[d]] + self.log[lam][:, None]))
         lead, key = _normalized(self.F, s)
         return c, d, lam, lead, self._void(key)
 
@@ -710,20 +702,23 @@ def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
     Complete: if a word of weight <= max_w exists, one of minimum weight
     among weights <= max_w is returned.  A word of weight w is w syndrome
     columns at distinct coordinates with a vanishing F-combination
-    (``Code._syndrome_columns``).  Weights 1 and 2 are zero and parallel
-    columns.  Weights 3 and 4 meet in the middle over the pair sums
-    cols[c] + lam * cols[d], F*-normalized, taken in pair order (c, then
-    d > c at a later coordinate, then lam) in numpy chunks of up to
-    SEARCH_CHUNK pairs: weight 3 is the first pair whose sum is parallel
-    to a column, weight 4 the first pair whose sum is parallel to that of
-    an earlier pair, with the first such earlier pair.  Searches at most
-    weight 4.
+    (``Code._syndromes``); every weight compares the same void keys of
+    F*-normalized columns.  Weight 1 is the first column that leads with
+    0, weight 2 the first column whose key occurred earlier, with the
+    first column of that key.  Weights 3 and 4 meet in the middle over the
+    pair sums cols[c] + lam * cols[d], F*-normalized, taken in pair order
+    (c, then d > c at a later coordinate, then lam) in numpy chunks of up
+    to SEARCH_CHUNK pairs: weight 3 is the first pair whose sum is
+    parallel to a column, weight 4 the first pair whose sum is parallel to
+    that of an earlier pair, with the first such earlier pair.  Searches at
+    most weight 4.
     """
     if max_w < 1 or code.size() == 1:
         return None
     F = code.field
     mul, neg, inv = F.mul, F.neg, F.inv
-    where, _, norm, _ = code._syndrome_columns()
+    table = code._syndromes
+    where, lead = table.where, table.lead.tolist()
 
     def word(*terms: tuple[int, int]) -> tuple[int, ...]:
         """The codeword with F-coefficient lam on column c, per (c, lam)."""
@@ -732,49 +727,49 @@ def find_low_weight_word(code: Code, max_w: int = 4) -> tuple[int, ...] | None:
             out[where[c][0]] = code.spec.mul(lam, where[c][1])
         return tuple(out)
 
-    for c, nc in enumerate(norm):
-        if nc is None:
-            return word((c, 1))
+    if 0 in lead:
+        return word((lead.index(0), 1))
     if max_w < 2:
         return None
     # without zero columns, parallel columns lie at distinct coordinates
-    seen: dict[tuple[int, ...], int] = {}
-    for c, (key, scale) in enumerate(norm):
-        hit = seen.setdefault(key, c)
-        if hit != c:
-            # cols[hit] + b * cols[c] = 0
-            return word((hit, 1), (c, neg(mul(norm[hit][1], inv(scale)))))
+    repeat = _first_repeat(table.keys, table.col_of)
+    if repeat is not None:
+        hit, c = repeat
+        # cols[hit] + b * cols[c] = 0
+        return word((hit, 1), (c, neg(mul(lead[hit], inv(lead[c])))))
     if max_w < 3:
         return None
     # With no word of weight <= 2, no pair sum vanishes and sums that are
     # parallel to a column, or to each other, never share a coordinate:
     # the F-combination would be a nonzero word on at most 3 coordinates.
-    pairs = code._pair_sums()
     keys = []
-    for lo, hi in pairs.chunks():
-        c, d, lam, lead, key = pairs.sums(lo, hi)
-        hit = pairs.column_of(key)
+    for lo, hi in table.chunks():
+        c, d, lam, scale, key = table.sums(lo, hi)
+        hit = table.column_of(key)
         found = hit >= 0
         if found.any():
             i = int(found.argmax())
-            c, d, lam, scale, e = int(c[i]), int(d[i]), int(lam[i]), int(lead[i]), int(hit[i])
+            c, d, lam, scale, e = int(c[i]), int(d[i]), int(lam[i]), int(scale[i]), int(hit[i])
             # cols[c] + lam * cols[d] + mu * cols[e] = 0
-            return word((c, 1), (d, lam), (e, neg(mul(scale, inv(norm[e][1])))))
+            return word((c, 1), (d, lam), (e, neg(mul(scale, inv(lead[e])))))
         if max_w >= 4:
             keys.append(key)
-    repeat = _first_repeat(np.concatenate(keys)) if keys else None
+    if not keys:
+        return None
+    keys = np.concatenate(keys)
+    repeat = _first_repeat(keys, np.argsort(keys, kind="stable"))
     if repeat is None:
         return None
-    (pc, pd, plam, pscale), (c, d, lam, scale) = map(pairs.pair, repeat)
+    (pc, pd, plam, pscale), (c, d, lam, scale) = map(table.pair, repeat)
     # cols[pc] + plam cols[pd] = pscale * key ; cols[c] + lam cols[d] = scale * key
     factor = neg(mul(pscale, inv(scale)))
     return word((pc, 1), (pd, plam), (c, factor), (d, mul(factor, lam)))
 
 
-def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
+def _first_repeat(keys: np.ndarray, order: np.ndarray) -> tuple[int, int] | None:
     """The first index whose key equals an earlier one, after the first
-    index with that key, or None if the keys are distinct."""
-    order = np.argsort(keys, kind="stable")  # equal keys stay in index order
+    index with that key, or None if the keys are distinct; ``order`` is a
+    stable argsort of the keys."""
     sorted_keys = keys[order]
     repeat = sorted_keys[1:] == sorted_keys[:-1]
     if not repeat.any():

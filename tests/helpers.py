@@ -76,7 +76,7 @@ def low_weight_oracle(code, max_w: int = 4):
         return None
     F = code.field
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    where, cols, _, _ = code._syndrome_columns()
+    where, cols = code._syndromes.where, code._syndromes.cols
     cols = cols.tolist()
     coord = [i for i, _ in where]
 

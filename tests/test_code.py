@@ -14,7 +14,8 @@ from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerato
 from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
-                           macwilliams_transform, min_distance, weight_enumerator)
+                           macwilliams_transform, min_distance, spanned_code, weight_enumerator)
+from qproduct.convolutional import band_window, conv_from_product, tail_biting
 from qproduct.cyclic import rs_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
@@ -307,6 +308,64 @@ def test_low_weight_search_tie_goes_to_the_first_pair(chunk):
     assert low_weight_oracle(code, 4) == (1, 1, 1, 1, 0, 0, 0, 0)
 
 
+# (q, parity columns, word): class X of columns 0 and 3 has a larger key
+# than class Y of columns 1, 4 and 5, so Y's repeat comes first in key order
+_PARALLEL = [
+    (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 1, 0]], (1, 0, 0, 1, 0, 0)),
+    (3, [[2, 1, 0], [0, 1, 1], [0, 0, 1], [2, 1, 0], [0, 2, 2], [0, 1, 1]], (1, 0, 0, 2, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("q, columns, expected", _PARALLEL)
+def test_low_weight_search_weight_2_goes_to_the_first_repeated_column(q, columns, expected):
+    """Column 3 is the first whose key occurred earlier, at column 0, so
+    the word lies on columns hit = 0 and c = 3, with coefficient
+    -lead[hit] / lead[c] on c, though Y's first repeat, column 4, is the
+    first in key order."""
+    h = Matrix(GF(q), list(zip(*columns)))
+    code = LinearCode._from_basis(GF(q), 6, h.kernel(), h)
+    for max_w in (2, 4):
+        assert find_low_weight_word(code, max_w) == expected == low_weight_oracle(code, max_w)
+
+
+def _above_the_budget(case):
+    """The code of a search case above the enumeration budget: a seeded
+    code of the shape of a benchmark search job, the dual of a tail-biting
+    code TB_N, or the dual of a free-distance window."""
+    rng = random.Random(repr(case))
+    if case[0] == "linear":
+        _, q, n, k = case
+        return LinearCode(random_matrix(rng, GF(q), k, n))
+    if case[0] == "additive":
+        _, n, k = case
+        return AdditiveCode(GF(4), [[GF(4).from_digits([rng.randrange(2) for _ in range(2)])
+                                     for _ in range(n)] for _ in range(k)])
+    c = hamming_dual(3, 2)
+    binary = conv_from_product(c, c, 1, E)
+    if case[0] == "tail-biting":
+        return tail_biting(binary, case[1]).dual(E)
+    _, band, blocks = case
+    s = binary if band == "binary" else conv_from_product(
+        simplex(2, 2), AdditiveCode.from_linear(quaternary_hamming_dual_5()), 1, S)
+    width = blocks * s.frame + s.overlap
+    rows = band_window(s, blocks + 1).take_columns(range(width)).array
+    return spanned_code(s.kind, s.spec, rows, width).dual(s.kind)
+
+
+@pytest.mark.parametrize("case", [
+    ("linear", 4, 20, 13), ("linear", 4, 24, 13), ("linear", 8, 14, 9), ("linear", 8, 20, 9),
+    ("linear", 9, 13, 8), ("linear", 9, 18, 8), ("additive", 20, 25),
+    *[("tail-biting", blocks) for blocks in range(2, 7)],
+    *[("window", band, blocks) for band in ("binary", "additive") for blocks in (2, 3, 4)],
+], ids=lambda case: "-".join(map(str, case)))
+def test_low_weight_search_matches_oracle_above_the_budget(case):
+    """The property tests stop at length 12; at the sizes the search
+    certifies, above the budget, it still returns the oracle's word."""
+    code = _above_the_budget(case)
+    assert code.size() > code_module.DEFAULT_BUDGET
+    assert find_low_weight_word(code, 4) == low_weight_oracle(code, 4)
+
+
 # (q, additive, fit): r = fit parity rows give syndromes of bit_length(q-1)
 # bits a symbol that fill 64 bits (63 over GF(8)); r = fit + 1 pass them
 _KEY_WIDTHS = [(2, False, 64), (3, False, 32), (4, False, 32), (8, False, 21), (9, False, 16),
@@ -331,7 +390,7 @@ def test_low_weight_search_at_64_bit_syndromes(q, additive, fit, extra, planted)
         for i in rng.sample(range(n), planted):
             low[i] = rng.randrange(1, q)
         code = cls.from_rows(spec, rows + [low], n=n)
-    assert code._syndrome_columns()[1].shape[1] == r
+    assert code._syndromes.cols.shape[1] == r
     for max_w in (1, 2, 3, 4):
         assert find_low_weight_word(code, max_w) == low_weight_oracle(code, max_w)
 

@@ -364,7 +364,7 @@ def test_dual_parity_rows_are_the_kept_form_without_a_kernel(code, kind, monkeyp
     kernel, rref = Matrix.kernel, Matrix.rref
     monkeypatch.setattr(Matrix, "kernel", lambda m: calls.append(("kernel", m)) or kernel(m))
     monkeypatch.setattr(Matrix, "rref", lambda m: calls.append(("rref", m)) or rref(m))
-    dual._syndrome_columns()
+    dual._syndromes  # builds the table of syndrome columns
     assert calls == []
     assert parity_rows(dual) == expected
     assert all(name == "rref" for name, _ in calls)
