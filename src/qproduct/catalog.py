@@ -42,7 +42,7 @@ def simplex(r: int, q: int) -> LinearCode:
     if r < 1:
         raise ValueError("redundancy must be >= 1")
     spec = GF(q)
-    return LinearCode(projective_point_matrix(spec, r), claimed_distance=q ** (r - 1))
+    return LinearCode(projective_point_matrix(spec, r))
 
 
 def hamming(r: int, q: int) -> LinearCode:
@@ -50,7 +50,7 @@ def hamming(r: int, q: int) -> LinearCode:
     if r < 2:
         raise ValueError("Hamming codes need redundancy >= 2")
     spec = GF(q)
-    return LinearCode(projective_point_matrix(spec, r).kernel(), claimed_distance=3)
+    return LinearCode(projective_point_matrix(spec, r).kernel())
 
 
 def hamming_dual(r: int, q: int) -> LinearCode:
@@ -61,9 +61,7 @@ def hamming_dual(r: int, q: int) -> LinearCode:
 def quaternary_hamming_dual_5() -> LinearCode:
     """The [5, 2, 4] code over GF(4): Hermitian dual of the length-5
     quaternary Hamming code; Hermitian self-orthogonal."""
-    code = hamming(2, 4).dual(InnerProductKind.HERMITIAN)
-    code.claimed_distance = 4
-    return code
+    return hamming(2, 4).dual(InnerProductKind.HERMITIAN)
 
 
 _CATALOG_HELP = (

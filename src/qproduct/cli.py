@@ -142,7 +142,6 @@ def cmd_product(args) -> dict:
         "factors": [_code_block(c1, budget=args.budget), _code_block(c2, budget=args.budget)],
         "kind": str(kind),
         "product": _code_block(prod, budget=args.budget),
-        "claimed_distance": prod.claimed_distance,
         "conformance": _product_conformance(c1, c2, prod, kind, args.budget),
     }
     if c2.is_self_orthogonal(kind):  # checked on the product's own Gram matrix, not its factors
@@ -199,7 +198,7 @@ def cmd_qecc(args) -> dict:
         params = rs_report_qecc(predicted)
         rates = rate_comparison(args.q, args.mu1, args.mu2)
         return {"qecc": params.to_dict(), "rate_comparison": rates.to_dict(),
-                "predicted": predicted.to_dict(), "dual_certificate": params.distance.to_dict()}
+                "predicted": predicted.to_dict()}
     kind = _KIND_BY_CONSTRUCTION[args.construction]
     code = _under(_resolve_code(args), kind)
     params = qecc(code, kind, budget=args.budget)
@@ -283,7 +282,6 @@ def _pipeline_binary_product_chain(budget) -> dict:
     params = qecc(prod, kind, budget)
     return {
         "product": _code_block(prod, budget),
-        "claimed_distance": prod.claimed_distance,
         "dual_dimension": dual.k,
         "dual_distance": params.distance.to_dict(),
         "dual_distance_at_least_3": distance_at_least(dual, 3),

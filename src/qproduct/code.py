@@ -17,7 +17,9 @@ parity rows that need no elimination, and a dual's basis is eliminated on
 first read only.  "bch" is the BCH bound of a cyclic code, read off
 the zeros it keeps and met by a basis row (``min_distance``), and
 "bch-rectangle" or "product-dual" that of a product's dual, from its
-factors' duals (``product.product_dual_certificate``).  A certificate
+factors' duals (``product.product_dual_certificate``).  "product" is the
+bound d1 * d2 of a product above the budget, from its factors'
+certificates, met by the tensor of their witnesses.  A certificate
 never reports "exact" unless lower and upper bound meet.
 
 A weight enumerator is counted by the same scan, once per code, on the
@@ -58,8 +60,7 @@ class DistanceCertificate:
 
     The witness, when present, is an actual codeword of weight ``upper``
     and can be re-checked against the code.  ``exact`` holds iff the two
-    bounds meet.  ``claimed`` carries a theorem-predicted value that was
-    not independently verified.
+    bounds meet.
     """
 
     lower: int
@@ -67,7 +68,6 @@ class DistanceCertificate:
     lower_method: str
     witness: tuple[int, ...] | None = None
     degenerate: bool = False
-    claimed: int | None = None
 
     @property
     def exact(self) -> bool:
@@ -90,8 +90,6 @@ class DistanceCertificate:
             out["witness"] = list(self.witness)
         if self.degenerate:
             out["degenerate"] = True
-        if self.claimed is not None:
-            out["claimed"] = self.claimed
         return out
 
 
@@ -237,14 +235,13 @@ class Code:
     linear: bool
     kinds: tuple[InnerProductKind, ...]  # the inner products it takes duals under, default first
 
-    def _setup(self, basis: Matrix | Callable[[], Matrix], claimed_distance: int | None,
-               parity: Matrix | None = None, zeros: frozenset[int] | None = None) -> None:
+    def _setup(self, basis: Matrix | Callable[[], Matrix], parity: Matrix | None = None,
+               zeros: frozenset[int] | None = None) -> None:
         """Finish construction from a reduced basis; spec and n are set.
         ``parity``, when known, are rows over F whose F-kernel is the code;
         if independent, ``basis`` may be a function run on its first read."""
         self._basis = basis
         self.dim = basis.nrows if isinstance(basis, Matrix) else self.n * self.width - parity.nrows
-        self.claimed_distance = claimed_distance
         self._parity = parity
         self._factors: tuple[Code, Code] | None = None  # (c1, c2) of a product c1 (x) c2
         self.zeros = zeros  # a cyclic code's zeros, exponents mod n
@@ -255,11 +252,10 @@ class Code:
 
     @classmethod
     def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix | None,
-                    claimed_distance: int | None = None,
                     zeros: frozenset[int] | None = None) -> "Code":
         code = cls.__new__(cls)
         code.spec, code.n = spec, n
-        code._setup(basis, claimed_distance, parity, zeros)
+        code._setup(basis, parity, zeros)
         return code
 
     @property
@@ -440,15 +436,15 @@ class LinearCode(Code):
     linear = True
     kinds = (InnerProductKind.EUCLIDEAN, InnerProductKind.HERMITIAN)
 
-    def __init__(self, generator: Matrix, claimed_distance: int | None = None):
+    def __init__(self, generator: Matrix):
         self.spec = generator.spec
         self.n = generator.ncols
-        self._setup(generator.rref()[0], claimed_distance)
+        self._setup(generator.rref()[0])
 
     @classmethod
-    def from_rows(cls, spec: FieldSpec, rows: Iterable[Iterable[int]], n: int | None = None,
-                  claimed_distance: int | None = None) -> "LinearCode":
-        return cls(Matrix(spec, rows, ncols=n), claimed_distance)
+    def from_rows(cls, spec: FieldSpec, rows: Iterable[Iterable[int]],
+                  n: int | None = None) -> "LinearCode":
+        return cls(Matrix(spec, rows, ncols=n))
 
     @property
     def k(self) -> int:
@@ -476,25 +472,18 @@ class AdditiveCode(Code):
     linear = False
     kinds = (InnerProductKind.SYMPLECTIC,)
 
-    def __init__(self, spec: FieldSpec, rows: Iterable[Sequence[int]], n: int | None = None,
-                 claimed_distance: int | None = None):
+    def __init__(self, spec: FieldSpec, rows: Iterable[Sequence[int]], n: int | None = None):
         g = Matrix(spec, rows, ncols=n)
         self.spec = spec
         self.n = g.ncols
         digits = g.array[:, :, None] // spec.p ** np.arange(spec.ell) % spec.p
         expanded = Matrix._of(spec.prime_field, digits.reshape(g.nrows, self.n * spec.ell))
-        self._setup(expanded.rref()[0], claimed_distance)
-
-    @classmethod
-    def from_rows(cls, spec: FieldSpec, rows: Iterable[Sequence[int]], n: int | None = None,
-                  claimed_distance: int | None = None) -> "AdditiveCode":
-        return cls(spec, rows, n=n, claimed_distance=claimed_distance)
+        self._setup(expanded.rref()[0])
 
     @classmethod
     def from_linear(cls, code: LinearCode) -> "AdditiveCode":
         """The code viewed as a GF(p)-linear code: k_p = ell * k."""
-        return cls(code.spec, code.expanded_generators(), n=code.n,
-                   claimed_distance=code.claimed_distance)
+        return cls(code.spec, code.expanded_generators(), n=code.n)
 
     @property
     def k_p(self) -> int:
@@ -521,8 +510,8 @@ def spanned_code(kind: InnerProductKind, spec: FieldSpec, rows: Iterable[Sequenc
                  n: int) -> Code:
     """The code spanned by ``rows`` whose duals are taken under ``kind``:
     additive for the symplectic kind, linear otherwise."""
-    cls = AdditiveCode if kind is InnerProductKind.SYMPLECTIC else LinearCode
-    return cls.from_rows(spec, rows, n=n)
+    return (AdditiveCode(spec, rows, n=n) if kind is InnerProductKind.SYMPLECTIC
+            else LinearCode.from_rows(spec, rows, n=n))
 
 
 def _check_rows(spec: FieldSpec, n: int, zeros: Iterable[int]) -> Matrix:
@@ -799,13 +788,22 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     (alpha of order n) times the invertible diagonal of the alpha^(b j_k),
     so c = 0.  The first lightest row of the rref basis is then the "bch"
     witness if it weighs r + 1; a lighter one raises AssertionError, and a
-    heavier one leaves the code to enumeration or search."""
+    heavier one leaves the code to enumeration or search.
+
+    A product C1 (x) C2 above the budget is not searched: its "product"
+    certificate has the lower bound lower1 * lower2 of its factors'
+    certificates and, when both have a witness, the witness a (x) b (a_i * b_j
+    at i * n2 + j) of weight upper1 * upper2.  Proof (MacWilliams & Sloane,
+    ch. 18 sec. 2): as an n1 x n2 array, every row of a word lies in C2 and
+    every column in C1, or, for an additive C2, every base-p digit plane of
+    a column does, as g * y has g times the digits of y for g in GF(p).  So
+    a nonzero word has at least d1 nonzero rows, each of weight at least
+    d2; and a (x) b lies in the product and weighs wt(a) wt(b)."""
     budget = enumeration_budget(budget)
     n = code.n
-    claimed = code.claimed_distance
     if code.dim == 0:
         return DistanceCertificate(lower=n + 1, upper=n + 1, lower_method="exhaustive",
-                                   witness=None, degenerate=True, claimed=claimed)
+                                   witness=None, degenerate=True)
     if code.zeros is not None:  # bound = 1 + the longest run; twice round, so a run may wrap
         run = bound = 1
         for i in range(2 * n):
@@ -818,8 +816,7 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
                                  f"the BCH bound {bound}")
         if weights[row] == bound:
             return DistanceCertificate(lower=bound, upper=bound, lower_method="bch",
-                                       witness=tuple(code.basis.array[row].tolist()),
-                                       claimed=claimed)
+                                       witness=tuple(code.basis.array[row].tolist()))
     if code.size() <= budget:
         known = _weight_counts(code, budget, scan=False) if code.size() > SCAN_BLOCK else None
         least = min(w for w in known if w) if known else 1
@@ -827,14 +824,20 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
         if known and w != least:
             raise AssertionError(f"the walk ends at weight {w}, the weight counts at {least}")
         return DistanceCertificate(lower=w, upper=w, lower_method="exhaustive",
-                                   witness=witness, claimed=claimed)
+                                   witness=witness)
+    if code._factors is not None:
+        a, b = (min_distance(c, budget) for c in code._factors)
+        witness = (None if a.witness is None or b.witness is None
+                   else tuple(code.spec.mul(x, y) for x in a.witness for y in b.witness))
+        return DistanceCertificate(lower=a.lower * b.lower,
+                                   upper=None if witness is None else a.upper * b.upper,
+                                   lower_method="product", witness=witness)
     witness = find_low_weight_word(code, max_w=4)
     if witness is None:
-        return DistanceCertificate(lower=5, upper=None, lower_method="column-independence",
-                                   claimed=claimed)
+        return DistanceCertificate(lower=5, upper=None, lower_method="column-independence")
     w = hamming_weight(witness)
     return DistanceCertificate(lower=w, upper=w, lower_method="column-independence",
-                               witness=witness, claimed=claimed)
+                               witness=witness)
 
 
 def macwilliams_transform(weights: dict[int, int], n: int, q: int) -> dict[int, int]:

@@ -25,8 +25,7 @@ from .matrix import InnerProductKind
 from .product import product, product_dual_certificate
 
 
-def cyclic_from_roots(q: int | FieldSpec, n: int, exponents: Sequence[int],
-                      claimed_distance: int | None = None) -> LinearCode:
+def cyclic_from_roots(q: int | FieldSpec, n: int, exponents: Sequence[int]) -> LinearCode:
     """Cyclic code of length n | q-1 with zeros alpha^s over the exponent
     set, alpha the field's primitive n-th root of unity: a ``LinearCode``
     with basis ``code.cyclic_basis`` of the zeros, so k = n - |zeros|, that
@@ -38,8 +37,7 @@ def cyclic_from_roots(q: int | FieldSpec, n: int, exponents: Sequence[int],
     zeros = frozenset(exps)
     if len(zeros) != len(exps):
         raise ValueError(f"duplicate root exponents in {list(exponents)}")
-    return LinearCode._from_basis(spec, n, cyclic_basis(spec, n, zeros), None,
-                                  claimed_distance, zeros)
+    return LinearCode._from_basis(spec, n, cyclic_basis(spec, n, zeros), None, zeros)
 
 
 def rs_code(q: int | FieldSpec, delta: int) -> LinearCode:
@@ -47,7 +45,7 @@ def rs_code(q: int | FieldSpec, delta: int) -> LinearCode:
     spec = q if isinstance(q, FieldSpec) else GF(q)
     if not 2 <= delta <= spec.q - 1:
         raise ValueError(f"designed distance must be in [2, q-1], got {delta}")
-    return cyclic_from_roots(spec, spec.q - 1, range(delta - 1), claimed_distance=delta)
+    return cyclic_from_roots(spec, spec.q - 1, range(delta - 1))
 
 
 def dual_support_map(i: int, n: int, kind: InnerProductKind, frob_power: int | None = None) -> int:

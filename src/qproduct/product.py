@@ -30,8 +30,8 @@ def tensor_generator(c1: Code, c2: Code) -> Matrix:
 
 def product(c1: Code, c2: Code) -> Code:
     """Tensor product code: the F-span of all g (x) h, of the second
-    factor's kind.  [n1*n2, k1*k2] (k_p = k1 * k_p(c2) when c2 is additive)
-    with claimed distance d1*d2.  It keeps (c1, c2) for ``Code.dual``.
+    factor's kind.  [n1*n2, k1*k2] (k_p = k1 * k_p(c2) when c2 is additive).
+    It keeps (c1, c2) for ``Code.dual`` and ``min_distance``.
 
     Its basis is c1.basis (x) c2.basis, the rref of the tensor generators
     with no elimination: it spans them, and a Kronecker product of rref
@@ -40,11 +40,7 @@ def product(c1: Code, c2: Code) -> Code:
     scalars: the digits of g_a * h_b are g_a times those of h_b, at column
     (a * n2 + b) * ell + t of the Kronecker product."""
     _check_factors(c1, c2)
-    claimed = None
-    if c1.claimed_distance is not None and c2.claimed_distance is not None:
-        claimed = c1.claimed_distance * c2.claimed_distance
-    out = type(c2)._from_basis(c2.spec, c1.n * c2.n, c1.basis.kronecker(c2.basis), None,
-                               claimed)
+    out = type(c2)._from_basis(c2.spec, c1.n * c2.n, c1.basis.kronecker(c2.basis), None)
     out._factors = (c1, c2)
     return out
 

@@ -109,14 +109,36 @@ def test_product_verb_conformance(capsys):
                              "--code2", "hamming_dual(3,2)")
     assert code == 0
     rep = payload["report"]
-    assert rep["claimed_distance"] == 16
-    assert rep["product"]["distance"]["lower"] == 16
+    assert rep["product"]["distance"]["exact"] and rep["product"]["distance"]["lower"] == 16
     conf = rep["conformance"]
     assert conf["dual_generator_matches"] is True
     assert conf["dual_dimension"] == 40
     assert conf["dual_distance"]["lower"] == 3
     assert conf["dual_distance_ceiling"] == 3
     assert rep["self_orthogonality_transfer"] is True
+
+
+def test_product_verb_certifies_a_product_above_the_budget(capsys):
+    """rs(13,7) (x) rs(13,6) has 13^42 words; its distance is the
+    "product" certificate 7 * 6, met by a witness of the product, and no
+    part of the report carries an uncertified prediction."""
+    code, payload = run_json(capsys, "product", "--code1", "rs(13,7)", "--code2", "rs(13,6)")
+    assert code == 0
+    cert = payload["report"]["product"]["distance"]
+    assert {k: cert[k] for k in ("lower", "upper", "lower_method", "exact")} == {
+        "lower": 42, "upper": 42, "lower_method": "product", "exact": True}
+    assert catalog_module.parse_descriptor("product(rs(13,7), rs(13,6))").contains(cert["witness"])
+
+    def keys(node):
+        if isinstance(node, dict):
+            yield from node
+            for value in node.values():
+                yield from keys(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keys(value)
+
+    assert not {"claimed", "claimed_distance"} & set(keys(payload))
 
 
 def test_product_additive_verb(capsys):
@@ -177,8 +199,9 @@ def test_qecc_rs_product_certifies_the_dual_once(capsys):
                              "--q", "7", "--mu1", "2", "--mu2", "2")
     assert code == 0
     rep = payload["report"]
-    assert rep["qecc"]["distance"] == rep["dual_certificate"]
-    assert rep["dual_certificate"]["lower"] == rep["predicted"]["expected_dual_distance"] == 3
+    assert "dual_certificate" not in rep
+    assert rep["qecc"]["distance"]["lower_method"] == "bch-rectangle"
+    assert rep["qecc"]["distance"]["lower"] == rep["predicted"]["expected_dual_distance"] == 3
 
 
 @pytest.mark.parametrize("mu1,mu2,named", [("3", "0", "mu2 = 0"), ("3", "7", "mu2 = 7"),

@@ -263,8 +263,7 @@ def _search_codes(draw):
         low = [0] * n
         low[i], low[j] = draw(symbol.filter(bool)), draw(symbol)
         rows.append(low)
-    cls = AdditiveCode if additive else LinearCode
-    return cls.from_rows(spec, rows, n=n)
+    return spanned_code(S if additive else E, spec, rows, n)
 
 
 @pytest.mark.parametrize("chunk", ["one", "small", "default"])
@@ -382,14 +381,13 @@ def test_low_weight_search_at_64_bit_syndromes(q, additive, fit, extra, planted)
     spec, r = GF(q), fit + extra
     width = spec.ell if additive else 1
     n = -(-(r + 4) // width)  # at least 4 rows over F
-    cls = AdditiveCode if additive else LinearCode
     code = None
     while code is None or code.n * width - code.dim != r:
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n * width - r - 1)]
         low = [0] * n
         for i in rng.sample(range(n), planted):
             low[i] = rng.randrange(1, q)
-        code = cls.from_rows(spec, rows + [low], n=n)
+        code = spanned_code(S if additive else E, spec, rows + [low], n)
     assert code._syndromes.cols.shape[1] == r
     for max_w in (1, 2, 3, 4):
         assert find_low_weight_word(code, max_w) == low_weight_oracle(code, max_w)
@@ -530,8 +528,7 @@ def _dual_pairs(draw):
     else:
         row = st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
         rows = draw(st.lists(row, min_size=1, max_size=n * len(scalars)))
-    cls = AdditiveCode if kind is S else LinearCode
-    return cls.from_rows(spec, rows, n=n), kind
+    return spanned_code(kind, spec, rows, n), kind
 
 
 @settings(max_examples=80, deadline=None)
@@ -568,8 +565,7 @@ def _distance_cases(draw):
         rows = draw(st.lists(row, min_size=1, max_size=n * len(scalars)))
         if shape == "deficient":
             rows.append([spec.add(x, y) for x, y in zip(rows[0], rows[-1])])
-    cls = AdditiveCode if kind is S else LinearCode
-    return cls.from_rows(spec, rows, n=n), kind, draw(st.booleans())
+    return spanned_code(kind, spec, rows, n), kind, draw(st.booleans())
 
 
 @pytest.mark.parametrize("block", ["p", "small", "default"])

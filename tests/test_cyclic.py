@@ -63,7 +63,7 @@ def test_cyclic_code_matches_the_generator_polynomial_oracle(q):
     for delta in range(2, q):
         rs = rs_code(spec, delta)
         assert rs == cyclic_oracle(spec, q - 1, range(delta - 1))
-        assert rs.claimed_distance == delta
+        assert min_distance(rs).value == delta
 
 
 def test_rs_parameters():

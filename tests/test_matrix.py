@@ -240,10 +240,10 @@ def test_out_of_range_entries_raise_at_every_boundary(value, tmp_path, capsys):
     with pytest.raises(ValueError):
         LinearCode.from_rows(GF(4), rows)
     with pytest.raises(ValueError):
-        AdditiveCode.from_rows(GF(4), rows)
+        AdditiveCode(GF(4), rows)
     with pytest.raises(ValueError):
         from_text(f"4 2 3\n1 0 2\n0 {value} 1\n")
-    for code in (LinearCode.from_rows(GF(4), [[1, 0, 2]]), AdditiveCode.from_rows(GF(4), [[1, 0, 2]])):
+    for code in (LinearCode.from_rows(GF(4), [[1, 0, 2]]), AdditiveCode(GF(4), [[1, 0, 2]])):
         with pytest.raises(ValueError):
             code.contains(rows[1])
     for kind in ("linear", "additive"):

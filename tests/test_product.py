@@ -34,7 +34,6 @@ def test_product_of_dual_hamming():
     c = hamming_dual(3, 2)
     p = product(c, c)
     assert (p.n, p.k) == (49, 9)
-    assert p.claimed_distance == 16
     assert min_distance(p).value == 16
 
 
@@ -62,7 +61,6 @@ def test_product_additive_chain():
     assert c2.k_p == 4 and min_distance(c2).value == 4
     p = product_additive(c1, c2)
     assert (p.n, p.k_p) == (15, 8)
-    assert p.claimed_distance == 8
     assert min_distance(p).value == 8
 
 
@@ -269,6 +267,65 @@ def test_dual_distance_respects_ceiling(q):
         assert cert.exact and brute_min_distance(prod_dual) == cert.value
         assert prod_dual.contains(cert.witness)
         checked += 1
+
+
+@st.composite
+def _products(draw):
+    """A product over GF(2), GF(3) or GF(4), or of a binary code with an
+    additive code over GF(4), of at most 2^8 words.  A factor may be the
+    zero code or the full space, and the first may itself be a product."""
+    q, kind = draw(st.sampled_from([(2, E), (3, E), (4, E), (4, S)]))
+    spec = GF(q)
+    scalars = spec.prime_field if kind is S else spec
+
+    def factor(field, factor_kind, dim):
+        """A code of length 1..3 over ``field`` from at most about ``dim``
+        F-dimensions of rows, or the full space when it has no more."""
+        units = [field.p**t for t in range(field.ell)] if factor_kind is S else [1]
+        n = draw(st.integers(1, 3))
+        if n * len(units) <= dim and draw(st.booleans()):
+            rows = [[u if j == i else 0 for j in range(n)] for i in range(n) for u in units]
+        else:
+            row = st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n)
+            rows = draw(st.lists(row, min_size=1, max_size=max(1, dim // len(units))))
+        return spanned_code(factor_kind, field, rows, n)
+
+    if draw(st.booleans()):  # a product of a product
+        first = product(factor(scalars, E, 2), factor(scalars, E, 1))
+    else:
+        first = factor(scalars, E, 2)
+    return product(first, factor(spec, kind, 4 if kind is S else 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prod=_products())
+def test_product_certificate_matches_enumeration(prod):
+    """At budget 0 the "product" rule replaces enumeration and the search.
+    Its lower bound is at most the enumerated distance, its witness is a
+    word of the product of weight upper, and it is exact at d1 * d2, the
+    enumerated distance, whenever both factor certificates are."""
+    cert = min_distance(prod, budget=0)
+    d = brute_min_distance(prod)
+    if prod.dim == 0:
+        assert cert.degenerate and cert.lower == d
+        return
+    c1, c2 = prod._factors
+    assert d == brute_min_distance(c1) * brute_min_distance(c2)
+    assert cert.lower_method == "product" and cert.lower <= d
+    if cert.upper is not None:
+        assert prod.contains(cert.witness)
+        assert sum(1 for v in cert.witness if v) == cert.upper >= d
+    if all(min_distance(c, budget=0).exact for c in (c1, c2)):
+        assert cert.exact and cert.value == d
+
+
+def test_product_certificate_without_a_factor_witness():
+    """simplex(4, 2) is [15, 4, 8]: at budget 0 the search finds no word
+    of weight <= 4 and reads [5, None], so the product has the lower bound
+    5 * 2 and no upper bound, below its enumerated distance 8 * 2."""
+    p = product(simplex(4, 2), simplex(2, 2))
+    assert _bounds(min_distance(p, budget=0)) == [10, None, "product"]
+    assert min_distance(p).value == brute_min_distance(p) == 16
 
 
 def test_selforth_transfer_euclidean():
