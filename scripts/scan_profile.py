@@ -32,7 +32,7 @@ of its free-distance bound, where an early pair gives a weight-3 word.
 The code is built before the clock starts; each call builds its table of
 syndrome columns from the code's parity rows, with no elimination.  A
 certificate shape is ``RsProductReport.dual_certificate`` of such a
-product above the budget: ``product_dual_certificate`` over the two
+product above the budget: ``code.product_dual_certificate`` over the two
 factor duals, each certified by its BCH bound with a row of its rref basis
 as witness; the report, with its product, is built before the clock
 starts, and each call builds the two factor duals afresh.  For each shape this prints

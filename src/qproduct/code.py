@@ -15,12 +15,12 @@ pairs, formed as numpy arrays in chunks of at most SEARCH_CHUNK pairs
 (over GF(2), XORs); it always runs to its end.  Its columns come from
 parity rows that need no elimination, and a dual's basis is eliminated on
 first read only.  "bch" is the BCH bound of a cyclic code, read off
-the zeros it keeps and met by a basis row (``min_distance``), and
-"bch-rectangle" or "product-dual" that of a product's dual, from its
-factors' duals (``product.product_dual_certificate``).  "product" is the
-bound d1 * d2 of a product above the budget, from its factors'
-certificates, met by the tensor of their witnesses.  A certificate
-never reports "exact" unless lower and upper bound meet.
+the zeros it keeps and met by a basis row.  "product" is the bound
+d1 * d2 of a product above the budget, met by the tensor of its factors'
+witnesses, and "bch-rectangle" or "product-dual" the bound
+min(d(C1^perp), d(C2^perp)) of a product's dual that the search leaves
+at d >= 5 (``product_dual_certificate``).  A certificate never reports
+"exact" unless lower and upper bound meet.
 
 A weight enumerator is counted by the same scan, once per code, on the
 smaller side: a dual whose primal has no more words takes the primal's
@@ -249,6 +249,7 @@ class Code:
         self._orthogonal: dict[InnerProductKind, bool] = {}  # is_self_orthogonal, per kind
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
         self._primal: weakref.ref | None = None  # the code this is the dual of, if built so
+        self._dual_of: tuple | None = None  # (c1, c2, kind) of a dual (c1 (x) c2)^perp
 
     @classmethod
     def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix | None,
@@ -338,7 +339,9 @@ class Code:
         """The dual under ``kind``: the F-kernel of ``_form(kind)``, in
         rref, which it keeps as its parity rows.  The dual refers back to
         this code weakly, so the pair forms no reference cycle, and its own
-        duals are built afresh.  The form has full row rank, so the dual
+        duals are built afresh.  The dual of a product holds the factors
+        and ``kind`` (``_dual_of``) for ``min_distance``, whatever becomes
+        of the product.  The form has full row rank, so the dual
         has dimension n * width - dim and its basis is eliminated on first
         read.  It is the rref basis (Euclidean), or its Frobenius image,
         which fixes 0 and 1 and so the rref shape (Hermitian), or the image
@@ -372,6 +375,8 @@ class Code:
                 basis = lambda: product_kernel(c1._form(_first_factor_kind(kind)), c2._form(kind))
             cached = self._from_basis(self.spec, self.n, basis, form, zeros=zeros)
             cached._primal = weakref.ref(self)
+            if self._factors is not None:  # the factors, not the product: no reference cycle
+                cached._dual_of = (*self._factors, kind)
             self._dual_cache[kind] = cached
         return cached
 
@@ -772,13 +777,13 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     """Minimum-distance certificate: exact by enumeration within budget,
     otherwise one complete search for a word of weight <= 4
     (``find_low_weight_word``).  A witness of weight w proves d = w;
-    without one, d >= 5 and no upper bound is known.  Within budget the
-    witness is the first lightest word of the Gray walk.  A walk of more
-    than one block stops at its first word of weight ``least``: 1, as
-    independent rows give no zero word after step 0, or, when the counts
-    are cached or a smaller primal's transform, their least nonzero
-    weight; a walk that ends elsewhere then raises.  The method stays
-    "exhaustive": a count of every word, on either side.
+    without one, d >= 5, and only a product's dual (below) has an upper
+    bound.  Within budget the witness is the first lightest word of the
+    Gray walk.  A walk of more than one block stops at its first word of
+    weight ``least``: 1, as independent rows give no zero word after step
+    0, or, when the counts are cached or a smaller primal's transform,
+    their least nonzero weight; a walk that ends elsewhere then raises.
+    The method stays "exhaustive": a count of every word, on either side.
 
     A code that keeps its zeros Z (a cyclic code or its Euclidean dual)
     first gets the BCH bound d >= r + 1 at any budget, r the longest run
@@ -798,7 +803,15 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     every column in C1, or, for an additive C2, every base-p digit plane of
     a column does, as g * y has g times the digits of y for g in GF(p).  So
     a nonzero word has at least d1 nonzero rows, each of weight at least
-    d2; and a (x) b lies in the product and weighs wt(a) wt(b)."""
+    d2; and a (x) b lies in the product and weighs wt(a) wt(b).
+
+    The dual of a product that the search leaves at d >= 5 takes
+    ``product_dual_certificate`` of its factors, whose lower bound is then
+    at least 5, else AssertionError.  A factor dual's lower bound below 5
+    comes with a witness a of that weight: every method above gives one
+    (a "product" lower bound below 5 has factor bounds below 5), and this
+    rule gives no bound below 5.  So a (x) e_0 or e_0 (x) a, a word of the
+    dual, would have been found by the complete search."""
     budget = enumeration_budget(budget)
     n = code.n
     if code.dim == 0:
@@ -833,11 +846,59 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
                                    upper=None if witness is None else a.upper * b.upper,
                                    lower_method="product", witness=witness)
     witness = find_low_weight_word(code, max_w=4)
+    if witness is None and code._dual_of is not None:
+        cert = product_dual_certificate(*code._dual_of, budget=budget)
+        if cert.lower < 5:
+            raise AssertionError(f"a product dual lower bound {cert.lower} below the search's 5")
+        return cert
     if witness is None:
         return DistanceCertificate(lower=5, upper=None, lower_method="column-independence")
     w = hamming_weight(witness)
     return DistanceCertificate(lower=w, upper=w, lower_method="column-independence",
                                witness=witness)
+
+
+def product_dual_certificate(c1: Code, c2: Code, kind: InnerProductKind,
+                             budget: int | None = None) -> DistanceCertificate:
+    """Certificate of d((C1 (x) C2)^perp) = min(d(C1^perp), d(C2^perp)) from
+    the ``min_distance`` certificates of the factor duals, under
+    ``_first_factor_kind(kind)`` and ``kind``.
+
+    Lower bound: l, the least lower bound of the non-degenerate factor
+    duals.  Read a product dual word X as an n1 x n2 array, coordinate
+    (r, s) at r * n2 + s, with wt(X) < l.  Euclidean: G1 X G2^T = 0, and a
+    row of G1 X combines rows of X, so it lies on fewer than l columns and
+    in C2^perp: G1 X = 0.  So each column of X is a word of C1^perp lighter
+    than l, and X = 0.  A factor with the zero dual (a full space) gives
+    its step with no weight condition, so it adds nothing to l; when both
+    do, the product's dual is zero and the certificate degenerate.
+    Hermitian: conjugation maps each Hermitian dual onto the Euclidean
+    one and keeps weights.  Symplectic: the form is GF(p)-bilinear and G1
+    is over GF(p), so <g (x) h, X> = <h, sum_r g_r X_r>; the rows of G1 X
+    lie in C2^perp and the base-p digits of each column in C1^perp.
+
+    Upper bound: the lighter factor witness (factor 1 on a tie) as a (x) e_0
+    or e_0 (x) b, since <g (x) h, a (x) e_0> = <g, a> h_0 under each form.
+    The method is "bch-rectangle" when every non-degenerate factor
+    certificate is "bch" (the rectangle bound of a bicyclic product), and
+    "product-dual" otherwise.
+    """
+    certs = [min_distance(c1.dual(_first_factor_kind(kind)), budget=budget),
+             min_distance(c2.dual(kind), budget=budget)]
+    live = [c for c in certs if not c.degenerate]
+    n = c1.n * c2.n
+    if not live:
+        return DistanceCertificate(lower=n + 1, upper=n + 1, lower_method="product-dual",
+                                   degenerate=True)
+    method = "bch-rectangle" if all(c.lower_method == "bch" for c in live) else "product-dual"
+    lower = min(c.lower for c in live)
+    light = min((c for c in live if c.witness is not None), key=lambda c: c.upper, default=None)
+    if light is None:
+        return DistanceCertificate(lower=lower, upper=None, lower_method=method)
+    word = [0] * n
+    word[slice(0, n, c2.n) if light is certs[0] else slice(0, c2.n)] = light.witness
+    return DistanceCertificate(lower=lower, upper=light.upper, lower_method=method,
+                               witness=tuple(word))
 
 
 def macwilliams_transform(weights: dict[int, int], n: int, q: int) -> dict[int, int]:

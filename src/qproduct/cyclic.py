@@ -1,7 +1,7 @@
 """Cyclic and Reed-Solomon codes in the spectral regime n | q-1, the
 spectral support of their bicyclic products, dual coordinate maps, and
 the report of a Reed-Solomon product, whose dual is certified by
-``product.product_dual_certificate``.
+``code.product_dual_certificate``.
 
 A cyclic code is a plain ``LinearCode`` that keeps its zeros Z
 (``zeros``), exponents mod n: the words c with c(alpha^z) = 0 for z in Z,
@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .code import DistanceCertificate, LinearCode, cyclic_basis
+from .code import DistanceCertificate, LinearCode, cyclic_basis, product_dual_certificate
 from .galois import GF, FieldSpec
 from .matrix import InnerProductKind
-from .product import product, product_dual_certificate
+from .product import product
 
 
 def cyclic_from_roots(q: int | FieldSpec, n: int, exponents: Sequence[int]) -> LinearCode:

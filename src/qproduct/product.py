@@ -1,6 +1,6 @@
 """Product codes under the Euclidean, Hermitian, and symplectic inner
-products: Kronecker generators, the explicit stacked generator of the
-dual of a product, and the certificate of the dual's distance.
+products: Kronecker generators and the explicit stacked generator of the
+dual of a product.
 
 The first factor is a linear code over the scalar field F of the second:
 over GF(q) when the second is linear, over GF(p) when it is additive.  A
@@ -8,10 +8,11 @@ product keeps its two factors: its basis is the Kronecker product of
 theirs, and its dual the kernel of the Kronecker product of their forms
 (``matrix.product_kernel``), so nothing the size of the product is
 eliminated.  The stacked dual generator is the independent cross-check.
+``code.min_distance`` certifies a product and its dual from the factors.
 """
 from __future__ import annotations
 
-from .code import Code, DistanceCertificate, _first_factor_kind, min_distance
+from .code import Code, _first_factor_kind
 from .matrix import InnerProductKind, Matrix, complement_basis
 
 
@@ -71,46 +72,3 @@ def dual_of_product_generator(c1: Code, c2: Code, kind: InnerProductKind) -> Mat
     if stacked.nrows != expect:
         raise AssertionError(f"stacked dual generator has {stacked.nrows} rows, expected {expect}")
     return stacked
-
-
-def product_dual_certificate(c1: Code, c2: Code, kind: InnerProductKind,
-                             budget: int | None = None) -> DistanceCertificate:
-    """Certificate of d((C1 (x) C2)^perp) = min(d(C1^perp), d(C2^perp)) from
-    the ``min_distance`` certificates of the factor duals, under
-    ``_first_factor_kind(kind)`` and ``kind``.
-
-    Lower bound: l, the least lower bound of the non-degenerate factor
-    duals.  Read a product dual word X as an n1 x n2 array, coordinate
-    (r, s) at r * n2 + s, with wt(X) < l.  Euclidean: G1 X G2^T = 0, and a
-    row of G1 X combines rows of X, so it lies on fewer than l columns and
-    in C2^perp: G1 X = 0.  So each column of X is a word of C1^perp lighter
-    than l, and X = 0.  A factor with the zero dual (a full space) gives
-    its step with no weight condition, so it adds nothing to l; when both
-    do, the product's dual is zero and the certificate degenerate.
-    Hermitian: conjugation maps each Hermitian dual onto the Euclidean
-    one and keeps weights.  Symplectic: the form is GF(p)-bilinear and G1
-    is over GF(p), so <g (x) h, X> = <h, sum_r g_r X_r>; the rows of G1 X
-    lie in C2^perp and the base-p digits of each column in C1^perp.
-
-    Upper bound: the lighter factor witness (factor 1 on a tie) as a (x) e_0
-    or e_0 (x) b, since <g (x) h, a (x) e_0> = <g, a> h_0 under each form.
-    The method is "bch-rectangle" when every non-degenerate factor
-    certificate is "bch" (the rectangle bound of a bicyclic product), and
-    "product-dual" otherwise.
-    """
-    certs = [min_distance(c1.dual(_first_factor_kind(kind)), budget=budget),
-             min_distance(c2.dual(kind), budget=budget)]
-    live = [c for c in certs if not c.degenerate]
-    n = c1.n * c2.n
-    if not live:
-        return DistanceCertificate(lower=n + 1, upper=n + 1, lower_method="product-dual",
-                                   degenerate=True)
-    method = "bch-rectangle" if all(c.lower_method == "bch" for c in live) else "product-dual"
-    lower = min(c.lower for c in live)
-    light = min((c for c in live if c.witness is not None), key=lambda c: c.upper, default=None)
-    if light is None:
-        return DistanceCertificate(lower=lower, upper=None, lower_method=method)
-    word = [0] * n
-    word[slice(0, n, c2.n) if light is certs[0] else slice(0, c2.n)] = light.witness
-    return DistanceCertificate(lower=lower, upper=light.upper, lower_method=method,
-                               witness=tuple(word))

@@ -11,6 +11,7 @@ from fractions import Fraction
 from .code import (AdditiveCode, Code, DistanceCertificate, LinearCode, enumeration_budget,
                    min_distance, weight_enumerator)
 from .cyclic import RsProductReport, rs_product_params
+from .galois import FieldSpec
 from .matrix import InnerProductKind
 
 
@@ -50,24 +51,27 @@ _KIND_BY_CONSTRUCTION = {
 _CONSTRUCTION_BY_KIND = {kind: name for name, kind in _KIND_BY_CONSTRUCTION.items()}
 
 
-def qecc(code: Code, kind: InnerProductKind, budget: int | None = None) -> QeccParams:
-    """Quantum code from a code self-orthogonal under ``kind``, distance
-    from the certified dual distance.  CSS takes qudits of dimension q and
-    the code twice (X and Z); the Hermitian and symplectic routes take
-    qudits of dimension sqrt(q) and the code once."""
-    if not code.is_self_orthogonal(kind):
-        raise ValueError(f"code is not {kind} self-orthogonal")
-    spec = code.spec
-    log_p_size = code.dim * code.field.ell
-    if kind is InnerProductKind.EUCLIDEAN:
-        qudit_degree, uses = spec.ell, 2
-    else:
-        qudit_degree, uses = spec.ell // 2, 1
+def stabilizer_count(spec: FieldSpec, log_p_size: int, kind: InnerProductKind) -> tuple[int, int]:
+    """The stabilizers that a self-orthogonal code of p^log_p_size words
+    over ``spec`` gives under ``kind``, and the qudit dimension.  CSS takes
+    qudits of dimension q and the code twice (X and Z); the Hermitian and
+    symplectic routes take qudits of dimension sqrt(q) and the code once."""
+    euclidean = kind is InnerProductKind.EUCLIDEAN
+    qudit_degree, uses = (spec.ell, 2) if euclidean else (spec.ell // 2, 1)
     stabilizers, rest = divmod(uses * log_p_size, qudit_degree)
     if rest:
         raise ValueError(f"code size {spec.p}^{log_p_size} is not a power of the qudit alphabet")
+    return stabilizers, spec.p**qudit_degree
+
+
+def qecc(code: Code, kind: InnerProductKind, budget: int | None = None) -> QeccParams:
+    """Quantum code from a code self-orthogonal under ``kind``: n less its
+    ``stabilizer_count`` logical qudits, and the certified dual distance."""
+    if not code.is_self_orthogonal(kind):
+        raise ValueError(f"code is not {kind} self-orthogonal")
+    stabilizers, alphabet = stabilizer_count(code.spec, code.dim * code.field.ell, kind)
     cert = min_distance(code.dual(kind), budget=budget)
-    return QeccParams(n=code.n, k=code.n - stabilizers, alphabet=spec.p**qudit_degree,
+    return QeccParams(n=code.n, k=code.n - stabilizers, alphabet=alphabet,
                       distance=cert, construction=_CONSTRUCTION_BY_KIND[kind])
 
 
@@ -106,7 +110,10 @@ def rs_report_qecc(rep: RsProductReport) -> QeccParams:
     assumed: it is the report's dual certificate, rectangle bound included."""
     if not (rep.factor1_self_orthogonal and rep.product_self_orthogonal):
         raise AssertionError("Reed-Solomon product is unexpectedly not self-orthogonal")
-    return QeccParams(n=rep.length, k=rep.length - 2 * rep.dimension, alphabet=rep.q,
+    spec = rep.code.spec
+    stabilizers, alphabet = stabilizer_count(spec, rep.dimension * spec.ell,
+                                             InnerProductKind.EUCLIDEAN)
+    return QeccParams(n=rep.length, k=rep.length - stabilizers, alphabet=alphabet,
                       distance=rep.dual_certificate(), construction="css")
 
 

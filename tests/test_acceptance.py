@@ -10,15 +10,15 @@ from fractions import Fraction
 from helpers import brute_min_distance, gram_scalar, random_additive_code, random_linear_code
 from qproduct.catalog import hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, distance_at_least, find_low_weight_word,
-                           hamming_weight, min_distance, spanned_code, weight_enumerator)
+                           hamming_weight, min_distance, product_dual_certificate, spanned_code,
+                           weight_enumerator)
 from qproduct.convolutional import (ConvStabilizer, band_window, check_band_self_orthogonal,
                                     conv_from_product, free_distance_upper_bound, tail_biting,
                                     tail_biting_qecc)
 from qproduct.cyclic import rs_code, rs_product_params
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
-from qproduct.product import (dual_of_product_generator, product, product_additive,
-                              product_dual_certificate)
+from qproduct.product import dual_of_product_generator, product, product_additive
 from qproduct.quantum import css_qecc, hermitian_qecc, rate_comparison, symplectic_qecc
 
 E = InnerProductKind.EUCLIDEAN

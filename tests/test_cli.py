@@ -31,6 +31,21 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def _bounds(cert: dict) -> list:
+    return [cert["lower"], cert["upper"], cert["exact"]]
+
+
+def _keys(node):
+    """Every dict key in a JSON payload, at any depth."""
+    if isinstance(node, dict):
+        yield from node
+        for value in node.values():
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
 def strip_time(payload: dict) -> dict:
     payload = dict(payload)
     payload.pop("generated_at", None)
@@ -113,8 +128,8 @@ def test_product_verb_conformance(capsys):
     conf = rep["conformance"]
     assert conf["dual_generator_matches"] is True
     assert conf["dual_dimension"] == 40
-    assert conf["dual_distance"]["lower"] == 3
-    assert conf["dual_distance_ceiling"] == 3
+    assert _bounds(conf["dual_distance"]) == [3, 3, True]
+    assert not {"dual_distance_ceiling", "ceiling_respected"} & conf.keys()
     assert rep["self_orthogonality_transfer"] is True
 
 
@@ -128,17 +143,22 @@ def test_product_verb_certifies_a_product_above_the_budget(capsys):
     assert {k: cert[k] for k in ("lower", "upper", "lower_method", "exact")} == {
         "lower": 42, "upper": 42, "lower_method": "product", "exact": True}
     assert catalog_module.parse_descriptor("product(rs(13,7), rs(13,6))").contains(cert["witness"])
+    assert not {"claimed", "claimed_distance"} & set(_keys(payload))
 
-    def keys(node):
-        if isinstance(node, dict):
-            yield from node
-            for value in node.values():
-                yield from keys(value)
-        elif isinstance(node, list):
-            for value in node:
-                yield from keys(value)
 
-    assert not {"claimed", "claimed_distance"} & set(keys(payload))
+def test_product_verb_certifies_the_dual_of_a_product_above_the_budget(capsys):
+    """The dual of rs(13,7) (x) rs(13,6) has 13^102 words.  The search
+    finds no word of weight <= 4, and the product-dual theorem reads it
+    exact at 7 = min(7, 8), its factor duals' BCH bounds, with a witness
+    a (x) e_0 of the dual; no key of the report names a ceiling."""
+    code, payload = run_json(capsys, "product", "--code1", "rs(13,7)", "--code2", "rs(13,6)")
+    assert code == 0
+    cert = payload["report"]["conformance"]["dual_distance"]
+    assert {k: cert[k] for k in ("lower", "upper", "lower_method", "exact")} == {
+        "lower": 7, "upper": 7, "lower_method": "bch-rectangle", "exact": True}
+    prod = catalog_module.parse_descriptor("product(rs(13,7), rs(13,6))")
+    assert prod.dual().contains(cert["witness"])
+    assert not [k for k in _keys(payload) if "ceiling" in k]
 
 
 def test_product_additive_verb(capsys):
@@ -241,20 +261,21 @@ def test_product_verb_ceiling_ignores_full_space_factor(capsys):
                              "--code2", "cyclic(2,1)")
     assert code == 0
     conf = payload["report"]["conformance"]
-    assert conf["dual_distance"]["lower"] == conf["dual_distance_ceiling"] == 4
-    assert conf["ceiling_respected"] is True
+    assert _bounds(conf["dual_distance"]) == [4, 4, True]
+    assert not {"dual_distance_ceiling", "ceiling_respected"} & conf.keys()
 
 
 def test_product_verb_ceiling_reads_an_inexact_factor_dual(capsys):
     # the duals of rs(8,4) and rs(8,7) read [5, 5] and [2, 2] by their BCH
-    # bounds at any budget; the ceiling is the lighter, rs(8,7)'s weight-2
-    # word (the test_product examples check an inexact factor dual)
+    # bounds at any budget; the product dual is the lighter, rs(8,7)'s
+    # weight-2 word, which the search finds (the test_product examples check
+    # an inexact factor dual)
     code, payload = run_json(capsys, "product", "--code1", "rs(8,4)", "--code2", "rs(8,7)",
                              "--budget", "1")
     assert code == 0
     conf = payload["report"]["conformance"]
-    assert conf["dual_distance_ceiling"] == 2
-    assert conf["ceiling_respected"] is True
+    assert _bounds(conf["dual_distance"]) == [2, 2, True]
+    assert not {"dual_distance_ceiling", "ceiling_respected"} & conf.keys()
 
 
 def test_conv_build_verb(capsys):
@@ -266,6 +287,21 @@ def test_conv_build_verb(capsys):
     assert band["self_orthogonal_band"] is True
     assert band["window_factorization"] is True
     assert payload["report"]["band"]["free_distance_upper_bound"] == 3
+
+
+@pytest.mark.parametrize("code1,code2,frame_params", [
+    ("hamming_dual(3,2)", "hamming_dual(3,2)", {"n": 42, "k": 24, "m": 7}),
+    ("simplex(2,2)", "additive(quaternary_hamming_dual_5)", {"n": 10, "k": 2, "m": 5})])
+def test_conv_build_reports_the_quantum_frame_params(capsys, code1, code2, frame_params):
+    """k is the frame less the stabilizers ``qecc`` counts: twice the 9
+    binary rows under CSS, QECC(42N, 24N), and the 8 additive rows once
+    under the symplectic kind; no second reading sits beside it."""
+    code, payload = run_json(capsys, "conv", "build", "--code1", code1, "--code2", code2,
+                             "--t", "1")
+    assert code == 0
+    band = payload["report"]["band"]
+    assert band["frame_params"] == frame_params
+    assert not {"alternative_frame_params", "frame_params_disagree"} & band.keys()
 
 
 def test_conv_check_verb(capsys):

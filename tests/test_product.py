@@ -1,21 +1,23 @@
 """Product codes: tensor inner-product identities, the stacked dual
 generator against kernel-computed duals, the product-dual certificate, and
 self-orthogonality transfer."""
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_min_distance, gram_scalar, random_additive_code, random_linear_code
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
-from qproduct.code import AdditiveCode, LinearCode, min_distance, spanned_code
+from qproduct.code import (AdditiveCode, LinearCode, min_distance, product_dual_certificate,
+                           spanned_code)
 from qproduct.cyclic import rs_code
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
-from qproduct.product import (dual_of_product_generator, product, product_additive,
-                              product_dual_certificate, tensor_generator)
+from qproduct.product import dual_of_product_generator, product, product_additive, tensor_generator
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
@@ -326,6 +328,77 @@ def test_product_certificate_without_a_factor_witness():
     p = product(simplex(4, 2), simplex(2, 2))
     assert _bounds(min_distance(p, budget=0)) == [10, None, "product"]
     assert min_distance(p).value == brute_min_distance(p) == 16
+
+
+@st.composite
+def _duals_past_the_search(draw):
+    """The dual of a product C1 (x) C2 over GF(2) or GF(3) (Euclidean),
+    GF(4) (Hermitian) or of a binary code with an additive code over GF(4)
+    (symplectic), of at most 2^20 words.  A factor is C_i = D_i^perp, D_i
+    spanned by one or two rows of weight >= 5 and of distance >= 5, or the
+    full space (D_i = 0), but not both: the dual has distance
+    min(d(D1), d(D2)) >= 5, so the search finds no word in it."""
+    q, kind = draw(st.sampled_from([(2, E), (3, E), (4, H), (4, S)]))
+    spec = GF(q)
+
+    def factor(field, factor_kind, full):
+        if full:
+            units = [field.p**t for t in range(field.ell)] if factor_kind is S else [1]
+            n = draw(st.integers(2, 4))  # at length 1 the dual is the other factor's
+            rows = [[u if j == i else 0 for j in range(n)] for i in range(n) for u in units]
+            return spanned_code(factor_kind, field, rows, n)
+        n = draw(st.integers(5, 6))
+        rows = []
+        for _ in range(draw(st.integers(1, 2))):
+            row = draw(st.lists(st.integers(1, field.q - 1), min_size=n, max_size=n))
+            for j in draw(st.sets(st.integers(0, n - 1), max_size=n - 5)):
+                row[j] = 0
+            rows.append(row)
+        d = spanned_code(factor_kind, field, rows, n)
+        assume(brute_min_distance(d) >= 5)
+        return d.dual(factor_kind)
+
+    full1, full2 = draw(st.sampled_from([(False, False), (True, False), (False, True)]))
+    c1 = factor(spec.prime_field if kind is S else spec, E if kind is S else kind, full1)
+    c2 = factor(spec, kind, full2)
+    dual = product(c1, c2).dual(kind)
+    assume(dual.size() <= 1 << 20)
+    return dual
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual=_duals_past_the_search())
+def test_product_dual_rule_matches_enumeration(dual):
+    """Above the budget, and with the factor duals inside it, the search
+    finds nothing and ``min_distance`` reads the product-dual theorem: exact
+    at the distance that enumeration of the dual gives, and at brute force
+    for duals of at most 2^12 words, with its witness in the dual."""
+    c1, c2, kind = dual._dual_of
+    budget = max(c1.dual(E if kind is S else kind).size(), c2.dual(kind).size())
+    assert budget < dual.size()
+    cert = min_distance(dual, budget=budget)
+    assert cert.lower_method == "product-dual" and cert.exact and cert.lower >= 5
+    assert cert.value == min_distance(dual).value
+    if dual.size() <= 1 << 12:
+        assert cert.value == brute_min_distance(dual)
+    assert dual.contains(cert.witness)
+
+
+def test_product_dual_rule_outlives_the_product():
+    """The dual holds the product's factors, not the product: once the
+    product is collected, the even-weight [5,4] (x) [5,4] dual (2^9 words)
+    still reads the theorem exact at 5 above a budget of 16 words."""
+    even = LinearCode.from_rows(GF(2), [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1],
+                                        [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]])
+    prod = product(even, even)
+    dual, alive = prod.dual(E), weakref.ref(prod)
+    del prod
+    gc.collect()
+    assert alive() is None
+    cert = min_distance(dual, budget=16)
+    assert _bounds(cert) == [5, 5, "product-dual"]
+    assert dual.contains(cert.witness)
+    assert min_distance(dual).value == brute_min_distance(dual) == 5
 
 
 def test_selforth_transfer_euclidean():
