@@ -25,7 +25,7 @@ from .galois import GF
 from .matrix import InnerProductKind, from_text
 from .product import dual_of_product_generator, product, product_additive
 from .quantum import (_KIND_BY_CONSTRUCTION, qecc, rate_comparison, rs_product_report,
-                      rs_report_qecc, stabilizer_count, stabilizer_distance, symplectic_qecc)
+                      rs_report_qecc, stabilizer_count, symplectic_qecc)
 
 
 def _field_block(spec) -> dict:
@@ -173,7 +173,7 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_qecc(args) -> dict:
     rs = args.construction == "rs-product"
-    for name in (("code", "code_json", "matrix_file", "additive", "refine_distance") if rs
+    for name in (("code", "code_json", "matrix_file", "additive") if rs
                  else ("q", "mu1", "mu2")):  # the options only the other route reads
         value = getattr(args, name)
         if value is not None and value is not False:
@@ -190,11 +190,7 @@ def cmd_qecc(args) -> dict:
     kind = _KIND_BY_CONSTRUCTION[args.construction]
     code = _under(_resolve_code(args), kind)
     params = qecc(code, kind, budget=args.budget)
-    report = {"source": _code_block(code, budget=args.budget), "qecc": params.to_dict()}
-    if args.refine_distance:
-        report["stabilizer_distance"] = stabilizer_distance(code, args.construction,
-                                                            budget=args.budget)
-    return report
+    return {"source": _code_block(code, budget=args.budget), "qecc": params.to_dict()}
 
 
 def _build_band(args) -> ConvStabilizer:
@@ -574,9 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--mu1", type=int)
     p.add_argument("--mu2", type=int)
-    p.add_argument("--refine-distance", action="store_true",
-                   help="also compute the exact stabilizer distance (dual minus code) "
-                        "when the dual is enumerable")
     _add_common(p)
     p.set_defaults(func=cmd_qecc)
 

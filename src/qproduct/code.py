@@ -250,6 +250,7 @@ class Code:
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
         self._primal: weakref.ref | None = None  # the code this is the dual of, if built so
         self._dual_of: tuple | None = None  # (c1, c2, kind) of a dual (c1 (x) c2)^perp
+        self._view_of: Code | None = None  # the code an additive view has the words of
 
     @classmethod
     def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix | None,
@@ -487,8 +488,11 @@ class AdditiveCode(Code):
 
     @classmethod
     def from_linear(cls, code: LinearCode) -> "AdditiveCode":
-        """The code viewed as a GF(p)-linear code: k_p = ell * k."""
-        return cls(code.spec, code.expanded_generators(), n=code.n)
+        """The code viewed as a GF(p)-linear code: k_p = ell * k.  It keeps
+        ``code``, whose words it has, for ``min_distance``."""
+        view = cls(code.spec, code.expanded_generators(), n=code.n)
+        view._view_of = code
+        return view
 
     @property
     def k_p(self) -> int:
@@ -805,6 +809,9 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     a nonzero word has at least d1 nonzero rows, each of weight at least
     d2; and a (x) b lies in the product and weighs wt(a) wt(b).
 
+    An additive view above the budget takes the certificate of the linear
+    code it views (``AdditiveCode.from_linear``), whose words it has.
+
     The dual of a product that the search leaves at d >= 5 takes
     ``product_dual_certificate`` of its factors, whose lower bound is then
     at least 5, else AssertionError.  A factor dual's lower bound below 5
@@ -838,6 +845,8 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
             raise AssertionError(f"the walk ends at weight {w}, the weight counts at {least}")
         return DistanceCertificate(lower=w, upper=w, lower_method="exhaustive",
                                    witness=witness)
+    if code._view_of is not None:
+        return min_distance(code._view_of, budget)
     if code._factors is not None:
         a, b = (min_distance(c, budget) for c in code._factors)
         witness = (None if a.witness is None or b.witness is None

@@ -1,7 +1,7 @@
 """Quantum code parameters derived from self-orthogonal classical codes:
 the CSS route for Euclidean self-orthogonal codes, the Hermitian route
 over quadratic extensions, and the symplectic route for additive codes.
-Distances are the certified distances of the corresponding dual codes.
+Distances are quantum distances d_Q = min wt(C^perp \\ C) (``_params``).
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from .matrix import InnerProductKind
 class QeccParams:
     """Derived quantum code parameters.
 
-    ``distance`` is the certificate of the relevant classical dual code
-    (the quantum distance is at least its value); ``alphabet`` is the
-    qudit dimension.
+    ``distance`` certifies the quantum distance d_Q = min wt(C^perp \\ C);
+    for k > 0 its witness, when present, is a logical operator: a word of
+    the dual outside the code.  ``alphabet`` is the qudit dimension.
     """
 
     n: int
@@ -64,26 +64,40 @@ def stabilizer_count(spec: FieldSpec, log_p_size: int, kind: InnerProductKind) -
     return stabilizers, spec.p**qudit_degree
 
 
+def _params(code: Code, kind: InnerProductKind, cert: DistanceCertificate,
+            budget: int | None = None) -> QeccParams:
+    """The quantum code of ``code``, self-orthogonal under ``kind``, given
+    ``cert`` for its dual: n less ``stabilizer_count`` logical qudits, and
+    d_Q = min wt(C^perp \\ C) >= d(C^perp) (Calderbank, Rains, Shor & Sloane,
+    IEEE TIT 44, 1998).  A witness outside C is a logical operator, so
+    ``cert`` stands.  One in C is a stabilizer: d_Q is ``stabilizer_distance``,
+    exact with no witness, or above the budget ``cert``'s lower bound alone.
+    A stabilizer state (k = 0, C^perp = C) keeps d(C^perp): [[n, 0, d]]."""
+    stabilizers, alphabet = stabilizer_count(code.spec, code.dim * code.field.ell, kind)
+    k = code.n - stabilizers
+    if k > 0 and cert.witness is not None and code.contains(cert.witness):
+        d = stabilizer_distance(code, _CONSTRUCTION_BY_KIND[kind], budget)
+        cert = (DistanceCertificate(lower=cert.lower, upper=None, lower_method=cert.lower_method)
+                if d is None else DistanceCertificate(lower=d, upper=d, lower_method="exhaustive"))
+    return QeccParams(n=code.n, k=k, alphabet=alphabet, distance=cert,
+                      construction=_CONSTRUCTION_BY_KIND[kind])
+
+
 def qecc(code: Code, kind: InnerProductKind, budget: int | None = None) -> QeccParams:
-    """Quantum code from a code self-orthogonal under ``kind``: n less its
-    ``stabilizer_count`` logical qudits, and the certified dual distance."""
+    """Quantum code from a code self-orthogonal under ``kind`` (``_params``)."""
     if not code.is_self_orthogonal(kind):
         raise ValueError(f"code is not {kind} self-orthogonal")
-    stabilizers, alphabet = stabilizer_count(code.spec, code.dim * code.field.ell, kind)
-    cert = min_distance(code.dual(kind), budget=budget)
-    return QeccParams(n=code.n, k=code.n - stabilizers, alphabet=alphabet,
-                      distance=cert, construction=_CONSTRUCTION_BY_KIND[kind])
+    return _params(code, kind, min_distance(code.dual(kind), budget=budget), budget)
 
 
 def css_qecc(code: LinearCode, budget: int | None = None) -> QeccParams:
-    """Quantum code from a Euclidean self-orthogonal [n, k] code:
-    n - 2k logical qudits, distance from the certified dual distance."""
+    """Quantum code from a Euclidean self-orthogonal [n, k] code: n - 2k logical qudits."""
     return qecc(code, InnerProductKind.EUCLIDEAN, budget)
 
 
 def hermitian_qecc(code: LinearCode, budget: int | None = None) -> QeccParams:
-    """Quantum code from a Hermitian self-orthogonal code over GF(q^2):
-    qudits of dimension q, n - 2k logical, distance from the Hermitian dual."""
+    """Quantum code from a Hermitian self-orthogonal [n, k] code over GF(q^2):
+    n - 2k logical qudits of dimension q."""
     return qecc(code, InnerProductKind.HERMITIAN, budget)
 
 
@@ -106,15 +120,14 @@ def rs_product_report(q: int, mu1: int, mu2: int) -> RsProductReport:
 
 
 def rs_report_qecc(rep: RsProductReport) -> QeccParams:
-    """CSS code of the product in ``rep``, its distance certified, not
-    assumed: it is the report's dual certificate, rectangle bound included."""
+    """CSS code of the product in ``rep``; its distance is the report's
+    dual certificate, rectangle bound included.  For nonzero u, v, u (x) v
+    lies in C1 (x) C2 iff u is in C1 and v in C2 (its columns are multiples
+    of u, its rows of v), and no rs(q, delta >= 2) contains e_0, so the
+    witness a (x) e_0 or e_0 (x) b is pure; ``_params`` checks it still."""
     if not (rep.factor1_self_orthogonal and rep.product_self_orthogonal):
         raise AssertionError("Reed-Solomon product is unexpectedly not self-orthogonal")
-    spec = rep.code.spec
-    stabilizers, alphabet = stabilizer_count(spec, rep.dimension * spec.ell,
-                                             InnerProductKind.EUCLIDEAN)
-    return QeccParams(n=rep.length, k=rep.length - stabilizers, alphabet=alphabet,
-                      distance=rep.dual_certificate(), construction="css")
+    return _params(rep.code, InnerProductKind.EUCLIDEAN, rep.dual_certificate())
 
 
 def rs_prod_qecc(q: int, mu1: int, mu2: int) -> QeccParams:

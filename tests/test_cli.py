@@ -224,6 +224,22 @@ def test_qecc_rs_product_certifies_the_dual_once(capsys):
     assert rep["qecc"]["distance"]["lower"] == rep["predicted"]["expected_dual_distance"] == 3
 
 
+def test_qecc_reads_the_quantum_distance_of_an_impure_code(capsys, tmp_path):
+    """hamming_dual(3,2) padded by two zero coordinates, plus 0000000 11, is
+    [[9,1,3]]: the dual's weight-2 words lie in the code, so they are
+    stabilizers, and the distance is 3, with no witness."""
+    rows = [[1, 0, 1, 0, 1, 0, 1, 0, 0], [0, 1, 1, 0, 0, 1, 1, 0, 0],
+            [0, 0, 0, 1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 1]]
+    desc = tmp_path / "code.json"
+    desc.write_text(json.dumps({"field": 2, "generator": rows}))
+    code, payload = run_json(capsys, "qecc", "--construction", "css", "--code-json", str(desc))
+    assert code == 0
+    q = payload["report"]["qecc"]
+    assert (q["n"], q["k"]) == (9, 1)
+    assert _bounds(q["distance"]) == [3, 3, True]
+    assert q["distance"]["lower_method"] == "exhaustive" and "witness" not in q["distance"]
+
+
 @pytest.mark.parametrize("mu1,mu2,named", [("3", "0", "mu2 = 0"), ("3", "7", "mu2 = 7"),
                                            ("-1", "3", "mu1 = -1"), ("0", "3", "mu1 = 0")])
 def test_qecc_rs_product_rejects_a_dimension_out_of_range(capsys, monkeypatch, mu1, mu2, named):
@@ -240,12 +256,11 @@ def test_qecc_rs_product_rejects_a_dimension_out_of_range(capsys, monkeypatch, m
 @pytest.mark.parametrize("construction,stray", [
     ("rs-product", ["--code", "hamming(3,2)"]), ("rs-product", ["--code-json", "code.json"]),
     ("rs-product", ["--matrix-file", "code.txt"]), ("rs-product", ["--additive"]),
-    ("rs-product", ["--refine-distance"]), ("css", ["--q", "7"]), ("css", ["--mu1", "1"]),
-    ("css", ["--mu2", "0"])])
+    ("css", ["--q", "7"]), ("css", ["--mu1", "1"]), ("css", ["--mu2", "0"])])
 def test_qecc_rejects_the_other_constructions_options(capsys, construction, stray):
     """rs-product reads only --q, --mu1 and --mu2, and every other
-    construction only the code source and --refine-distance; an option of
-    the other kind is named, not ignored."""
+    construction only the code source; an option of the other kind is
+    named, not ignored."""
     own = (["--q", "7", "--mu1", "1", "--mu2", "2"] if construction == "rs-product"
            else ["--code", "hamming_dual(3,2)"])
     code, payload = run_json(capsys, "qecc", "--construction", construction, *own, *stray)
@@ -253,6 +268,16 @@ def test_qecc_rejects_the_other_constructions_options(capsys, construction, stra
     assert payload["error"]["type"] == "DescriptorError"
     assert payload["error"]["message"] == (f"{stray[0]} does not apply to "
                                            f"--construction {construction}")
+
+
+def test_additive_view_takes_the_certificate_of_its_linear_code(capsys):
+    """Above the budget the additive view of rs(16,5) has rs(16,5)'s words,
+    so it reads its exact BCH certificate, not the search's [5, null]."""
+    code, payload = run_json(capsys, "build", "--code", "additive(rs(16,5))")
+    assert code == 0
+    cert = payload["report"]["code"]["distance"]
+    assert _bounds(cert) == [5, 5, True] and cert["lower_method"] == "bch"
+    assert catalog_module.parse_descriptor("additive(rs(16,5))").contains(cert["witness"])
 
 
 def test_product_verb_ceiling_ignores_full_space_factor(capsys):

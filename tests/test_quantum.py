@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_codewords
@@ -13,12 +13,21 @@ from qproduct.code import AdditiveCode, LinearCode, min_distance
 from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
 from qproduct.product import product, product_additive
-from qproduct.quantum import (css_qecc, hermitian_qecc, rate_comparison, rs_prod_qecc,
-                              rs_product_report, rs_report_qecc, stabilizer_distance,
-                              symplectic_qecc)
+from qproduct.quantum import (_KIND_BY_CONSTRUCTION, css_qecc, hermitian_qecc, qecc,
+                              rate_comparison, rs_prod_qecc, rs_product_report,
+                              rs_report_qecc, stabilizer_distance, symplectic_qecc)
 
 E = InnerProductKind.EUCLIDEAN
 H = InnerProductKind.HERMITIAN
+
+
+def _impure(code: LinearCode) -> LinearCode:
+    """``code`` padded by two zero coordinates, plus the word 0...0 1 1,
+    which is orthogonal to itself under each form over GF(2) and GF(4).
+    The dual's words of weight 2 are the multiples of that word, so they
+    lie in the code: stabilizers, not logical operators."""
+    rows = [row + [0, 0] for row in code.generator.array.tolist()]
+    return LinearCode.from_rows(code.spec, rows + [[0] * code.n + [1, 1]])
 
 
 def test_css_from_dual_hamming():
@@ -38,6 +47,19 @@ def test_css_from_zero_code():
     params = css_qecc(zero)
     assert (params.n, params.k, params.alphabet) == (4, 4, 3)
     assert params.distance.value == 1
+
+
+def test_css_distance_of_an_impure_code_is_the_quantum_distance():
+    """The [[9,1,3]] code: the dual's lightest word, 0000000 11, lies in
+    the code, so qecc reads d_Q = 3 from the weight counts, with no
+    witness; above the budget it keeps the dual's lower bound, unbounded."""
+    code = _impure(hamming_dual(3, 2))
+    assert min_distance(code.dual(E)).witness == (0,) * 7 + (1, 1)
+    params = css_qecc(code)
+    assert params.triple() == (9, 1, 3)
+    assert params.distance.lower_method == "exhaustive" and params.distance.witness is None
+    above = css_qecc(code, budget=0).distance
+    assert (above.lower, above.upper, above.witness) == (2, None, None)
 
 
 def test_css_rejects_non_self_orthogonal():
@@ -263,11 +285,14 @@ def test_stabilizer_distance_never_below_dual_certificate():
 _SECOND_FACTORS = {
     "css": ((lambda: LinearCode.from_rows(GF(2), [[1, 1, 1, 1]]), 2),
             (lambda: hamming_dual(3, 2), 1),
-            (lambda: hamming(2, 3), 2)),
+            (lambda: hamming(2, 3), 2),
+            (lambda: _impure(hamming_dual(3, 2)), 1)),
     "hermitian": ((lambda: LinearCode.from_rows(GF(4), [[1, 1]]), 2),
-                  (quaternary_hamming_dual_5, 1)),
+                  (quaternary_hamming_dual_5, 1),
+                  (lambda: _impure(quaternary_hamming_dual_5()), 1)),
     "symplectic": ((lambda: AdditiveCode.from_linear(LinearCode.from_rows(GF(4), [[1, 1]])), 2),
-                   (lambda: AdditiveCode.from_linear(quaternary_hamming_dual_5()), 1)),
+                   (lambda: AdditiveCode.from_linear(quaternary_hamming_dual_5()), 1),
+                   (lambda: AdditiveCode.from_linear(_impure(quaternary_hamming_dual_5())), 1)),
 }
 _DUAL_KIND = {"css": E, "hermitian": H}
 
@@ -296,13 +321,26 @@ def _brute_stabilizer_distance(code, dual) -> int | None:
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_self_orthogonal_codes())
+@example(("css", _impure(hamming_dual(3, 2))))
+@example(("hermitian", _impure(quaternary_hamming_dual_5())))
+@example(("symplectic", AdditiveCode.from_linear(_impure(quaternary_hamming_dual_5()))))
 def test_stabilizer_distance_matches_brute_force(case):
+    """Also qecc's distance: exact at the brute-force d_Q when k > 0, and
+    any witness a word of the dual, outside the code unless k = 0."""
     construction, code = case
     if construction == "symplectic":
         dual = code.symplectic_dual()
     else:
         dual = code.dual(_DUAL_KIND[construction])
-    assert stabilizer_distance(code, construction) == _brute_stabilizer_distance(code, dual)
+    brute = _brute_stabilizer_distance(code, dual)
+    assert stabilizer_distance(code, construction) == brute
+    params = qecc(code, _KIND_BY_CONSTRUCTION[construction])
+    cert = params.distance
+    if params.k > 0:
+        assert cert.exact and cert.value == brute
+    if cert.witness is not None:
+        assert dual.contains(cert.witness)
+        assert params.k == 0 or not code.contains(cert.witness)
 
 
 @pytest.mark.parametrize("construction,code", [
