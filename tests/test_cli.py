@@ -256,7 +256,11 @@ def test_qecc_rs_product_rejects_a_dimension_out_of_range(capsys, monkeypatch, m
 @pytest.mark.parametrize("construction,stray", [
     ("rs-product", ["--code", "hamming(3,2)"]), ("rs-product", ["--code-json", "code.json"]),
     ("rs-product", ["--matrix-file", "code.txt"]), ("rs-product", ["--additive"]),
-    ("css", ["--q", "7"]), ("css", ["--mu1", "1"]), ("css", ["--mu2", "0"])])
+    ("css", ["--q", "7"]), ("css", ["--mu1", "1"]), ("css", ["--mu2", "0"])],
+    # the ids keep the numbering the cases have always had; rs-product-stray4
+    # was --refine-distance, an option the CLI no longer has
+    ids=["rs-product-stray0", "rs-product-stray1", "rs-product-stray2", "rs-product-stray3",
+         "css-stray5", "css-stray6", "css-stray7"])
 def test_qecc_rejects_the_other_constructions_options(capsys, construction, stray):
     """rs-product reads only --q, --mu1 and --mu2, and every other
     construction only the code source; an option of the other kind is
