@@ -13,7 +13,7 @@ from .code import AdditiveCode, Code, LinearCode
 from .cyclic import cyclic_from_roots, rs_code
 from .galois import GF, FieldSpec
 from .matrix import InnerProductKind, Matrix, from_text
-from .product import product, product_additive
+from .product import product
 
 
 def projective_point_matrix(spec: FieldSpec, r: int) -> Matrix:
@@ -84,7 +84,7 @@ _CONSTRUCTORS = {
     "rs": (rs_code, 0),
     "cyclic": (lambda q, n, *roots: cyclic_from_roots(q, n, roots), 0),
     "product": (product, 2),
-    "product_additive": (product_additive, 2),
+    "product_additive": (product, 2),  # the same product, kept as a descriptor name
     "additive": (AdditiveCode.from_linear, 1),
     "dual": (Code.dual, 1),
 }

@@ -16,16 +16,16 @@ from pathlib import Path
 from . import __version__
 from .catalog import (DescriptorError, hamming_dual, load_code_json, parse_cyclic,
                       parse_descriptor, quaternary_hamming_dual_5, simplex)
-from .code import AdditiveCode, LinearCode, distance_at_least, min_distance, spanned_code
+from .code import AdditiveCode, LinearCode, min_distance, spanned_code
 from .convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
                             check_band_self_orthogonal, conv_from_product,
                             free_distance_upper_bound, tail_biting)
 from .cyclic import RsProductReport, dual_support_map, product_spectrum_support, rs_code
 from .galois import GF
 from .matrix import InnerProductKind, from_text
-from .product import dual_of_product_generator, product, product_additive
+from .product import dual_of_product_generator, product
 from .quantum import (_KIND_BY_CONSTRUCTION, qecc, rate_comparison, rs_product_report,
-                      rs_report_qecc, stabilizer_count, symplectic_qecc)
+                      rs_report_qecc, stabilizer_count)
 
 
 def _field_block(spec) -> dict:
@@ -228,7 +228,7 @@ def cmd_conv(args) -> dict:
         return {"band": report}
     if args.conv_action == "check":
         window = band_window(s, 3)
-        oracle = window.gram(window, s.kind).is_zero()
+        oracle = spanned_code(s.kind, s.spec, window.array, window.ncols).is_self_orthogonal(s.kind)
         return {"band": _band_block(s), "window_pairwise_orthogonal": oracle}
     # tailbite
     code = tail_biting(s, args.blocks)
@@ -262,12 +262,9 @@ def _pipeline_binary_product_chain(budget) -> dict:
     code = hamming_dual(3, 2)
     kind = InnerProductKind.EUCLIDEAN
     prod = product(code, code)
-    dual = prod.dual(kind)
     return {
         "product": _code_block(prod, budget),
         **_product_conformance(code, code, prod, kind, budget),
-        "dual_distance_at_least_3": distance_at_least(dual, 3),
-        "dual_distance_at_least_4": distance_at_least(dual, 4),
         "qecc": qecc(prod, kind, budget).to_dict(),
     }
 
@@ -281,7 +278,6 @@ def _pipeline_hermitian_chain(budget) -> dict:
         **_chain(code, kind, budget),
         "product": _code_block(prod, budget),
         "product_dual_dimension": prod.dual(kind).k,
-        "product_dual_distance": params.distance.to_dict(),
         "product_qecc": params.to_dict(),
     }
 
@@ -289,11 +285,12 @@ def _pipeline_hermitian_chain(budget) -> dict:
 def _pipeline_additive_chain(budget) -> dict:
     c1 = simplex(2, 2)
     c2 = AdditiveCode.from_linear(quaternary_hamming_dual_5())
-    prod = product_additive(c1, c2)
-    dual = prod.symplectic_dual()
+    kind = InnerProductKind.SYMPLECTIC
+    prod = product(c1, c2)
+    dual = prod.dual(kind)
     exhaustive = min_distance(dual, budget=budget)
     search = min_distance(dual, budget=0)  # forced onto the low-weight search
-    params = symplectic_qecc(prod, budget=budget)
+    params = qecc(prod, kind, budget)
     return {
         "factors": [_code_block(c1, budget), _code_block(c2, budget)],
         "product": _code_block(prod, budget),
@@ -317,7 +314,6 @@ def _pipeline_tail_biting(budget) -> dict:
             "rank": tb.k,
             "expected_rank": blocks * s.rows_per_frame,
             "self_orthogonal": tb.is_self_orthogonal(s.kind),
-            "dual_distance": params.distance.to_dict(),
             "qecc": params.to_dict(),
         }
     return out

@@ -324,7 +324,13 @@ class Code:
     def _form(self, kind: InnerProductKind) -> Matrix:
         """Rows over F whose F-kernel is the dual under ``kind``: the basis
         (Euclidean), its Frobenius image (Hermitian), or, for each generator
-        row g, tr(g_i * frob(x^t)) at coordinate (i, t) (symplectic)."""
+        row g, tr(g_i * frob(x^t)) at coordinate (i, t) (symplectic).
+
+        This is the one definition of the Hermitian and symplectic forms,
+        <u, w> = sum_i u_i frob(w_i) and tr_(q/p) of it, frob(x) = x^sqrt(q):
+        ``dual``, ``is_self_orthogonal`` and every band check read them
+        through it, as Euclidean products over F (``Matrix.gram``,
+        ``Matrix.kernel``) of these rows with a word's F-coordinates."""
         if kind is InnerProductKind.EUCLIDEAN:
             return self.basis
         spec, g = self.spec, self.generator.array
@@ -580,14 +586,6 @@ def cyclic_basis(spec: FieldSpec, n: int, zeros: frozenset[int]) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # distance services
-
-def distance_at_least(code: Code, w: int) -> bool:
-    """Exact test of d >= w for w <= 4 without enumerating the code:
-    no nonzero codeword has weight below w."""
-    if w > 4:
-        raise ValueError("distance_at_least supports w <= 4 only")
-    return find_low_weight_word(code, w - 1) is None
-
 
 def _normalized(F: FieldSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The leading entry of each row of s, and the row divided by it (for

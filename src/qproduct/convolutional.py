@@ -1,7 +1,7 @@
 """Semi-infinite stabilizer band matrices built from product-code blocks:
-overlap orthogonality checks, finite windows and their tensor
-factorization, tail-biting block codes, and a finitely-supported upper
-bound on the free distance of the dual stream code.
+band orthogonality read through the code model, finite windows and their
+tensor factorization, tail-biting block codes, and a finitely-supported
+upper bound on the free distance of the dual stream code.
 
 The band repeats one block M of width frame + overlap, each copy shifted
 by `frame` columns, so only adjacent copies overlap (overlap <= frame).
@@ -68,18 +68,22 @@ def conv_from_product(c1, c2, t: int, kind: InnerProductKind) -> ConvStabilizer:
 
 
 def check_band_self_orthogonal(s: ConvStabilizer) -> bool:
-    """True iff every pair of rows of the semi-infinite band is orthogonal:
-    (a) the block is self-orthogonal and (b) its last `overlap` columns are
-    orthogonal to its first `overlap` columns.  With overlap <= frame these
-    two conditions are equivalent to full pairwise orthogonality."""
-    m = s.overlap
-    if not s.block.gram(s.block, s.kind).is_zero():
-        return False
-    if m == 0:
-        return True
-    tail = s.block.take_columns(range(s.block.ncols - m, s.block.ncols))
-    head = s.block.take_columns(range(m))
-    return tail.gram(head, s.kind).is_zero()
+    """True iff every pair of rows of the semi-infinite band is orthogonal
+    under the band's kind: iff the code spanned by the two-block window is
+    self-orthogonal (``Code.is_self_orthogonal``).
+
+    Two blocks are enough.  Copy b of the block occupies the columns
+    b*frame .. b*frame + frame + overlap - 1, and overlap <= frame, so
+    copies b and b' with |b - b'| >= 2 have disjoint supports and are
+    orthogonal.  Every other pair of band rows lies in copy b or in copies
+    b and b+1, and shifting both rows by -b*frame columns, which keeps
+    their inner product, makes it a pair of rows of the window, whose two
+    copies it holds untruncated.  Conversely every window row is a band
+    row.  The form is additive in each argument and takes scalars out
+    (conjugated in the second, Hermitian; over GF(p), symplectic), so the
+    rows are pairwise orthogonal iff their span is self-orthogonal."""
+    window = band_window(s, 2)
+    return spanned_code(s.kind, s.spec, window.array, window.ncols).is_self_orthogonal(s.kind)
 
 
 def band_window(s: ConvStabilizer, blocks: int) -> Matrix:

@@ -1,7 +1,6 @@
 """Dense matrices over a finite field, with the decompositions the
 construction theorems need: reduced row echelon form, kernels, Kronecker
-products, complementary bases, and Gram matrices under the Euclidean,
-Hermitian, and symplectic inner products.
+products, complementary bases, and Euclidean Gram matrices.
 
 A matrix is one immutable numpy array of field elements (uint8 for
 q <= 256, uint16 above), worked on whole through the field kernels of
@@ -13,9 +12,11 @@ space already in rref, and ``product_kernel`` gives the kernel of a
 Kronecker product from eliminations of its two factors only.  A Gram
 matrix over a prime field is one int64 matrix product reduced mod p;
 over an extension field it, like a Kronecker product, is log/exp table
-lookups.  Every basis-producing operation returns rref, unique per row
-space, so reports are byte-stable whichever path computed it.  Entries
-are range-checked once, by the public constructor.
+lookups.  The Hermitian and symplectic forms are not defined here: a code
+turns them into Euclidean ones (``code.Code._form``).  Every
+basis-producing operation returns rref, unique per row space, so reports
+are byte-stable whichever path computed it.  Entries are range-checked
+once, by the public constructor.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .galois import GF, FieldSpec, element_dtype, field_add, field_map, field_sum, field_tables
+from .galois import GF, FieldSpec, element_dtype, field_add, field_sum, field_tables
 
 # most entries in one block of the products behind a Gram matrix
 _GRAM_BLOCK = 1 << 16
@@ -282,20 +283,13 @@ class Matrix:
         return Matrix._of(self.spec, out.reshape(self.nrows * other.nrows,
                                                  self.ncols * other.ncols))
 
-    def gram(self, other: "Matrix", kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> "Matrix":
-        """Matrix of pairwise inner products of rows; symplectic output is over GF(p)."""
+    def gram(self, other: "Matrix") -> "Matrix":
+        """The Euclidean inner products sum_k self[i, k] * other[j, k] of
+        every row i of self with every row j of other."""
         self._same_spec(other)
         if self.ncols != other.ncols:
             raise ValueError("column counts differ")
-        spec = self.spec
-        _require_even_degree(spec, kind)
-        w = other.array
-        if kind is not InnerProductKind.EUCLIDEAN:
-            w = field_map(spec, "frobenius_q")[w]
-        out = _products_sum(spec, self.array, w)
-        if kind is InnerProductKind.SYMPLECTIC:
-            return Matrix._of(spec.prime_field, field_map(spec, "trace_to_prime")[out])
-        return Matrix._of(spec, out)
+        return Matrix._of(self.spec, _products_sum(self.spec, self.array, other.array))
 
 
 def product_kernel(a: Matrix, b: Matrix) -> Matrix:

@@ -200,9 +200,9 @@ def check_certificate(code, cert) -> None:
 
 
 def inner_product(spec: FieldSpec, v, w, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> int:
-    """The scalar oracle for ``Matrix.gram``: the inner product of two
-    coordinate vectors, a value in GF(q) for the Euclidean and Hermitian
-    kinds and a prime-field value (< p) for the symplectic kind."""
+    """The scalar oracle for the forms of ``Code._form``: the inner product
+    of two coordinate vectors, a value in GF(q) for the Euclidean and
+    Hermitian kinds and a prime-field value (< p) for the symplectic kind."""
     if len(v) != len(w):
         raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
     _require_even_degree(spec, kind)
@@ -215,14 +215,9 @@ def inner_product(spec: FieldSpec, v, w, kind: InnerProductKind = InnerProductKi
     return spec.trace_to_prime(acc) if kind is InnerProductKind.SYMPLECTIC else acc
 
 
-def gram_scalar(spec: FieldSpec, v, w, kind: InnerProductKind = InnerProductKind.EUCLIDEAN) -> int:
-    """The library's inner product of two coordinate vectors: the one entry
-    of ``Matrix.gram`` on two one-row matrices."""
-    return Matrix(spec, [v]).gram(Matrix(spec, [w]), kind).rows[0][0]
-
-
 def orthogonal_pairwise(matrix: Matrix, kind: InnerProductKind) -> bool:
-    """Direct pairwise orthogonality of all row pairs (oracle for gram)."""
+    """Direct pairwise orthogonality of all row pairs: the oracle for
+    ``Code.is_self_orthogonal`` of the rows' span."""
     rows = matrix.rows
     for v in rows:
         for w in rows:
@@ -323,11 +318,10 @@ def kronecker_oracle(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(spec, rows, ncols=a.ncols * b.ncols)
 
 
-def gram_oracle(a: Matrix, b: Matrix, kind: InnerProductKind) -> Matrix:
-    """Pairwise scalar inner products of the rows of a and b."""
-    spec = a.spec.prime_field if kind is InnerProductKind.SYMPLECTIC else a.spec
-    rows = [[inner_product(a.spec, v, w, kind) for w in b.rows] for v in a.rows]
-    return Matrix(spec, rows, ncols=b.nrows)
+def gram_oracle(a: Matrix, b: Matrix) -> Matrix:
+    """Pairwise Euclidean inner products of the rows of a and b."""
+    rows = [[inner_product(a.spec, v, w) for w in b.rows] for v in a.rows]
+    return Matrix(a.spec, rows, ncols=b.nrows)
 
 
 def flat_to_grid(vec, n1: int, n2: int) -> tuple[tuple[int, ...], ...]:

@@ -17,7 +17,7 @@ import qproduct.cyclic as cyclic_module
 import qproduct.product as product_module
 import qproduct.quantum as quantum_module
 from qproduct.cli import main
-from qproduct.matrix import InnerProductKind, Matrix
+from qproduct.matrix import Matrix
 
 
 def run_cli(capsys, *argv):
@@ -479,9 +479,9 @@ def test_rs_product_grid_checks_each_factor_once(monkeypatch):
     grams = []
     gram = Matrix.gram
 
-    def counted(m, other, kind=InnerProductKind.EUCLIDEAN):
+    def counted(m, other):
         grams.append((m.spec.q, m.ncols))
-        return gram(m, other, kind)
+        return gram(m, other)
 
     monkeypatch.setattr(Matrix, "gram", counted)
     grid = cli.PIPELINES["rs-product-grid"](None)

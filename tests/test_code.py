@@ -5,15 +5,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_codewords, brute_min_distance, brute_weight_enumerator,
-                     check_certificate, count_kernels, gray_scan, gram_scalar, low_weight_oracle,
-                     matmul, random_additive_code, random_linear_code, random_matrix)
+                     check_certificate, count_kernels, gray_scan, inner_product, low_weight_oracle,
+                     matmul, orthogonal_pairwise, random_additive_code, random_linear_code,
+                     random_matrix)
 from qproduct import code as code_module
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
-from qproduct.code import (AdditiveCode, LinearCode, distance_at_least, find_low_weight_word,
+from qproduct.code import (AdditiveCode, LinearCode, find_low_weight_word,
                            macwilliams_transform, min_distance, spanned_code, weight_enumerator)
 from qproduct.convolutional import band_window, conv_from_product, tail_biting
 from qproduct.cyclic import rs_code
@@ -27,10 +28,10 @@ S = InnerProductKind.SYMPLECTIC
 
 
 def test_inner_product_worked_values():
-    assert gram_scalar(GF(2), (1, 1, 0), (1, 1, 1), E) == 0
-    assert gram_scalar(GF(4), (2, 0), (2, 1), H) == 1  # w * w^2 = 1
-    assert gram_scalar(GF(4), (2,), (2,), S) == 0
-    assert gram_scalar(GF(4), (1,), (2,), S) == 1
+    assert inner_product(GF(2), (1, 1, 0), (1, 1, 1), E) == 0
+    assert inner_product(GF(4), (2, 0), (2, 1), H) == 1  # w * w^2 = 1
+    assert inner_product(GF(4), (2,), (2,), S) == 0
+    assert inner_product(GF(4), (1,), (2,), S) == 1
 
 
 def test_dual_of_hamming_is_distance_4():
@@ -38,7 +39,7 @@ def test_dual_of_hamming_is_distance_4():
     dual = code.dual(E)
     assert (dual.n, dual.k) == (7, 3)
     assert min_distance(dual).value == 4
-    assert code.generator.gram(dual.generator, E).is_zero()
+    assert code.generator.gram(dual.generator).is_zero()
 
 
 def test_dual_of_full_space_is_zero_code():
@@ -93,7 +94,7 @@ def test_symplectic_dual_membership_is_orthogonality():
     dual = code.symplectic_dual()
     import itertools
     for vec in itertools.product(range(4), repeat=4):
-        in_dual = all(gram_scalar(spec, g, vec, S) == 0 for g in code.generator.rows)
+        in_dual = all(inner_product(spec, g, vec, S) == 0 for g in code.generator.rows)
         assert dual.contains(vec) == in_dual
 
 
@@ -107,6 +108,60 @@ def test_dual_kinds_follow_the_code_model():
             code.dual(kind)
         with pytest.raises(ValueError):
             code.is_self_orthogonal(kind)
+
+
+# Each kind over fields the paper's codes use.  The symplectic form is taken
+# in characteristic 2 only: for odd p, tr(sum_i u_i frob(w_i)) is symmetric
+# but not alternating, and the commutation form of a Pauli group must be.
+_FORM_CASES = ((E, 2), (E, 3), (E, 4), (H, 4), (H, 9), (S, 4), (S, 16))
+
+
+@st.composite
+def _form_codes(draw):
+    """A kind, its field and 0-4 generator rows of length <= 8: random, or
+    each a block repeated p times, so that every pair of rows has p times
+    one inner product, 0; then, half the time, one entry redrawn.  Also a
+    vector: random, or (coefficients given) a combination of the dual's
+    generator rows, which number at most n * ell <= 32."""
+    kind, q = draw(st.sampled_from(_FORM_CASES))
+    spec = GF(q)
+    symbol = st.integers(0, q - 1)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8 // spec.p))
+        blocks = draw(st.lists(st.lists(symbol, min_size=m, max_size=m), max_size=4))
+        rows, n = [block * spec.p for block in blocks], m * spec.p
+    else:
+        n = draw(st.integers(1, 8))
+        rows = draw(st.lists(st.lists(symbol, min_size=n, max_size=n), max_size=4))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, n - 1))] = draw(symbol)
+    scalar = st.integers(0, (spec.p if kind is S else q) - 1)
+    coefficients = draw(st.none() | st.lists(scalar, min_size=32, max_size=32))
+    return kind, spec, rows, n, coefficients, draw(st.lists(symbol, min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_form_codes())
+@example(case=(S, GF(16), [[1], [8]], 1, None, [8]))  # tr(frob(8)) = 1
+@example(case=(S, GF(16), [[1, 8]], 2, [1] * 32, [0, 0]))
+@example(case=(H, GF(9), [[1, 1, 1]], 3, [2] * 32, [1, 1, 1]))
+def test_self_orthogonality_and_dual_membership_match_the_scalar_form(case):
+    """The code model's forms against the pure-Python ``inner_product``:
+    a code is self-orthogonal iff its generator rows are pairwise
+    orthogonal, and a vector lies in its dual iff it is orthogonal to every
+    generator row.  A vector from the dual is formed here, by scalar field
+    operations."""
+    kind, spec, rows, n, coefficients, vec = case
+    assert kind is not S or spec.p == 2
+    code = spanned_code(kind, spec, rows, n)
+    assert code.is_self_orthogonal(kind) == orthogonal_pairwise(Matrix(spec, rows, ncols=n), kind)
+    dual = code.dual(kind)
+    if coefficients is not None:
+        vec = [0] * n
+        for c, row in zip(coefficients, dual.generator.rows):
+            vec = [spec.add(v, spec.mul(c, x)) for v, x in zip(vec, row)]
+    orthogonal = all(inner_product(spec, row, vec, kind) == 0 for row in rows)
+    assert dual.contains(vec) == orthogonal
 
 
 def test_self_orthogonality_flags():
@@ -194,7 +249,7 @@ def test_distance_at_least_matches_enumeration(q):
         code = random_linear_code(rng, GF(q), rng.randint(3, 8), 3)
         d = brute_min_distance(code)
         for w in (2, 3, 4):
-            assert distance_at_least(code, w) == (d >= w)
+            assert (find_low_weight_word(code, w - 1) is None) == (d >= w)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
@@ -204,18 +259,13 @@ def test_distance_at_least_additive_matches_enumeration(q):
         code = random_additive_code(rng, GF(q), rng.randint(3, 6), 5)
         d = brute_min_distance(code)
         for w in (2, 3, 4):
-            assert distance_at_least(code, w) == (d >= w)
-
-
-def test_distance_at_least_rejects_large_w():
-    with pytest.raises(ValueError):
-        distance_at_least(hamming(3, 2), 5)
+            assert (find_low_weight_word(code, w - 1) is None) == (d >= w)
 
 
 def test_repetition_code_distance_at_least():
     rep = LinearCode.from_rows(GF(2), [[1, 1, 1]])
-    assert distance_at_least(rep, 3)
-    assert not distance_at_least(rep, 4)
+    assert find_low_weight_word(rep, 2) is None  # d >= 3
+    assert find_low_weight_word(rep, 3) is not None  # d < 4
 
 
 @pytest.mark.parametrize("q", [2, 4, 5])

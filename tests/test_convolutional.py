@@ -1,12 +1,12 @@
-"""Band stabilizer matrices: the two-condition orthogonality check against
-windowed brute force, window factorization, tail-biting codes and their
+"""Band stabilizer matrices: the two-block orthogonality check against
+pairwise brute force on a three-block window, window factorization, tail-biting codes and their
 quantum parameters, and the free-distance bound."""
 import random
 
 import numpy as np
 import pytest
 
-from helpers import count_kernels, random_matrix
+from helpers import count_kernels, orthogonal_pairwise, random_matrix
 from qproduct.catalog import hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import AdditiveCode, LinearCode, min_distance
 from qproduct.convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
@@ -16,6 +16,7 @@ from qproduct.galois import GF
 from qproduct.matrix import InnerProductKind, Matrix
 
 E = InnerProductKind.EUCLIDEAN
+H = InnerProductKind.HERMITIAN
 S = InnerProductKind.SYMPLECTIC
 
 
@@ -71,25 +72,23 @@ def test_band_check_fails_for_bad_block():
 
 
 def test_band_check_equals_windowed_bruteforce():
-    """The two-condition verdict must agree with materializing shifted
-    blocks and checking all row pairs directly."""
+    """The two-block verdict must agree with materializing three shifted
+    blocks and checking all row pairs directly, under all three kinds."""
     rng = random.Random(42)
-    agree_true = agree_false = 0
+    seen = set()
     for _ in range(120):
         spec = GF(rng.choice([2, 4]))
         r = rng.randint(1, 3)
         frame = rng.randint(1, 4)
         overlap = rng.randint(0, frame)
-        kind = E if spec.q == 2 else rng.choice([E, S])
+        kind = E if spec.q == 2 else rng.choice([E, H, S])
         block = random_matrix(rng, spec, r, frame + overlap)
         s = ConvStabilizer(block=block, frame=frame, overlap=overlap, kind=kind)
-        window = band_window(s, 4)
-        oracle = window.gram(window, kind).is_zero()
+        oracle = orthogonal_pairwise(band_window(s, 3), kind)
         verdict = check_band_self_orthogonal(s)
         assert verdict == oracle
-        agree_true += verdict
-        agree_false += not verdict
-    assert agree_false > 0  # random blocks do produce failures
+        seen.add((kind, verdict))
+    assert seen == {(kind, v) for kind in (E, H, S) for v in (True, False)}
 
 
 def test_band_window_single_block_is_the_block():

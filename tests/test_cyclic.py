@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import (cyclic_oracle, flat_to_grid, inverse_spectrum_2d, orthogonal_to_rows,
                      root_of_unity, spectrum_2d)
-from qproduct.code import (LinearCode, _check_rows, cyclic_basis, distance_at_least,
-                           enumeration_budget, find_low_weight_word, hamming_weight, min_distance)
+from qproduct.code import (LinearCode, _check_rows, cyclic_basis, enumeration_budget,
+                           find_low_weight_word, hamming_weight, min_distance)
 from qproduct.cyclic import (RsProductReport, cyclic_from_roots,
                              dual_support_map, product_spectrum_support, rs_code,
                              rs_product_dual_certificate, rs_product_params)
@@ -355,7 +355,7 @@ def test_rectangle_bound_16_12_dual():
     assert (dual.n, dual.k) == (16, 12)
     mu = 5 - 3
     assert 1 + min(mu, mu) == 3
-    assert distance_at_least(dual, 3)
+    assert find_low_weight_word(dual, max_w=2) is None
     witness = find_low_weight_word(dual, max_w=3)
     assert witness is not None and sum(1 for v in witness if v) == 3
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_min_distance, gram_scalar, random_additive_code, random_linear_code
+from helpers import brute_min_distance, inner_product, random_additive_code, random_linear_code
 from qproduct.catalog import hamming, hamming_dual, quaternary_hamming_dual_5, simplex
 from qproduct.code import (AdditiveCode, LinearCode, min_distance, product_dual_certificate,
                            spanned_code)
@@ -88,8 +88,8 @@ def test_euclidean_tensor_identity(q):
         v2 = tuple(rng.randrange(q) for _ in range(n))
         w = tuple(rng.randrange(q) for _ in range(m))
         w2 = tuple(rng.randrange(q) for _ in range(m))
-        lhs = gram_scalar(spec, _tensor(spec, v, w), _tensor(spec, v2, w2), E)
-        rhs = spec.mul(gram_scalar(spec, v, v2, E), gram_scalar(spec, w, w2, E))
+        lhs = inner_product(spec, _tensor(spec, v, w), _tensor(spec, v2, w2), E)
+        rhs = spec.mul(inner_product(spec, v, v2, E), inner_product(spec, w, w2, E))
         assert lhs == rhs
 
 
@@ -103,8 +103,8 @@ def test_hermitian_tensor_identity(q):
         v2 = tuple(rng.randrange(q) for _ in range(n))
         w = tuple(rng.randrange(q) for _ in range(m))
         w2 = tuple(rng.randrange(q) for _ in range(m))
-        lhs = gram_scalar(spec, _tensor(spec, v, w), _tensor(spec, v2, w2), H)
-        rhs = spec.mul(gram_scalar(spec, v, v2, H), gram_scalar(spec, w, w2, H))
+        lhs = inner_product(spec, _tensor(spec, v, w), _tensor(spec, v2, w2), H)
+        rhs = spec.mul(inner_product(spec, v, v2, H), inner_product(spec, w, w2, H))
         assert lhs == rhs
 
 
@@ -120,8 +120,8 @@ def test_symplectic_tensor_identity(q):
         v2 = tuple(rng.randrange(p) for _ in range(n))
         w = tuple(rng.randrange(q) for _ in range(m))
         w2 = tuple(rng.randrange(q) for _ in range(m))
-        lhs = gram_scalar(spec, _tensor_p(spec, v, w), _tensor_p(spec, v2, w2), S)
-        rhs = pf.mul(gram_scalar(pf, v, v2, E), gram_scalar(spec, w, w2, S))
+        lhs = inner_product(spec, _tensor_p(spec, v, w), _tensor_p(spec, v2, w2), S)
+        rhs = pf.mul(inner_product(pf, v, v2, E), inner_product(spec, w, w2, S))
         assert lhs == rhs
 
 

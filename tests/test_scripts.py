@@ -25,6 +25,7 @@ def test_scan_profile_builds_its_layer_matrices_and_runs_a_layer_and_a_certifica
     assert (len(rows), len(rows[0])) == (6, 10)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     for shape, name in ((["rref", 11, rows], "rref GF(11) 6x10"),
+                        (["gram", 11, rows], "gram GF(11) 6x10"),
                         (["cert", 11, 3, 3], "cert rs q=11 mu=3,3 n=100 -> [4, 4]")):
         result = subprocess.run([sys.executable, str(SCAN_PROFILE), "--repeats", "1",
                                  "--shape", json.dumps(shape)],
