@@ -228,8 +228,8 @@ def cmd_conv(args) -> dict:
         return {"band": report}
     if args.conv_action == "check":
         window = band_window(s, 3)
-        oracle = spanned_code(s.kind, s.spec, window.array, window.ncols).is_self_orthogonal(s.kind)
-        return {"band": _band_block(s), "window_pairwise_orthogonal": oracle}
+        pairwise = spanned_code(s.kind, s.spec, window.array, window.ncols).is_self_orthogonal(s.kind)
+        return {"band": _band_block(s), "window_pairwise_orthogonal": pairwise}
     # tailbite
     code = tail_biting(s, args.blocks)
     params = qecc(code, s.kind, args.budget)
