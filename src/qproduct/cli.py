@@ -16,8 +16,8 @@ from pathlib import Path
 from . import __version__
 from .catalog import (DescriptorError, hamming_dual, load_code_json, parse_cyclic,
                       parse_descriptor, quaternary_hamming_dual_5, simplex)
-from .code import AdditiveCode, LinearCode, min_distance, spanned_code
-from .convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
+from .code import DEFAULT_BUDGET, AdditiveCode, LinearCode, min_distance, spanned_code
+from .convolutional import (ConvStabilizer, band_window_factorization_ok,
                             check_band_self_orthogonal, conv_from_product,
                             free_distance_upper_bound, tail_biting)
 from .cyclic import RsProductReport, dual_support_map, product_spectrum_support, rs_code
@@ -148,6 +148,8 @@ def _support_lines(mask) -> list[str]:
 
 
 def cmd_spectrum(args) -> dict:
+    if args.kind and not args.dual:
+        raise DescriptorError("--kind applies only to --dual")
     c1 = parse_cyclic(args.code1)
     c2 = parse_cyclic(args.code2)
     if c1.spec != c2.spec:
@@ -160,7 +162,7 @@ def cmd_spectrum(args) -> dict:
         "support": _support_lines(mask),
     }
     if args.dual:
-        kind = InnerProductKind(args.kind)
+        kind = InnerProductKind(args.kind or "euclidean")
         frob = c1.spec.frobenius_power if kind is InnerProductKind.HERMITIAN else None
         n1, n2 = c1.n, c2.n
         dual_mask = tuple(
@@ -173,7 +175,7 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_qecc(args) -> dict:
     rs = args.construction == "rs-product"
-    for name in (("code", "code_json", "matrix_file", "additive") if rs
+    for name in (("code", "code_json", "matrix_file", "additive", "budget") if rs
                  else ("q", "mu1", "mu2")):  # the options only the other route reads
         value = getattr(args, name)
         if value is not None and value is not False:
@@ -227,9 +229,7 @@ def cmd_conv(args) -> dict:
             s, args.window, budget=args.budget)
         return {"band": report}
     if args.conv_action == "check":
-        window = band_window(s, 3)
-        pairwise = spanned_code(s.kind, s.spec, window.array, window.ncols).is_self_orthogonal(s.kind)
-        return {"band": _band_block(s), "window_pairwise_orthogonal": pairwise}
+        return {"band": _band_block(s)}
     # tailbite
     code = tail_biting(s, args.blocks)
     params = qecc(code, s.kind, args.budget)
@@ -313,7 +313,6 @@ def _pipeline_tail_biting(budget) -> dict:
             "code": [tb.n, tb.k],
             "rank": tb.k,
             "expected_rank": blocks * s.rows_per_frame,
-            "self_orthogonal": tb.is_self_orthogonal(s.kind),
             "qecc": params.to_dict(),
         }
     return out
@@ -342,14 +341,11 @@ def _pipeline_rs_product_grid(budget) -> dict:
         for mu1 in range(1, q // 2):  # mu1 < (q-1)/2
             for mu2 in range(1, q - 1):
                 rep = RsProductReport.of(factors[mu1], factors[mu2])
-                prod = rep.code
                 entry = rep.to_dict()
                 entry["mu"] = [mu1, mu2]
-                entry["dimensions_match"] = (prod.k == rep.dimension
-                                             and prod.n - prod.k == rep.dual_dimension)
                 entry["rectangle_certificate"] = rep.dual_certificate().to_dict()
                 if q <= 5:  # enumerated or searched: the reference for the construction
-                    cert = min_distance(prod.dual(InnerProductKind.EUCLIDEAN), budget=budget)
+                    cert = min_distance(rep.code.dual(InnerProductKind.EUCLIDEAN), budget=budget)
                     entry["certified_dual_distance"] = cert.to_dict()
                     entry["matches_stated"] = cert.exact and cert.value == rep.stated_dual_distance
                     entry["matches_corrected"] = (cert.exact
@@ -414,11 +410,10 @@ def _golden_dir() -> Path:
 
 
 def cmd_reproduce(args) -> dict:
-    budget = args.budget
     failures = {}
     golden_dir = _golden_dir()
     for name, builder in PIPELINES.items():
-        report = builder(budget)
+        report = builder(None)  # the goldens are written at the default budget
         path = golden_dir / f"{name}.json"
         if args.write_golden:
             golden_dir.mkdir(parents=True, exist_ok=True)
@@ -495,9 +490,10 @@ def _emit(args, report: dict) -> None:
         print(text)
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--budget", type=int, default=None,
-                        help="max codewords for exhaustive enumeration (default 2^24)")
+def _add_common(parser, budget: bool = False) -> None:
+    if budget:  # only the verbs that certify a distance read it
+        parser.add_argument("--budget", type=int, help="max codewords for exhaustive "
+                            f"enumeration (default {DEFAULT_BUDGET})")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     parser.add_argument("--pretty", action="store_true", help="human-readable rendering")
 
@@ -523,31 +519,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="resolve a code and certify its parameters")
     _add_code_source(p)
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("dual", help="dual code under a chosen inner product")
     _add_code_source(p)
     p.add_argument("--kind", choices=[str(k) for k in InnerProductKind], default="euclidean")
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("distance", help="minimum-distance certificate")
     _add_code_source(p)
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("product", help="product code with conformance checks")
     p.add_argument("--code1", required=True)
     p.add_argument("--code2", required=True)
     p.add_argument("--kind", choices=["euclidean", "hermitian"], default="euclidean")
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("product-additive", help="prime-field (x) additive product")
     p.add_argument("--code1", required=True, help="factor over the prime field")
     p.add_argument("--code2", required=True, help="additive factor (additive(...) descriptor)")
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_product, kind="symplectic")
 
     p = sub.add_parser("spectrum", help="support grid of a bicyclic product spectrum")
@@ -555,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rs(q, delta), cyclic(q, n, roots...) or the euclidean dual(...) of one")
     p.add_argument("--code2", required=True)
     p.add_argument("--dual", action="store_true", help="also print the dual support")
-    p.add_argument("--kind", choices=["euclidean", "hermitian"], default="euclidean")
+    p.add_argument("--kind", choices=["euclidean", "hermitian"],
+                   help="inner product of the dual support, with --dual (default euclidean)")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -566,13 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--mu1", type=int)
     p.add_argument("--mu2", type=int)
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_qecc)
 
     p = sub.add_parser("conv", help="convolutional stabilizer bands")
     conv_sub = p.add_subparsers(dest="conv_action", required=True)
     for action, extra in (("build", "build a band block and check it"),
-                          ("check", "orthogonality verdict with window oracle"),
+                          ("check", "orthogonality verdict; exit 1 if the band is not "
+                                    "self-orthogonal"),
                           ("tailbite", "wrap into a tail-biting block code")):
         cp = conv_sub.add_parser(action, help=extra)
         cp.add_argument("--code1", required=True)
@@ -586,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="window blocks for the free-distance bound")
         if action == "tailbite":
             cp.add_argument("--blocks", type=int, required=True)
-        _add_common(cp)
+        _add_common(cp, budget=action != "check")
         cp.set_defaults(func=cmd_conv)
 
     p = sub.add_parser("reproduce-paper",

@@ -1,5 +1,6 @@
 """Command line behavior: report structure, determinism, exit codes, and
 the golden-diff harness."""
+import argparse
 import copy
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import orthogonal_pairwise
 import qproduct.catalog as catalog_module
 import qproduct.cli as cli
 import qproduct.convolutional as conv_module
@@ -195,6 +197,14 @@ def test_spectrum_takes_the_euclidean_dual_of_a_cyclic_code(capsys):
     assert reports[0] == reports[1] and reports[0]["factors"] == [[6, 2], [6, 3]]
 
 
+def test_spectrum_kind_applies_only_to_the_dual(capsys):
+    code, payload = run_json(capsys, "spectrum", "--code1", "rs(8,3)", "--code2", "rs(8,4)",
+                             "--kind", "hermitian")
+    assert code == 1
+    assert payload["error"] == {"type": "DescriptorError",
+                                "message": "--kind applies only to --dual"}
+
+
 def test_qecc_css_verb(capsys):
     code, payload = run_json(capsys, "qecc", "--construction", "css", "--code",
                              "product(hamming_dual(3,2), hamming_dual(3,2))")
@@ -256,15 +266,16 @@ def test_qecc_rs_product_rejects_a_dimension_out_of_range(capsys, monkeypatch, m
 @pytest.mark.parametrize("construction,stray", [
     ("rs-product", ["--code", "hamming(3,2)"]), ("rs-product", ["--code-json", "code.json"]),
     ("rs-product", ["--matrix-file", "code.txt"]), ("rs-product", ["--additive"]),
-    ("css", ["--q", "7"]), ("css", ["--mu1", "1"]), ("css", ["--mu2", "0"])],
+    ("css", ["--q", "7"]), ("css", ["--mu1", "1"]), ("css", ["--mu2", "0"]),
+    ("rs-product", ["--budget", "1"])],
     # the ids keep the numbering the cases have always had; rs-product-stray4
     # was --refine-distance, an option the CLI no longer has
     ids=["rs-product-stray0", "rs-product-stray1", "rs-product-stray2", "rs-product-stray3",
-         "css-stray5", "css-stray6", "css-stray7"])
+         "css-stray5", "css-stray6", "css-stray7", "rs-product-budget"])
 def test_qecc_rejects_the_other_constructions_options(capsys, construction, stray):
-    """rs-product reads only --q, --mu1 and --mu2, and every other
-    construction only the code source; an option of the other kind is
-    named, not ignored."""
+    """rs-product reads only --q, --mu1 and --mu2 (its certificate needs
+    no budget), and every other construction only the code source; an
+    option of the other kind is named, not ignored."""
     own = (["--q", "7", "--mu1", "1", "--mu2", "2"] if construction == "rs-product"
            else ["--code", "hamming_dual(3,2)"])
     code, payload = run_json(capsys, "qecc", "--construction", construction, *own, *stray)
@@ -272,6 +283,34 @@ def test_qecc_rejects_the_other_constructions_options(capsys, construction, stra
     assert payload["error"]["type"] == "DescriptorError"
     assert payload["error"]["message"] == (f"{stray[0]} does not apply to "
                                            f"--construction {construction}")
+
+
+def _verbs(parser, prefix=()):
+    """Each leaf verb of ``parser`` by its words, with its own parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _verbs(sub, (*prefix, name))
+
+
+def test_budget_is_offered_only_where_a_distance_is_certified():
+    offered = {verb for verb, parser in _verbs(cli.build_parser())
+               if "--budget" in parser._option_string_actions}
+    assert offered == {"build", "dual", "distance", "product", "product-additive", "qecc",
+                       "conv build", "conv tailbite"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--q", "8"], ["spectrum", "--code1", "rs(8,3)", "--code2", "rs(8,4)"],
+    ["conv", "check", "--code1", "hamming_dual(3,2)", "--code2", "hamming_dual(3,2)"],
+    ["reproduce-paper"]], ids=["field", "spectrum", "conv-check", "reproduce-paper"])
+def test_verbs_that_read_no_budget_reject_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 1" in capsys.readouterr().err
 
 
 def test_additive_view_takes_the_certificate_of_its_linear_code(capsys):
@@ -334,10 +373,19 @@ def test_conv_build_reports_the_quantum_frame_params(capsys, code1, code2, frame
 
 
 def test_conv_check_verb(capsys):
-    code, payload = run_json(capsys, "conv", "check", "--code1", "hamming_dual(3,2)",
-                             "--code2", "hamming_dual(3,2)", "--t", "2")
-    assert code == 0
-    assert payload["report"]["window_pairwise_orthogonal"] is True
+    """The report is the band block alone; its verdict and the exit code
+    agree with the pure-Python pairwise check of a three-block window."""
+    for code1, code2, t in (("hamming_dual(3,2)", "hamming_dual(3,2)", 2),
+                            ("simplex(2,2)", "additive(quaternary_hamming_dual_5)", 1)):
+        code, payload = run_json(capsys, "conv", "check", "--code1", code1, "--code2", code2,
+                                 "--t", str(t))
+        assert set(payload["report"]) == {"band"}
+        c2 = catalog_module.parse_descriptor(code2)
+        s = conv_module.conv_from_product(catalog_module.parse_descriptor(code1), c2, t,
+                                          c2.kinds[0])
+        verdict = payload["report"]["band"]["self_orthogonal_band"]
+        assert verdict is orthogonal_pairwise(conv_module.band_window(s, 3), s.kind)
+        assert code == (0 if verdict else 1)
 
 
 def test_conv_tailbite_verb(capsys):
