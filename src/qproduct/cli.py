@@ -203,9 +203,8 @@ def _build_band(args) -> ConvStabilizer:
 
 
 def _band_block(s: ConvStabilizer) -> dict:
-    """The band, with the quantum (n, k, m) per frame of its rows' stabilizers."""
-    rows = s.rows_per_frame * (1 if s.kind is InnerProductKind.SYMPLECTIC else s.spec.ell)
-    stabilizers, _ = stabilizer_count(s.spec, rows, s.kind)
+    """The band and its orthogonality verdict; a self-orthogonal band also
+    gets the quantum (n, k, m) per frame of its rows' stabilizers."""
     out = {
         "field_spec": _field_block(s.spec),
         "kind": str(s.kind),
@@ -213,8 +212,11 @@ def _band_block(s: ConvStabilizer) -> dict:
         "frame": s.frame,
         "overlap": s.overlap,
         "self_orthogonal_band": check_band_self_orthogonal(s),
-        "frame_params": {"n": s.frame, "k": s.frame - stabilizers, "m": s.overlap},
     }
+    if out["self_orthogonal_band"]:
+        rows = s.rows_per_frame * (1 if s.kind is InnerProductKind.SYMPLECTIC else s.spec.ell)
+        stabilizers, _ = stabilizer_count(s.spec, rows, s.kind)
+        out["frame_params"] = {"n": s.frame, "k": s.frame - stabilizers, "m": s.overlap}
     fact = band_window_factorization_ok(s, 2)
     if fact is not None:
         out["window_factorization"] = fact
@@ -361,12 +363,13 @@ def _pipeline_rate_comparison(budget) -> dict:
         for mu in range(1, q - 1):
             rc = rate_comparison(q, mu, mu)
             grid.append(rc.to_dict())
-    squared_example = {
-        "base": [5, 1],
-        "squared": [25, 17],
-        "rate_ratio": str(Fraction(17, 25) / Fraction(1, 5)),
-        "more_than_three_times": Fraction(17, 25) > 3 * Fraction(1, 5),
-    }
+    code = quaternary_hamming_dual_5()
+    base, squared = ([c.n, c.n - stabilizer_count(c.spec, c.dim * c.field.ell,
+                                                  InnerProductKind.HERMITIAN)[0]]
+                     for c in (code, product(code, code)))  # Hermitian (n, k), no distance
+    ratio = Fraction(squared[1], squared[0]) / Fraction(base[1], base[0])
+    squared_example = {"base": base, "squared": squared, "rate_ratio": str(ratio),
+                       "more_than_three_times": ratio > 3}
     return {"grid": grid, "squared_length_example": squared_example}
 
 

@@ -30,7 +30,6 @@ stop a certificate's walk at its first word of their least nonzero weight.
 from __future__ import annotations
 
 import weakref
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -39,8 +38,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .galois import FieldSpec, element_dtype, field_add, field_map, field_tables
-from .matrix import (InnerProductKind, Matrix, _require_even_degree, _standard_kernel,
-                     product_kernel)
+from .matrix import (InnerProductKind, Matrix, _products_sum, _require_even_degree,
+                     _standard_kernel, product_kernel)
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -112,21 +111,11 @@ class DistanceCertificate:
 # planes is, and bitwise_count counts them.  The first use of each numpy
 # kernel in a process faults in about 64 KiB of its code, so the engine
 # keeps to few kernels: the weight row is read as bytes (count, in, index),
-# and planes replace a per-symbol bit fold.
+# planes replace a per-symbol bit fold, and the rows' digits go into planes
+# (a witness's come back out) by packbits and unpackbits for p = 2, which
+# the GF(2) rref loads in any case, or by viewing the lanes as fields.
 
 SCAN_BLOCK = 1 << 12  # most words per block (a block holds at least p words)
-
-
-def _pack(vec: Sequence[int], bits: int) -> int:
-    word = 0
-    for i, v in enumerate(vec):
-        word |= v << (bits * i)
-    return word
-
-
-def _unpack(word: int, bits: int, n: int) -> tuple[int, ...]:
-    mask = (1 << bits) - 1
-    return tuple((word >> (bits * i)) & mask for i in range(n))
 
 
 def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
@@ -141,20 +130,18 @@ def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
     whole walk's witness when no word is lighter (blocks go in walk order)."""
     p, ell, K = spec.p, spec.ell, len(rows)
     # a word is ell planes of L lanes; an odd-p digit fills a field of f bytes
-    if p == 2:
-        L = -(-n // 64)
-        flat = array("Q", [_pack([v >> t & 1 for v in r[j:j + 64]], 1)
-                           for r in rows for t in range(ell) for j in range(0, n, 64)])
-    else:
-        tc = "B" if p < 128 else "I"  # a field holds the sum of two digits, below 2p
-        f = array(tc).itemsize
-        L = -(-n * f // 8)
-        pad = [0] * (8 // f * L - n)
-        flat = array(tc, [x for r in rows for t in range(ell)
-                          for x in [spec.to_digits(v)[t] for v in r] + pad])
-        one = int.from_bytes(array(tc, [1] * (8 // f)).tobytes(), "little")
+    tc = np.uint8 if p < 128 else np.uint32  # a field holds the sum of two digits, below 2p
+    f = np.dtype(tc).itemsize
+    per_lane = 64 if p == 2 else 8 // f  # symbols per lane
+    L = -(-n // per_lane)
+    digits = np.zeros((K, ell, per_lane * L), tc)
+    powers = p ** np.arange(ell)
+    digits[:, :, :n] = np.array(rows, np.int64).reshape(K, 1, n) // powers[:, None] % p
+    planes = np.packbits(digits, axis=2, bitorder="little") if p == 2 else digits
+    R = planes.view(np.uint64).reshape(K, ell * L)
+    if p > 2:
+        one = sum(1 << 8 * f * i for i in range(per_lane))  # 1 in each field
         high, low = np.uint64(one << 8 * f - 1), np.uint64((one << 8 * f - 1) - one)
-    R = np.frombuffer(flat, np.uint64).reshape(K, ell * L)
 
     def add(x, y, out=None):
         if p == 2:
@@ -208,12 +195,9 @@ def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
             break
     if best is None:
         return best_w, None
-    if p == 2:
-        bits = [_unpack(lane, 1, 64) for lane in best.tolist()]
-        return best_w, tuple(sum(bits[t * L + i // 64][i % 64] << t for t in range(ell))
-                             for i in range(n))
-    digits = best.view(tc).reshape(ell, -1).tolist()
-    return best_w, tuple(spec.from_digits(d[i] for d in digits) for i in range(n))
+    planes = np.unpackbits(best.view(np.uint8), bitorder="little") if p == 2 else best.view(tc)
+    digits = planes.reshape(ell, -1)[:, :n].astype(np.int64)
+    return best_w, tuple((digits * powers[:, None]).sum(axis=0).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +291,21 @@ class Code:
         digits = m.array.reshape(m.nrows, self.n, w).astype(np.int32)
         return Matrix._of(self.spec, sum(digits[:, :, t] * p**t for t in range(w)))
 
+    @cached_property
+    def _pivots(self) -> np.ndarray:
+        """The pivot column of each row of the rref basis."""
+        return np.argmax(self.basis.array != 0, axis=1)
+
     def contains(self, vec: Sequence[int]) -> bool:
+        """Membership in the code: the F-coordinates v of vec lie in the
+        span of the rref basis iff v = sum_i v[pivot_i] * row_i, as that
+        sum is the only combination of the rows that agrees with v at
+        every pivot."""
         if len(vec) != self.n:
             raise ValueError("length mismatch")
-        return self.basis.row_space_contains(self.coordinates(vec))
+        v = np.asarray(self.coordinates(vec), np.int64)
+        return np.array_equal(_products_sum(self.field, v[None, self._pivots],
+                                            self.basis.array.T)[0], v)
 
     def _kind(self, kind: InnerProductKind | None) -> InnerProductKind:
         if kind is None:
@@ -626,7 +621,7 @@ class _Syndromes:
         H = code._parity
         if H is None:  # a cyclic code's check rows, or else the standard parity rows
             H = (_check_rows(spec, code.n, code.zeros) if code.zeros is not None
-                 else _standard_kernel(code.basis, np.argmax(code.basis.array != 0, axis=1)))
+                 else _standard_kernel(code.basis, code._pivots))
         H = H.array
         if w == 1:
             self.where = [(i, 1) for i in range(code.n)]

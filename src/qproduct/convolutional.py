@@ -54,14 +54,15 @@ class ConvStabilizer:
 def conv_from_product(c1, c2, t: int, kind: InnerProductKind) -> ConvStabilizer:
     """Band block from a product code: M = G1 (x) G2 with overlap t*n2.
 
-    The second factor must be self-orthogonal under the chosen kind; that
-    makes the head and tail of M orthogonal, which is exactly what the
-    shifted band needs.
+    ``kind`` must be one that c2 takes duals under, else ValueError.
+    Whether the band's rows are orthogonal under it is
+    ``check_band_self_orthogonal``'s verdict: a self-orthogonal second
+    factor makes the head and tail of M orthogonal, which is enough, but
+    not needed.
     """
     if not 1 <= t < c1.n:
         raise ValueError(f"shift parameter t = {t} must satisfy 1 <= t < n1 = {c1.n}")
-    if not c2.is_self_orthogonal(kind):
-        raise ValueError(f"second factor is not self-orthogonal under {kind}")
+    c2._kind(kind)  # an additive code's band is never read as linear, nor the converse
     n2 = c2.n
     return ConvStabilizer(block=tensor_generator(c1, c2), frame=(c1.n - t) * n2,
                           overlap=t * n2, kind=kind, factor1=c1.generator, factor2=c2.generator)

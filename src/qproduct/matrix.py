@@ -265,14 +265,6 @@ class Matrix:
         ``_reversed_kernel``."""
         return _reversed_kernel(*Matrix._of(self.spec, self.array[:, ::-1]).rref())
 
-    def row_space_contains(self, vec: Sequence[int]) -> bool:
-        """Membership in the row span, assuming self is already in rref:
-        vec is in the span iff it is the sum of vec[lead] * row over the
-        rows, lead being the row's pivot column."""
-        v = np.asarray(vec, np.int64)
-        lead = np.argmax(self.array != 0, axis=1)
-        return np.array_equal(_products_sum(self.spec, v[None, lead], self.array.T)[0], v)
-
     # -- products -------------------------------------------------------------
 
     def kronecker(self, other: "Matrix") -> "Matrix":

@@ -374,18 +374,33 @@ def test_conv_build_reports_the_quantum_frame_params(capsys, code1, code2, frame
 
 def test_conv_check_verb(capsys):
     """The report is the band block alone; its verdict and the exit code
-    agree with the pure-Python pairwise check of a three-block window."""
+    agree with the pure-Python pairwise check of a three-block window, and
+    only a self-orthogonal band reports frame parameters."""
+    verdicts = []
     for code1, code2, t in (("hamming_dual(3,2)", "hamming_dual(3,2)", 2),
-                            ("simplex(2,2)", "additive(quaternary_hamming_dual_5)", 1)):
+                            ("simplex(2,2)", "additive(quaternary_hamming_dual_5)", 1),
+                            ("hamming_dual(3,2)", "hamming(3,2)", 1)):
         code, payload = run_json(capsys, "conv", "check", "--code1", code1, "--code2", code2,
                                  "--t", str(t))
         assert set(payload["report"]) == {"band"}
         c2 = catalog_module.parse_descriptor(code2)
         s = conv_module.conv_from_product(catalog_module.parse_descriptor(code1), c2, t,
                                           c2.kinds[0])
-        verdict = payload["report"]["band"]["self_orthogonal_band"]
+        band = payload["report"]["band"]
+        verdict = band["self_orthogonal_band"]
         assert verdict is orthogonal_pairwise(conv_module.band_window(s, 3), s.kind)
         assert code == (0 if verdict else 1)
+        assert ("frame_params" in band) is verdict
+        verdicts.append(verdict)
+    assert verdicts == [True, True, False]
+
+
+def test_conv_tailbite_of_a_band_that_is_not_self_orthogonal_is_an_error(capsys):
+    code, payload = run_json(capsys, "conv", "tailbite", "--code1", "hamming_dual(3,2)",
+                             "--code2", "hamming(3,2)", "--blocks", "2")
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert "self-orthogonal" in payload["error"]["message"]
 
 
 def test_conv_tailbite_verb(capsys):
@@ -601,6 +616,16 @@ def test_tail_biting_reports_build_each_code_once(monkeypatch, capsys):
     assert code == 0 and calls == {"tail_biting": 1}
     report = cli.PIPELINES["tail-biting"](None)
     assert sorted(report) == ["N=2", "N=3"] and calls == {"tail_biting": 3}
+
+
+def test_squared_length_example_is_the_hermitian_chain_pair():
+    """The rate comparison's (n, k) pairs are the Hermitian codes of
+    quaternary_hamming_dual_5 and of its square, as the hermitian-chain
+    report builds them with their distances."""
+    example = cli.PIPELINES["rate-comparison"](None)["squared_length_example"]
+    chain = cli.PIPELINES["hermitian-chain"](None)
+    assert example["base"] == [chain["qecc"]["n"], chain["qecc"]["k"]]
+    assert example["squared"] == [chain["product_qecc"]["n"], chain["product_qecc"]["k"]]
 
 
 @pytest.mark.parametrize("factor", ["cyclic(5)", "cyclic()", "rs(5,3,1)",

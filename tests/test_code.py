@@ -693,13 +693,6 @@ def test_binary_rows_lifted_to_gf4_span_their_multiples():
             assert lifted.contains(tuple(spec.mul(scale, v) for v in g))
 
 
-def test_pack_unpack_roundtrip():
-    from qproduct.code import _pack, _unpack
-
-    for bits, vec in ((1, (1, 0, 1, 1)), (2, (3, 0, 2, 1)), (3, (7, 4, 0, 5))):
-        assert _unpack(_pack(vec, bits), bits, len(vec)) == vec
-
-
 def _scan_both(spec, rows, n):
     """(weight, witness, counts) from the library scan and from the oracle."""
     got, want = [0] * (n + 1), [0] * (n + 1)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import count_kernels, orthogonal_pairwise, random_matrix
-from qproduct.catalog import hamming_dual, quaternary_hamming_dual_5, simplex
+from qproduct.catalog import (hamming_dual, parse_descriptor, quaternary_hamming_dual_5,
+                              simplex)
 from qproduct.code import AdditiveCode, LinearCode, min_distance
 from qproduct.convolutional import (ConvStabilizer, band_window, band_window_factorization_ok,
                                     check_band_self_orthogonal, conv_from_product,
@@ -52,11 +53,27 @@ def test_conv_from_product_rejects_bad_t():
             conv_from_product(c, c, t, E)
 
 
-def test_conv_from_product_rejects_non_self_orthogonal():
-    c = hamming_dual(3, 2)
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_conv_from_product_builds_a_band_that_is_not_self_orthogonal(t):
+    """simplex(3,2) (x) I_3 is a self-orthogonal block, but adjacent copies
+    of it are not orthogonal: the band builds, and its check reads False."""
     full = LinearCode(Matrix(GF(2), np.eye(3, dtype=int)))
-    with pytest.raises(ValueError):
-        conv_from_product(c, full, 1, E)
+    s = conv_from_product(hamming_dual(3, 2), full, t, E)
+    assert (s.frame, s.overlap) == ((7 - t) * 3, 3 * t)
+    assert check_band_self_orthogonal(s) is False
+    assert not orthogonal_pairwise(band_window(s, 3), E)
+
+
+def test_band_with_a_non_self_orthogonal_second_factor():
+    """[1,1,0,0] (x) hamming(3,2) at t = 1: the second factor is not
+    self-orthogonal, but the block is, and the fourth coordinate of the
+    first factor, which the next copy overlaps, is zero."""
+    c1 = LinearCode.from_rows(GF(2), [[1, 1, 0, 0]])
+    c2 = parse_descriptor("hamming(3,2)")
+    assert not c2.is_self_orthogonal(E)
+    s = conv_from_product(c1, c2, 1, E)
+    assert check_band_self_orthogonal(s) is True
+    assert orthogonal_pairwise(band_window(s, 3), E)
 
 
 def test_band_self_orthogonality_paper_cases():
