@@ -35,8 +35,15 @@ def _field_block(spec) -> dict:
 def _selforth_flags(code) -> dict:
     """Self-orthogonality under each inner product the code takes: the
     Euclidean when linear, and over an even-degree field the Hermitian
-    (linear codes) and the symplectic (every code)."""
-    return {str(kind): _under(code, kind).is_self_orthogonal(kind) for kind in InnerProductKind
+    (linear codes) and the symplectic (every code).  A linear code's
+    symplectic flag is its Hermitian flag (Ketkar et al., IEEE TIT 52, 2006,
+    Lemma 18), so no additive view is built: the form tr(gamma * h(u, w)),
+    gamma != 0 and h Hermitian, vanishes on a GF(q)-linear C iff
+    tr(lam * gamma * h(u, w)) = 0 for every lam in GF(q), as lam * u lies
+    in C, that is iff h(u, w) = 0, the trace form being nondegenerate."""
+    return {str(kind): code.is_self_orthogonal(
+                kind if kind in code.kinds else InnerProductKind.HERMITIAN)
+            for kind in InnerProductKind
             if (code.linear or kind is InnerProductKind.SYMPLECTIC)
             and (kind is InnerProductKind.EUCLIDEAN or code.spec.ell % 2 == 0)}
 
@@ -227,8 +234,9 @@ def cmd_conv(args) -> dict:
     s = _build_band(args)
     if args.conv_action == "build":
         report = _band_block(s)
-        report["free_distance_upper_bound"] = free_distance_upper_bound(
-            s, args.window, budget=args.budget)
+        if report["self_orthogonal_band"]:  # a free distance only where a stabilizer code is
+            report["free_distance_upper_bound"] = free_distance_upper_bound(
+                s, args.window, budget=args.budget)
         return {"band": report}
     if args.conv_action == "check":
         return {"band": _band_block(s)}
@@ -571,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conv", help="convolutional stabilizer bands")
     conv_sub = p.add_subparsers(dest="conv_action", required=True)
-    for action, extra in (("build", "build a band block and check it"),
+    for action, extra in (("build", "build a band block; exit 1 if it is not self-orthogonal"),
                           ("check", "orthogonality verdict; exit 1 if the band is not "
                                     "self-orthogonal"),
                           ("tailbite", "wrap into a tail-biting block code")):
@@ -615,7 +623,7 @@ def main(argv=None) -> int:
     if args.command == "reproduce-paper" and not report.get("ok", False) \
             and not args.write_golden:
         return 1
-    if args.command == "conv" and args.conv_action == "check" \
+    if args.command == "conv" and args.conv_action in ("build", "check") \
             and not report["band"]["self_orthogonal_band"]:
         return 1
     return 0

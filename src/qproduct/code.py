@@ -13,15 +13,16 @@ column with leading entry 0, weight 2 the first repeated column key, and
 weights 3 and 4 meet in the middle over the normalized sums of column
 pairs, formed as numpy arrays in chunks of at most SEARCH_CHUNK pairs
 (over GF(2), XORs); it always runs to its end.  Its columns come from
-parity rows that need no elimination, and a dual's basis is eliminated on
-first read only.  "bch" is the BCH bound of a cyclic code, read off
-the zeros it keeps and met by a basis row.  "product" is the bound
-d1 * d2 of a product above the budget, met by the tensor of its factors'
-witnesses, and "bch-rectangle" or "product-dual" the bound
-min(d(C1^perp), d(C2^perp)) of a product's dual that the search leaves
-at d >= 5 (``product_dual_certificate``).  A certificate never reports
-"exact" unless lower and upper bound meet.
+parity rows that need no elimination, and a dual's basis is eliminated,
+and a product's formed, on first read only.  "bch" is the BCH bound of
+a cyclic code, read off the zeros it keeps and met by a basis row.
+"product" is the bound d1 * d2 of a product above the budget, met by the
+tensor of its factors' witnesses, and "bch-rectangle" or "product-dual"
+the bound min(d(C1^perp), d(C2^perp)) of a product's dual that the
+search leaves at d >= 5 (``product_dual_certificate``).  A certificate
+never reports "exact" unless lower and upper bound meet.
 
+A certificate is found once per code and budget, and kept on the code.
 A weight enumerator is counted by the same scan, once per code, on the
 smaller side: a dual whose primal has no more words takes the primal's
 counts through the MacWilliams transform, in exact integers.  Known counts
@@ -118,7 +119,7 @@ class DistanceCertificate:
 SCAN_BLOCK = 1 << 12  # most words per block (a block holds at least p words)
 
 
-def _exhaustive_scan(spec: FieldSpec, rows: list[tuple[int, ...]], n: int,
+def _exhaustive_scan(spec: FieldSpec, rows: np.ndarray | Sequence[Sequence[int]], n: int,
                      counts: list[int] | None = None,
                      floor: int = 0) -> tuple[int, tuple[int, ...] | None]:
     """Minimum weight over the words at steps t >= 1 of the Gray walk of
@@ -220,28 +221,32 @@ class Code:
     kinds: tuple[InnerProductKind, ...]  # the inner products it takes duals under, default first
 
     def _setup(self, basis: Matrix | Callable[[], Matrix], parity: Matrix | None = None,
-               zeros: frozenset[int] | None = None) -> None:
+               zeros: frozenset[int] | None = None, dim: int | None = None) -> None:
         """Finish construction from a reduced basis; spec and n are set.
-        ``parity``, when known, are rows over F whose F-kernel is the code;
-        if independent, ``basis`` may be a function run on its first read."""
+        ``parity``, when known, are rows over F whose F-kernel is the code.
+        ``basis`` may be a function of ``dim`` rows, run on first read.  The
+        constructor sets what else ``min_distance`` reads before it returns,
+        so a certificate is found once per code and budget."""
         self._basis = basis
-        self.dim = basis.nrows if isinstance(basis, Matrix) else self.n * self.width - parity.nrows
+        self.dim = basis.nrows if isinstance(basis, Matrix) else dim
         self._parity = parity
         self._factors: tuple[Code, Code] | None = None  # (c1, c2) of a product c1 (x) c2
         self.zeros = zeros  # a cyclic code's zeros, exponents mod n
         self._dual_cache: dict[InnerProductKind, Code] = {}
         self._orthogonal: dict[InnerProductKind, bool] = {}  # is_self_orthogonal, per kind
         self._weights: dict[int, int] | None = None  # the weight enumerator, once counted
+        self._certs: dict[int, DistanceCertificate] = {}  # min_distance, per effective budget
         self._primal: weakref.ref | None = None  # the code this is the dual of, if built so
         self._dual_of: tuple | None = None  # (c1, c2, kind) of a dual (c1 (x) c2)^perp
         self._view_of: Code | None = None  # the code an additive view has the words of
 
     @classmethod
-    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix, parity: Matrix | None,
-                    zeros: frozenset[int] | None = None) -> "Code":
+    def _from_basis(cls, spec: FieldSpec, n: int, basis: Matrix | Callable[[], Matrix],
+                    parity: Matrix | None, zeros: frozenset[int] | None = None,
+                    dim: int | None = None) -> "Code":
         code = cls.__new__(cls)
         code.spec, code.n = spec, n
-        code._setup(basis, parity, zeros)
+        code._setup(basis, parity, zeros, dim)
         return code
 
     @property
@@ -255,7 +260,7 @@ class Code:
 
     @property
     def basis(self) -> Matrix:
-        if not isinstance(self._basis, Matrix):  # eliminate it, once
+        if not isinstance(self._basis, Matrix):  # build it on first read, once
             self._basis = self._basis()
             if self._basis.nrows != self.dim:
                 raise AssertionError(f"{self._basis.nrows} basis rows, expected {self.dim}")
@@ -375,7 +380,8 @@ class Code:
             else:
                 c1, c2 = self._factors
                 basis = lambda: product_kernel(c1._form(_first_factor_kind(kind)), c2._form(kind))
-            cached = self._from_basis(self.spec, self.n, basis, form, zeros=zeros)
+            cached = self._from_basis(self.spec, self.n, basis, form, zeros=zeros,
+                                      dim=self.n * self.width - self.dim)
             cached._primal = weakref.ref(self)
             if self._factors is not None:  # the factors, not the product: no reference cycle
                 cached._dual_of = (*self._factors, kind)
@@ -424,12 +430,12 @@ class Code:
         return {"field": self.spec.q, "length": self.n,
                 "generator": self.generator.array.tolist()}
 
-    def expanded_generators(self) -> list[tuple[int, ...]]:
-        """Vectors whose GF(p)-span is the code: x^t * g for every
-        generator row g and every t below the degree of F."""
-        spec = self.spec
-        return [tuple(spec.mul(spec.p**t, v) for v in g)
-                for g in self.generator.rows for t in range(self.field.ell)]
+    def expanded_generators(self) -> np.ndarray:
+        """The K * ell x n array of x^t * g, whose GF(p)-span is the code,
+        for every generator row g and, within it, every t below F's degree ell."""
+        log, exp = field_tables(self.spec)
+        xt = log[self.spec.p ** np.arange(self.field.ell)]  # the logs of x^t
+        return exp[log[self.generator.array][:, None, :] + xt[:, None]].reshape(-1, self.n)
 
     @cached_property
     def _syndromes(self) -> "_Syndromes":
@@ -811,8 +817,17 @@ def min_distance(code: Code, budget: int | None = None) -> DistanceCertificate:
     comes with a witness a of that weight: every method above gives one
     (a "product" lower bound below 5 has factor bounds below 5), and this
     rule gives no bound below 5.  So a (x) e_0 or e_0 (x) a, a word of the
-    dual, would have been found by the complete search."""
+    dual, would have been found by the complete search.  The certificate
+    is kept on the code, one per effective budget (``Code._certs``)."""
     budget = enumeration_budget(budget)
+    cert = code._certs.get(budget)
+    if cert is None:
+        cert = code._certs[budget] = _certify(code, budget)
+    return cert
+
+
+def _certify(code: Code, budget: int) -> DistanceCertificate:
+    """``min_distance`` of a code at an effective budget, found afresh."""
     n = code.n
     if code.dim == 0:
         return DistanceCertificate(lower=n + 1, upper=n + 1, lower_method="exhaustive",

@@ -5,9 +5,9 @@ dual of a product.
 The first factor is a linear code over the scalar field F of the second:
 over GF(q) when the second is linear, over GF(p) when it is additive.  A
 product keeps its two factors: its basis is the Kronecker product of
-theirs, and its dual the kernel of the Kronecker product of their forms
-(``matrix.product_kernel``), so nothing the size of the product is
-eliminated.  The stacked dual generator is the independent cross-check.
+theirs, formed on first read, and its dual the kernel of the Kronecker
+product of their forms (``matrix.product_kernel``), so nothing the size
+of the product is eliminated.  The stacked dual generator is the independent cross-check.
 ``code.min_distance`` certifies a product and its dual from the factors.
 """
 from __future__ import annotations
@@ -34,14 +34,16 @@ def product(c1: Code, c2: Code) -> Code:
     factor's kind.  [n1*n2, k1*k2] (k_p = k1 * k_p(c2) when c2 is additive).
     It keeps (c1, c2) for ``Code.dual`` and ``min_distance``.
 
-    Its basis is c1.basis (x) c2.basis, the rref of the tensor generators
-    with no elimination: it spans them, and a Kronecker product of rref
-    matrices is in rref with independent rows (``matrix.product_kernel``,
-    fact 1).  For an additive c2 the digit expansion commutes with GF(p)
-    scalars: the digits of g_a * h_b are g_a times those of h_b, at column
-    (a * n2 + b) * ell + t of the Kronecker product."""
+    Its basis is c1.basis (x) c2.basis, built on first read, the rref of
+    the tensor generators with no elimination: it spans them, and a
+    Kronecker product of rref matrices is in rref with independent rows
+    (``matrix.product_kernel``, fact 1), k1 * k2 of them.  For an additive
+    c2 the digit expansion commutes with GF(p) scalars: the digits of
+    g_a * h_b are g_a times those of h_b, at column (a * n2 + b) * ell + t
+    of the Kronecker product."""
     _check_factors(c1, c2)
-    out = type(c2)._from_basis(c2.spec, c1.n * c2.n, c1.basis.kronecker(c2.basis), None)
+    out = type(c2)._from_basis(c2.spec, c1.n * c2.n, lambda: c1.basis.kronecker(c2.basis),
+                               None, dim=c1.dim * c2.dim)
     out._factors = (c1, c2)
     return out
 

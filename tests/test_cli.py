@@ -395,6 +395,17 @@ def test_conv_check_verb(capsys):
     assert verdicts == [True, True, False]
 
 
+def test_conv_build_of_a_band_that_is_not_self_orthogonal_exits_1(capsys):
+    """A band that fails the check reports neither frame parameters nor a
+    free distance, as no stabilizer code stands behind them, and exits 1
+    as ``conv check`` does."""
+    code, payload = run_json(capsys, "conv", "build", "--code1", "hamming_dual(3,2)",
+                             "--code2", "hamming(3,2)")
+    band = payload["report"]["band"]
+    assert code == 1 and band["self_orthogonal_band"] is False
+    assert not {"frame_params", "free_distance_upper_bound"} & band.keys()
+
+
 def test_conv_tailbite_of_a_band_that_is_not_self_orthogonal_is_an_error(capsys):
     code, payload = run_json(capsys, "conv", "tailbite", "--code1", "hamming_dual(3,2)",
                              "--code2", "hamming(3,2)", "--blocks", "2")
@@ -599,6 +610,56 @@ def test_rs_product_grid_builds_product_duals_only_to_enumerate(monkeypatch):
     monkeypatch.setattr(code_module, "product_kernel", counted)
     cli.PIPELINES["rs-product-grid"](None)
     assert sorted(fields) == [4, 4]
+
+
+def test_rs_product_grid_certifies_each_factor_dual_once(monkeypatch):
+    """The grid's 33 entries share 16 Reed-Solomon factors.  Each factor's
+    dual is certified once, however many entries' product dual
+    certificates read it, and so is each of the 5 product duals with
+    q <= 5."""
+    import qproduct.code as code_module
+
+    certified = []
+    real = code_module._certify
+    monkeypatch.setattr(code_module, "_certify",
+                        lambda code, budget: certified.append(code) or real(code, budget))
+    cli.PIPELINES["rs-product-grid"](None)
+    assert len({id(c) for c in certified}) == len(certified)
+    lengths = sorted(c.n for c in certified)
+    assert lengths == sorted([3] * 2 + [4] * 3 + [6] * 5 + [7] * 6 + [9] * 2 + [16] * 3)
+
+
+def test_rs_product_grid_reads_product_bases_only_to_take_duals(monkeypatch):
+    """A product's basis is built on first read: the q = 4 and 5 entries
+    read theirs to form their duals, and the 28 with q = 7, 8 read none."""
+    fields = []
+    real = Matrix.kronecker
+    monkeypatch.setattr(Matrix, "kronecker", lambda a, b: fields.append(a.spec.q) or real(a, b))
+    cli.PIPELINES["rs-product-grid"](None)
+    assert set(fields) == {4, 5}
+
+
+def test_pipelines_built_twice_in_one_process_match_their_goldens():
+    """Each build makes its codes afresh, so nothing a code keeps (its
+    certificates, basis or dual) leaks from one build into the next: both
+    builds of every report equal its golden byte for byte."""
+    for name, builder in cli.PIPELINES.items():
+        golden = (cli._golden_dir() / f"{name}.json").read_text()
+        for _ in range(2):
+            assert json.dumps(builder(None), indent=2, sort_keys=True) + "\n" == golden, name
+
+
+def test_code_block_reads_a_linear_codes_symplectic_flag_as_its_hermitian_flag(monkeypatch):
+    """``_selforth_flags`` builds no additive view of a linear code."""
+    from qproduct.code import AdditiveCode
+
+    views = []
+    real = AdditiveCode.from_linear
+    monkeypatch.setattr(AdditiveCode, "from_linear", lambda code: views.append(code) or real(code))
+    code = catalog_module.quaternary_hamming_dual_5()
+    block = cli._code_block(code)
+    assert views == []
+    assert block["self_orthogonal"] == {"euclidean": False, "hermitian": True, "symplectic": True}
 
 
 def test_qecc_rs_product_builds_the_product_once(monkeypatch, capsys):

@@ -663,15 +663,15 @@ def test_scan_floor_ends_the_walk_after_its_block(q):
 def test_min_distance_refuses_a_walk_that_misses_the_counted_minimum(monkeypatch, wrong):
     """The [15, 11, 3] Hamming code walked in blocks of 2^6 words: counts
     that put its minimum at 2 or 4 make the walk end at weight 3, and the
-    certificate is refused."""
+    certificate is refused.  Each call certifies a fresh code, as a code
+    keeps its first certificate."""
     primal = hamming_dual(4, 2)
-    code = primal.dual(E)
     monkeypatch.setattr(code_module, "SCAN_BLOCK", 1 << 6)
-    assert min_distance(code).value == 3
+    assert min_distance(primal.dual(E)).value == 3
     monkeypatch.setattr(code_module, "_weight_counts",
                         lambda code, budget, scan=True: {0: 1, wrong: 1})
     with pytest.raises(AssertionError, match="weight counts"):
-        min_distance(code)
+        min_distance(hamming_dual(4, 2).dual(E))
 
 
 def test_additive_from_linear_size():
@@ -691,6 +691,70 @@ def test_binary_rows_lifted_to_gf4_span_their_multiples():
     for g in code.generator.rows:
         for scale in range(1, 4):
             assert lifted.contains(tuple(spec.mul(scale, v) for v in g))
+
+
+@st.composite
+def _expansion_codes(draw):
+    """A linear code over GF(2), GF(4), GF(8), GF(9), GF(16), GF(25) or
+    GF(27), or an additive code over one of the extension fields; the
+    zero code included."""
+    spec = GF(draw(st.sampled_from([2, 4, 8, 9, 16, 25, 27])))
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
+    additive = spec.ell > 1 and draw(st.booleans())
+    return spanned_code(S if additive else E, spec, draw(st.lists(row, max_size=4)), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=_expansion_codes())
+def test_expanded_generators_match_the_scalar_definition(code):
+    """The one log/exp gather gives x^t * g for every generator row g and,
+    within it, every t below the degree of F (1 for an additive code)."""
+    spec = code.spec
+    want = [[spec.mul(spec.p**t, v) for v in g]
+            for g in code.generator.rows for t in range(code.field.ell)]
+    got = code.expanded_generators()
+    assert got.shape == (len(want), code.n) and got.tolist() == want
+
+
+@st.composite
+def _hermitian_field_codes(draw):
+    spec = GF(draw(st.sampled_from([4, 9, 16, 25])))
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
+    return LinearCode.from_rows(spec, draw(st.lists(row, max_size=3)), n=n)
+
+
+_QUATERNARY = quaternary_hamming_dual_5()
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=_hermitian_field_codes())
+@example(code=_QUATERNARY)
+@example(code=product(_QUATERNARY, _QUATERNARY))
+@example(code=LinearCode.from_rows(GF(4), [[1, 0]]))
+def test_a_linear_codes_symplectic_flag_is_its_hermitian_flag(code):
+    """Ketkar, Klappenecker, Kumar & Sarvepalli, Lemma 18, which
+    ``cli._selforth_flags`` reads: the additive view of a GF(q)-linear
+    code is symplectic self-orthogonal iff the code is Hermitian
+    self-orthogonal, each found on its own Gram matrix (the product by the
+    rule of its factors)."""
+    assert AdditiveCode.from_linear(code).is_self_orthogonal(S) == code.is_self_orthogonal(H)
+
+
+def test_min_distance_is_found_once_per_code_and_budget():
+    """A code keeps one certificate per effective budget: the default is
+    the key DEFAULT_BUDGET, and budget 0 is a key of its own.  The
+    additive-chain dual is enumerated at the default budget and searched
+    at budget 0."""
+    c2 = AdditiveCode.from_linear(quaternary_hamming_dual_5())
+    dual = product(simplex(2, 2), c2).dual(S)
+    cert = min_distance(dual)
+    assert cert is min_distance(dual) is min_distance(dual, code_module.DEFAULT_BUDGET)
+    searched = min_distance(dual, budget=0)
+    assert searched is min_distance(dual, budget=0)
+    assert (cert.lower_method, searched.lower_method) == ("exhaustive", "column-independence")
+    assert (searched.lower, searched.upper) == (cert.lower, cert.upper) == (3, 3)
 
 
 def _scan_both(spec, rows, n):

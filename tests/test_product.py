@@ -207,6 +207,24 @@ def test_product_self_orthogonality_from_the_factors_matches_its_gram(case):
     assert gram == (first or c2.is_self_orthogonal(kind))
 
 
+@pytest.mark.parametrize("factors", [
+    lambda: (hamming_dual(3, 2), hamming_dual(3, 2)),
+    lambda: (simplex(2, 2), AdditiveCode.from_linear(quaternary_hamming_dual_5())),
+], ids=["linear", "additive"])
+def test_product_basis_is_built_on_first_read(monkeypatch, factors):
+    """A product knows its dimension k1 * k2 before its basis is read, and
+    forms the Kronecker product of its factors' bases once, with that many
+    rows, on the first read."""
+    c1, c2 = factors()
+    calls = []
+    real = Matrix.kronecker
+    monkeypatch.setattr(Matrix, "kronecker", lambda a, b: calls.append(1) or real(a, b))
+    prod = product(c1, c2)
+    assert prod.dim == c1.dim * c2.dim and calls == []
+    assert prod.basis.nrows == prod.dim and prod.basis is prod.basis
+    assert len(calls) == 1
+
+
 def test_dual_of_product_full_space_factor():
     full = LinearCode(Matrix(GF(2), np.eye(3, dtype=int)))
     c2 = hamming_dual(3, 2)
